@@ -10,8 +10,11 @@ count is infinite). Cutoff kernels sample the impact normal on the
 half-sphere directly.
 
 Determinism: all randomness comes from counter-based streams keyed by
-(seed, step, species-pair block), and candidates are committed in candidate
-order through conflict-free waves, so results are bit-identical for any
+(seed, step, species-pair block). Within a block, each candidate's level is
+one more than the largest level among the earlier candidates sharing one of
+its particles; levels are committed in order, one vectorized batch each, so
+every particle meets its collisions in candidate order and the result equals
+committing candidates one at a time. Results are bit-identical for any
 thread count.
 """
 
@@ -20,6 +23,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import quad
@@ -120,6 +124,10 @@ class SimConfig:
     @property
     def restitution(self):
         return RestitutionParams(self.alpha) if self.alpha is not None else None
+
+    @cached_property
+    def sampler(self):
+        return AngularSampler(self.kernel, self.theta_min)
 
 
 class AngularSampler:
@@ -245,18 +253,25 @@ class _Violation(Exception):
 def step(ens: Ensemble, cfg: SimConfig) -> Ensemble:
     """Advance the ensemble by one time step of length cfg.dt.
 
-    Returns a new Ensemble; the input is not modified. On a majorant
-    violation the step is re-run from its own saved stream with the inflated
-    majorant, so recovery is deterministic.
+    Returns a new Ensemble; the input is not modified. Candidates are
+    committed in dependency levels (see _process_candidates). A majorant
+    violation is detected when a level is committed: the observed value is
+    the largest speed factor in the first level, in level order, that holds
+    a violating candidate. The majorant is inflated to 1.5 x max(observed,
+    majorant) and the step is re-run from its own saved stream, so recovery
+    is deterministic.
+
+    With cfg.collect_stats, last_step_stats holds the candidate and accepted
+    counts, sum_c2 and predicted_energy_loss (inelastic bookkeeping), the
+    majorant used, and levels, the number of levels summed over pair blocks.
     """
     out = ens.copy()
     if out.majorant is None or (cfg.majorant_refresh > 0
                                 and out.step_index % cfg.majorant_refresh == 0):
         out.majorant = _speed_majorant(out, cfg)
-    sampler = _get_sampler(cfg)
     for _retry in range(20):
         try:
-            stats = _attempt_step(out, cfg, sampler)
+            stats = _attempt_step(out, cfg)
             break
         except _Violation as v:
             new_maj = 1.5 * max(v.observed, out.majorant)
@@ -276,23 +291,15 @@ def step(ens: Ensemble, cfg: SimConfig) -> Ensemble:
     return out
 
 
-_SAMPLER_CACHE = {}
-
-
-def _get_sampler(cfg: SimConfig):
-    key = (cfg.kernel, cfg.theta_min)
-    if key not in _SAMPLER_CACHE:
-        _SAMPLER_CACHE[key] = AngularSampler(cfg.kernel, cfg.theta_min)
-    return _SAMPLER_CACHE[key]
-
-
-def _attempt_step(ens: Ensemble, cfg: SimConfig, sampler: AngularSampler):
+def _attempt_step(ens: Ensemble, cfg: SimConfig):
+    sampler = cfg.sampler
     d = ens.d
     gamma = cfg.kernel.gamma
     w = ens.species[0].weight
     maj_rate = ens.majorant * sampler.angular_mass
     stats = {"candidates": 0, "accepted": 0, "sum_c2": 0.0,
-             "predicted_energy_loss": 0.0, "majorant": ens.majorant}
+             "predicted_energy_loss": 0.0, "majorant": ens.majorant,
+             "levels": 0}
     for block, (i, j) in enumerate(_pair_blocks(len(ens.species))):
         rng = utils.substream(ens.seed, ens.step_index, block + 1)
         vi = ens.species[i].velocities
@@ -319,9 +326,9 @@ def _attempt_step(ens: Ensemble, cfg: SimConfig, sampler: AngularSampler):
         u_theta = rng.random(m)
         u_azim = rng.random(m) * 2.0 * math.pi
         pair_params = _pair_collision_params(cfg, ens, i, j)
-        _process_candidates(vi, vj, idx_a, idx_b, u_acc, u_theta, u_azim,
-                            ens.majorant, gamma, sampler, pair_params, d,
-                            w, stats, same=(i == j))
+        stats["levels"] += _process_candidates(
+            vi, vj, idx_a, idx_b, u_acc, u_theta, u_azim, ens.majorant, gamma,
+            sampler, pair_params, d, w, stats, same=(i == j))
         stats["candidates"] += m
     return stats
 
@@ -335,29 +342,51 @@ def _pair_collision_params(cfg, ens, i, j):
 def _process_candidates(vi, vj, idx_a, idx_b, u_acc, u_theta, u_azim,
                         majorant, gamma, sampler, pair_params, d, w, stats,
                         same):
-    """Commit candidates in order through conflict-free waves."""
+    """Commit candidates level by level; returns the number of levels.
+
+    A candidate's level is 1 + the larger level of its predecessors (the
+    previous candidates touching either of its particles), or 0 if it has
+    none. Levels are peeled off in order: a pass takes every pending
+    candidate whose predecessors are all committed. No particle repeats
+    within a level and every particle meets its collisions in candidate
+    order, so the result equals committing the candidates one at a time.
+    """
     m = len(idx_a)
-    start = 0
-    while start < m:
-        seen_a, seen_b = set(), set()
-        end = start
-        while end < m:
-            a, b = int(idx_a[end]), int(idx_b[end])
-            if same:
-                if a in seen_a or b in seen_a:
-                    break
-                seen_a.add(a)
-                seen_a.add(b)
-            else:
-                if a in seen_a or b in seen_b:
-                    break
-                seen_a.add(a)
-                seen_b.add(b)
-            end += 1
-        _apply_wave(vi, vj, idx_a[start:end], idx_b[start:end],
-                    u_acc[start:end], u_theta[start:end], u_azim[start:end],
-                    majorant, gamma, sampler, pair_params, d, w, stats)
-        start = end
+    pred = _predecessors(idx_a, idx_b if same else idx_b + len(vi))
+    pred_a, pred_b = pred[:m], pred[m:]
+    committed = np.zeros(m + 1, dtype=bool)
+    committed[m] = True                     # the "no predecessor" sentinel
+    pending = np.arange(m)
+    levels = 0
+    while pending.size:
+        ready = committed[pred_a[pending]] & committed[pred_b[pending]]
+        level = pending[ready]
+        _apply_wave(vi, vj, idx_a[level], idx_b[level], u_acc[level],
+                    u_theta[level], u_azim[level], majorant, gamma, sampler,
+                    pair_params, d, w, stats)
+        committed[level] = True
+        pending = pending[~ready]
+        levels += 1
+    return levels
+
+
+def _predecessors(key_a, key_b):
+    """Previous candidate sharing each candidate's a and b particle.
+
+    Returns pred of length 2m: pred[k] for the a particle and pred[m + k]
+    for the b particle of candidate k, with m meaning none. The two keys of
+    one candidate must differ.
+    """
+    m = len(key_a)
+    keys = np.concatenate([key_a, key_b])
+    # key * m + candidate is unique: sorting it orders by key, then candidate
+    order = np.argsort(keys * m + np.tile(np.arange(m), 2))
+    sorted_keys = keys[order]
+    shared = sorted_keys[1:] == sorted_keys[:-1]
+    pred = np.empty(2 * m, dtype=np.intp)
+    pred[order[0]] = m
+    pred[order[1:]] = np.where(shared, order[:-1] % m, m)
+    return pred
 
 
 def _apply_wave(vi, vj, ia, ib, u_acc, u_theta, u_azim, majorant, gamma,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -159,6 +160,57 @@ class TestSimulateAndTails:
         assert dispatch(["simulate", "--config", str(cfg)]) == 1
         assert "missing keys" in capsys.readouterr().err
 
+
+# sha256 of every `simulate` output except manifest.json (which holds
+# times), for two small inelastic runs. Recorded with the greedy-wave
+# candidate scheduler (x86-64, numpy 2.4); the dependency-level scheduler
+# reproduces them. A change here is a change of computed numbers.
+GOLDEN_CONFIGS = {
+    "inelastic_d3_gamma0": [
+        "model = inelastic", "d = 3", "gamma = 0", "s_or_h = iso",
+        "alpha = 0.5", "particles = 4000", "dt = 0.05", "steps = 20",
+        "seed = 2024", "init = gaussian", "moments_every = 1",
+        "snapshot_every = 10"],
+    "inelastic_d2_gamma1": [
+        "model = inelastic", "d = 2", "gamma = 1", "s_or_h = iso",
+        "alpha = 0.6", "particles = 3000", "dt = 0.02", "steps = 20",
+        "seed = 77", "init = two_bump", "moments_every = 1",
+        "snapshot_every = 10"],
+}
+GOLDEN_DIGESTS = {
+    "inelastic_d3_gamma0": {
+        "moments.csv": "55eb3f7b00b0114604ee97599897b7531f2681d351716e991b05a60d415bc7df",
+        "snapshot_0000_species0.kten": "d2fc7122f127a704d479417636a46378a6884ffb5f87d0062b096dc130299e94",
+        "snapshot_0001_species0.kten": "cf0058e4a6c2db76901ae1d0e91b38ed7e9341d66240dc9d8465a4ec491cab76",
+        "snapshot_0002_species0.kten": "039c5476c432742d019ab61e5b8f1abec9aee729e91722c42d502ef3df8ea396",
+        "snapshots.json": "7d7ef3cc9e5bf03b42c78173fadcdae38f67ef1e7d58fb959f61604b2922042f",
+        "tails_0000.csv": "51f503c42b251882f21d1075dd47dc87356506e5454f8ae4f2b5cc0bdd61359f",
+        "tails_0001.csv": "2568fa6b0fd33f00ccd384545203239eeac5089f113058df56cf3b883a6e9302",
+        "tails_0002.csv": "43d6e5b9a1b0a07ec773ad2ec6880c1d79a7a8b19be4ea83fc818abf2c5c18b9",
+    },
+    "inelastic_d2_gamma1": {
+        "moments.csv": "ffca2f0393437acc02480f394e0d73fec2ff53c9ec8575f03c146357a7cb078e",
+        "snapshot_0000_species0.kten": "a87a022e71ce577f6ef71539c2fe0fd4b15c00725ea18ebacaf8f4e1abd143d3",
+        "snapshot_0001_species0.kten": "d8b0549ad81cea5d135e00434e03498e7e015bad127cde5cbbb4123e9f6220d7",
+        "snapshot_0002_species0.kten": "78cb8a2c55ba9e77617470121fc8e57e14ba8dc6fa5d9668707485fc8eaea9f6",
+        "snapshots.json": "1d9b0f59ff3e1893d80e0a30368a688693b95fa7964f015f7543ba601ac27679",
+        "tails_0000.csv": "a6c9cafe72c4bf8cdf9c54f296a73bf4dbd6541d7886714f39d7d9002451a064",
+        "tails_0001.csv": "20f236b8e4ce818f3dbc3bd353c990ec90dbc5bb36b562ae1b6f81c27999b5dd",
+        "tails_0002.csv": "2be95d176ee0ff4c775c37af3142bfa5cdbeac6f9f7cc390832c89712f38efa2",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_simulate_golden_digests(tmp_path, name):
+    outdir = tmp_path / "sim"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(GOLDEN_CONFIGS[name]
+                             + [f"output_dir = {outdir}"]) + "\n")
+    run_ok(["simulate", "--config", cfg, "--quiet"])
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(outdir.iterdir()) if p.name != "manifest.json"}
+    assert digests == GOLDEN_DIGESTS[name]
 
 class TestKernelScalingCommand:
     def test_small_grid_csv(self, tmp_path):

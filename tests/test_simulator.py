@@ -336,3 +336,129 @@ class TestAngularSampler:
         # a smaller truncation discards less transfer weight
         s2 = sim.AngularSampler(spec, theta_min=1e-3)
         assert s2.discarded_transfer < s.discarded_transfer
+
+
+def _commit_one_at_a_time(vi, vj, idx_a, idx_b, u_acc, u_theta, u_azim,
+                          majorant, gamma, sampler, pair_params, d, w, stats,
+                          same):
+    """Reference schedule for _process_candidates: one candidate per batch."""
+    for k in range(len(idx_a)):
+        one = slice(k, k + 1)
+        sim._apply_wave(vi, vj, idx_a[one], idx_b[one], u_acc[one],
+                        u_theta[one], u_azim[one], majorant, gamma, sampler,
+                        pair_params, d, w, stats)
+    return len(idx_a)
+
+
+def _equivalence_cfg(case):
+    # each majorant bounds every pair speed factor of its run, so no
+    # violation (and no schedule-dependent retry) can occur
+    if case == "inelastic_cutoff_d3":
+        return sim.SimConfig(model="inelastic", kernel=iso_cutoff(model="inelastic"),
+                             dt=0.1, steps=4, particles=(800,), alpha=0.5,
+                             seed=41, collect_stats=True)
+    if case == "inelastic_cutoff_d2":
+        return sim.SimConfig(model="inelastic",
+                             kernel=iso_cutoff(gamma=1.0, d=2, model="inelastic"),
+                             dt=0.02, steps=4, particles=(800,), alpha=0.6,
+                             seed=42, majorant=20.0, majorant_refresh=0,
+                             init="two_bump", collect_stats=True)
+    if case == "mixture_two_species":
+        return sim.SimConfig(model="mixture", kernel=iso_cutoff(gamma=0.0),
+                             dt=0.1, steps=4, particles=(500, 300),
+                             masses=(1.0, 3.0), seed=43, collect_stats=True)
+    if case == "noncutoff":
+        spec = KernelSpec(gamma=1.0, d=3, s=0.2, model="mixture")
+        return sim.SimConfig(model="mixture", kernel=spec, dt=0.0008, steps=4,
+                             particles=(600,), masses=(1.0,), seed=44,
+                             majorant=20.0, majorant_refresh=0,
+                             collect_stats=True)
+    raise ValueError(case)
+
+
+class TestLevelSchedule:
+    @staticmethod
+    def trajectory(cfg):
+        ens = sim.build_ensemble(cfg)
+        states, levels = [], 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", MajorantInflationWarning)
+            for _ in range(cfg.steps):
+                ens = sim.step(ens, cfg)
+                states.append(([s.velocities.copy() for s in ens.species],
+                               ens.last_step_stats["accepted"]))
+                levels += ens.last_step_stats["levels"]
+        return states, levels
+
+    @pytest.mark.parametrize("case", ["inelastic_cutoff_d3", "inelastic_cutoff_d2",
+                                      "mixture_two_species", "noncutoff"])
+    def test_levels_equal_sequential_commit(self, case, monkeypatch):
+        cfg = _equivalence_cfg(case)
+        by_level, levels = self.trajectory(cfg)
+        monkeypatch.setattr(sim, "_process_candidates", _commit_one_at_a_time)
+        one_by_one, candidates = self.trajectory(cfg)
+        # the schedule batched the candidates, and changed no bit
+        assert cfg.steps < levels < candidates
+        for (v_lvl, acc_lvl), (v_seq, acc_seq) in zip(by_level, one_by_one):
+            assert acc_lvl == acc_seq
+            for a, b in zip(v_lvl, v_seq):
+                assert np.array_equal(a, b)
+
+    def test_predecessors_match_a_scan(self):
+        rng = np.random.default_rng(5)
+        n, m = 50, 400
+        idx_a = rng.integers(0, n, m)
+        idx_b = (idx_a + 1 + rng.integers(0, n - 1, m)) % n
+        pred = sim._predecessors(idx_a, idx_b)
+        last = {}
+        for k, (a, b) in enumerate(zip(idx_a, idx_b)):
+            assert pred[k] == last.get(a, m)
+            assert pred[m + k] == last.get(b, m)
+            last[a] = last[b] = k
+
+    def test_violation_reports_level_maximum(self, monkeypatch):
+        # the observed value of a violation is the largest speed factor of
+        # the level that violated; the majorant goes to 1.5 x max(observed,
+        # majorant)
+        spec = iso_cutoff(gamma=1.0)
+        cfg = sim.SimConfig(model="mixture", kernel=spec, dt=0.02, steps=0,
+                            particles=(20000,), masses=(1.0,), seed=5,
+                            majorant=0.5, majorant_refresh=0,
+                            collect_stats=True)
+        ens = sim.build_ensemble(cfg)
+        apply_wave = sim._apply_wave
+        violated = []
+
+        def recording_apply_wave(vi, vj, ia, ib, *args):
+            try:
+                apply_wave(vi, vj, ia, ib, *args)
+            except sim._Violation as exc:
+                violated.append((float(np.max(np.linalg.norm(vi[ia] - vj[ib],
+                                                             axis=1))),
+                                 exc.observed))
+                raise
+
+        monkeypatch.setattr(sim, "_apply_wave", recording_apply_wave)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MajorantInflationWarning)
+            out = sim.step(ens, cfg)
+        assert len(violated) == 1
+        level_max, observed = violated[0]
+        assert observed == level_max
+        assert out.majorant == 1.5 * max(observed, 0.5)
+        assert out.majorant == pytest.approx(8.757288056350166, rel=1e-12)
+
+
+class TestModuleState:
+    def test_stepping_leaves_no_module_state(self):
+        def state():
+            return {k: len(v) for k, v in vars(sim).items()
+                    if not k.startswith("__")
+                    and isinstance(v, (dict, list, set))}
+
+        before = state()
+        for seed in (1, 2, 3):
+            cfg = elastic_cfg(n=200, steps=2, seed=seed)
+            run(cfg)
+            assert cfg.sampler is cfg.sampler      # built once per config
+        assert state() == before
