@@ -28,10 +28,10 @@ import numpy as np
 
 from . import __version__, utils
 from . import cancellation as canc
-from . import kernels, simulator, spreading, tails
+from . import geometry, kernels, simulator, spreading, tails
 from .density import DensityField
-from .errors import NumericalError, UnknownSubcommand, ValidationError
-from .geometry import MassPair, RestitutionParams
+from .errors import InsufficientData, NumericalError, UnknownSubcommand, ValidationError
+from .geometry import RestitutionParams
 from .utils import DEFAULT_SEED, format_float
 
 SUBCOMMANDS = ("simulate", "kernel-scaling", "cancellation", "spreading",
@@ -55,7 +55,7 @@ def _build_parser():
     common.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"RNG seed (default {DEFAULT_SEED}, never wall clock)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads; results are thread-count independent")
+                        help="worker threads, used by region only; results do not depend on it")
     common.add_argument("--output-dir", type=Path, default=Path("."),
                         help="directory for outputs and manifest.json")
     common.add_argument("--quiet", action="store_true")
@@ -302,56 +302,13 @@ def _run_cancellation(args):
 
 
 def _run_verify_geometry(args):
-    from . import geometry as geo
-    rng = utils.substream(args.seed, 0xEC)
-    n = args.samples
-    d = args.d
-    v = rng.normal(size=(n, d))
-    vs = rng.normal(size=(n, d))
-    sig = rng.normal(size=(n, d))
-    sig /= np.linalg.norm(sig, axis=1, keepdims=True)
-    p = RestitutionParams.from_beta(0.75)
-    m = MassPair(1.0, 2.5)
-
-    vp, vsp, _ = geo.inelastic_post_sigma(v, vs, sig, p)
-    mom = np.max(np.abs((vp + vsp) - (v + vs)))
-    nvec = geo.normal_from_collision(v, vp)
-    rest = np.max(np.abs(np.sum((vp - vsp) * nvec, axis=1)
-                         + p.alpha * np.sum((v - vs) * nvec, axis=1)))
-    vp_n, vsp_n, _ = geo.inelastic_post_n(v, vs, nvec, p)
-    agree = max(np.max(np.abs(vp_n - vp)), np.max(np.abs(vsp_n - vsp)))
-    shrink = np.max(np.linalg.norm(vp - vsp, axis=1)
-                    - np.linalg.norm(v - vs, axis=1))
-    mp, msp, _ = geo.mixture_post_sigma(v, vs, sig, m)
-    mom_m = np.max(np.abs((m.m_i * mp + m.m_j * msp) - (m.m_i * v + m.m_j * vs)))
-    en_m = np.max(np.abs(m.m_i * np.sum(mp ** 2, axis=1)
-                         + m.m_j * np.sum(msp ** 2, axis=1)
-                         - m.m_i * np.sum(v ** 2, axis=1)
-                         - m.m_j * np.sum(vs ** 2, axis=1)))
-    vp_neg, vsp_neg, _ = geo.inelastic_post_sigma(v, vs, -sig, p)
-    swap_gap = float(np.min(np.linalg.norm(vp_neg - vsp, axis=1)
-                            + np.linalg.norm(vsp_neg - vp, axis=1)))
-    report = {
-        "samples": n, "d": d,
-        "momentum_residual": float(mom),
-        "restitution_residual": float(rest),
-        "sigma_n_agreement": float(agree),
-        "relative_speed_growth": float(shrink),
-        "mixture_momentum_residual": float(mom_m),
-        "mixture_energy_residual": float(en_m),
-        "sigma_flip_swap_gap": swap_gap,
-    }
-    scale = float(np.max(np.linalg.norm(v - vs, axis=1)))
-    ok = (mom < 1e-12 * scale and rest < 1e-11 * scale and agree < 1e-10 * scale
-          and shrink < 1e-12 * scale and mom_m < 1e-11 * scale
-          and en_m < 1e-10 * scale ** 2 and swap_gap > 1e-6)
-    report["pass"] = bool(ok)
+    report = geometry.verify_identities(args.seed, args.samples, args.d)
     out = args.output_dir / "geometry_report.json"
     _write_json(out, report)
     if not args.quiet:
         for k, val in report.items():
             print(f"{k}: {val}")
-    if not ok:
+    if not report["pass"]:
         raise NumericalError("geometry identities exceeded tolerances; "
                              "see geometry_report.json")
     return vars_config(args, ["d", "samples"]), [out]
@@ -511,7 +468,7 @@ def _run_tails(args):
                 fit = tails.fit_tail_exponent(h, tails.default_fit_window(v))
                 fit_map = {"p_hat": fit.p_hat, "b_hat": fit.b_hat,
                            "a_hat": fit.a_hat, "r_squared": fit.r_squared}
-            except Exception as exc:
+            except InsufficientData as exc:
                 fit_map = {"error": str(exc)}
             entries.append({"t": item["t"], "fit": fit_map})
         scan = tails.uniformity_scan(series, env, args.t0)

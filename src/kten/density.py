@@ -41,9 +41,6 @@ class DensityField:
     def __call__(self, v):
         return self.evaluator(np.asarray(v, dtype=float))
 
-    def support_radius(self, n_sigmas=TRUNCATION_SIGMAS):
-        return float(np.linalg.norm(self.center) + n_sigmas * self.scale)
-
     def sphere_rule(self, n_polar=24, n_azimuth=48):
         if self._sphere is None:
             self._sphere = utils.sphere_rule(self.d, n_polar, n_azimuth)
@@ -164,8 +161,3 @@ def _spot_check_nonnegative(f: DensityField, n=64):
     pts = f.center + f.scale * rng.normal(size=(n, f.d)) * 3.0
     if np.any(f(pts) < 0):
         raise ValueError("density evaluator returned negative values")
-
-
-def relative_speed_moment(f: DensityField, v, gamma, **kw):
-    """Convenience alias used by the kernel and cancellation modules."""
-    return f.radial_moment(v, gamma, **kw)

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import utils
 from .errors import EqualMasses, NonUnitNormal, ZeroRelativeVelocity
 
 UNIT_TOL = 1e-9
@@ -99,7 +100,7 @@ def _vec(x):
 
 
 def _check_unit(u, name):
-    norm = np.linalg.norm(u, axis=-1)
+    norm = np.sqrt(_sq_norm(u))
     if np.any(np.abs(norm - 1.0) > UNIT_TOL):
         raise NonUnitNormal(f"{name} must be a unit vector (|{name}| - 1 exceeds {UNIT_TOL})")
 
@@ -112,8 +113,14 @@ def _dot(a, b):
     return np.sum(a * b, axis=-1, keepdims=True)
 
 
-def _flag(rel_norm):
-    deg = rel_norm[..., 0] == 0.0
+def _sq_norm(x):
+    """|x|^2 over the last axis; cheaper than |x| and zero exactly where it is."""
+    return np.einsum("...i,...i->...", x, x)
+
+
+def _flag(size):
+    """Degenerate |v - v*| = 0 events; size is |v - v*| or its square."""
+    deg = size == 0.0
     return bool(deg) if deg.ndim == 0 else deg
 
 
@@ -130,7 +137,7 @@ def inelastic_post_sigma(v, v_star, sigma, p: RestitutionParams):
     r = _norm(rel)
     center = 0.5 * (v + v_star)
     half = 0.5 * (1.0 - beta) * rel + 0.5 * beta * r * sigma
-    return PostCollision(center + half, center - half, _flag(r))
+    return PostCollision(center + half, center - half, _flag(r[..., 0]))
 
 
 def inelastic_post_n(v, v_star, n, p: RestitutionParams):
@@ -142,9 +149,9 @@ def inelastic_post_n(v, v_star, n, p: RestitutionParams):
     """
     v, v_star, n = _vec(v), _vec(v_star), _vec(n)
     _check_unit(n, "n")
-    shift = p.beta * _dot(v - v_star, n) * n
-    r = _norm(v - v_star)
-    return PostCollision(v - shift, v_star + shift, _flag(r))
+    rel = v - v_star
+    shift = p.beta * _dot(rel, n) * n
+    return PostCollision(v - shift, v_star + shift, _flag(_sq_norm(rel)))
 
 
 def mixture_post_sigma(v, v_star, sigma, m: MassPair):
@@ -160,19 +167,20 @@ def mixture_post_sigma(v, v_star, sigma, m: MassPair):
     r = _norm(rel)
     com = (m.m_i * v + m.m_j * v_star) / total
     rs = r * sigma
-    return PostCollision(com + (m.m_j / total) * rs, com - (m.m_i / total) * rs, _flag(r))
+    return PostCollision(com + (m.m_j / total) * rs, com - (m.m_i / total) * rs,
+                         _flag(r[..., 0]))
 
 
 def mixture_post_n(v, v_star, n, m: MassPair):
     """Elastic two-mass rule in the impact-normal parameterization."""
     v, v_star, n = _vec(v), _vec(v_star), _vec(n)
     _check_unit(n, "n")
-    c = _dot(v - v_star, n) * n
-    r = _norm(v - v_star)
+    rel = v - v_star
+    dot = _dot(rel, n)
     total = m.total
-    return PostCollision(v - (2.0 * m.m_j / total) * c,
-                         v_star + (2.0 * m.m_i / total) * c,
-                         _flag(r))
+    return PostCollision(v - (2.0 * m.m_j / total) * dot * n,
+                         v_star + (2.0 * m.m_i / total) * dot * n,
+                         _flag(_sq_norm(rel)))
 
 
 class AuxPointsInelastic(NamedTuple):
@@ -313,3 +321,52 @@ def normal_from_collision(v, v_prime):
     if np.any(r[..., 0] == 0.0):
         raise ZeroRelativeVelocity("v' == v leaves the normal undefined")
     return diff / r
+
+
+def verify_identities(seed, n, d):
+    """Residuals of the collision identities on n random pairs in dimension d.
+
+    Covers the inelastic rule (beta 0.75) and the mixture rule (masses 1, 2.5);
+    "pass" is true when each is within its tolerance, scaled by max |v - v*|.
+    """
+    rng = utils.substream(seed, 0xEC)
+    v = rng.normal(size=(n, d))
+    vs = rng.normal(size=(n, d))
+    sig = rng.normal(size=(n, d))
+    sig /= np.linalg.norm(sig, axis=1, keepdims=True)
+    p = RestitutionParams.from_beta(0.75)
+    m = MassPair(1.0, 2.5)
+
+    vp, vsp, _ = inelastic_post_sigma(v, vs, sig, p)
+    mom = np.max(np.abs((vp + vsp) - (v + vs)))
+    nvec = normal_from_collision(v, vp)
+    rest = np.max(np.abs(np.sum((vp - vsp) * nvec, axis=1)
+                         + p.alpha * np.sum((v - vs) * nvec, axis=1)))
+    vp_n, vsp_n, _ = inelastic_post_n(v, vs, nvec, p)
+    agree = max(np.max(np.abs(vp_n - vp)), np.max(np.abs(vsp_n - vsp)))
+    shrink = np.max(np.linalg.norm(vp - vsp, axis=1)
+                    - np.linalg.norm(v - vs, axis=1))
+    mp, msp, _ = mixture_post_sigma(v, vs, sig, m)
+    mom_m = np.max(np.abs((m.m_i * mp + m.m_j * msp) - (m.m_i * v + m.m_j * vs)))
+    en_m = np.max(np.abs(m.m_i * np.sum(mp ** 2, axis=1)
+                         + m.m_j * np.sum(msp ** 2, axis=1)
+                         - m.m_i * np.sum(v ** 2, axis=1)
+                         - m.m_j * np.sum(vs ** 2, axis=1)))
+    vp_neg, vsp_neg, _ = inelastic_post_sigma(v, vs, -sig, p)
+    swap_gap = float(np.min(np.linalg.norm(vp_neg - vsp, axis=1)
+                            + np.linalg.norm(vsp_neg - vp, axis=1)))
+    scale = float(np.max(np.linalg.norm(v - vs, axis=1)))
+    ok = (mom < 1e-12 * scale and rest < 1e-11 * scale and agree < 1e-10 * scale
+          and shrink < 1e-12 * scale and mom_m < 1e-11 * scale
+          and en_m < 1e-10 * scale ** 2 and swap_gap > 1e-6)
+    return {
+        "samples": n, "d": d,
+        "momentum_residual": float(mom),
+        "restitution_residual": float(rest),
+        "sigma_n_agreement": float(agree),
+        "relative_speed_growth": float(shrink),
+        "mixture_momentum_residual": float(mom_m),
+        "mixture_energy_residual": float(en_m),
+        "sigma_flip_swap_gap": swap_gap,
+        "pass": bool(ok),
+    }

@@ -312,9 +312,6 @@ class ScalingReport:
     gamma: float
     s: float
 
-    def regime_of(self, r):
-        return "small" if r <= 1.0 else "large"
-
 
 def verify_Kf_scaling(f: DensityField, spec: KernelSpec, params, u_prime, r_grid,
                       n_dirs=(4, 8), n_radial_l=14, gl_per_panel=10,

@@ -7,7 +7,8 @@ angle is drawn from the configured angular law. Noncutoff kernels are
 sampled through a hard angular truncation at theta_min; the momentum-transfer
 weight of the discarded grazing collisions is computed and logged (their raw
 count is infinite). Cutoff kernels sample the impact normal on the
-half-sphere directly.
+half-sphere directly. The post-collision velocities come from the rules in
+`geometry`: `*_post_n` for cutoff kernels, `*_post_sigma` for noncutoff ones.
 
 Determinism: all randomness comes from counter-based streams keyed by
 (seed, step, species-pair block). Within a block, each candidate's level is
@@ -28,9 +29,9 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import quad
 
-from . import utils
+from . import geometry, utils
 from .errors import MajorantInflationWarning, MajorantViolation
-from .geometry import RestitutionParams
+from .geometry import MassPair, RestitutionParams
 from .kernels import KernelSpec
 
 logger = logging.getLogger(__name__)
@@ -309,10 +310,11 @@ def _attempt_step(ens: Ensemble, cfg: SimConfig):
             lam = 0.5 * n_i * (n_i - 1) * w * maj_rate * cfg.dt
         else:
             lam = n_i * n_j * w * maj_rate * cfg.dt
-        if lam > 0.5 * (n_i + n_j):
+        n_block = n_i if i == j else n_i + n_j
+        if lam > 0.5 * n_block:
             # dt times max collision rate approaching 1 per particle breaks
             # the acceptance-rejection picture of uncorrelated binary events
-            warnings.warn(f"step draws {lam:.0f} candidates for {n_i + n_j} "
+            warnings.warn(f"step draws {lam:.0f} candidates for {n_block} "
                           "particles; reduce dt", UserWarning)
         m = int(lam) + (1 if rng.random() < lam - int(lam) else 0)
         if m == 0:
@@ -335,8 +337,8 @@ def _attempt_step(ens: Ensemble, cfg: SimConfig):
 
 def _pair_collision_params(cfg, ens, i, j):
     if cfg.model == "inelastic":
-        return ("inelastic", cfg.restitution.beta)
-    return ("mixture", ens.species[i].mass, ens.species[j].mass)
+        return cfg.restitution
+    return MassPair(ens.species[i].mass, ens.species[j].mass)
 
 
 def _process_candidates(vi, vj, idx_a, idx_b, u_acc, u_theta, u_azim,
@@ -411,56 +413,29 @@ def _apply_wave(vi, vj, ia, ib, u_acc, u_theta, u_azim, majorant, gamma,
     azim = u_azim[accept]
     khat = rel / rspeed[:, None]
     e1, e2 = _orthonormal_frame(khat)
-    if sampler.cutoff:
-        # theta is the impact-normal angle on the half-sphere
-        if d == 2:
-            tang = np.where((azim < math.pi)[:, None], e1, -e1)
-        else:
-            tang = np.cos(azim)[:, None] * e1 + np.sin(azim)[:, None] * e2
-        nvec = np.cos(theta)[:, None] * khat + np.sin(theta)[:, None] * tang
-        c = rspeed * np.cos(theta)          # <v - v*, n> >= 0 on the half-sphere
-        va_new, vb_new = _post_n(va, vb, nvec, pair_params)
+    if d == 2:
+        tang = np.where((azim < math.pi)[:, None], e1, -e1)
     else:
-        if d == 2:
-            tang = np.where((azim < math.pi)[:, None], e1, -e1)
-        else:
-            tang = np.cos(azim)[:, None] * e1 + np.sin(azim)[:, None] * e2
-        sigma = np.cos(theta)[:, None] * khat + np.sin(theta)[:, None] * tang
+        tang = np.cos(azim)[:, None] * e1 + np.sin(azim)[:, None] * e2
+    unit = np.cos(theta)[:, None] * khat + np.sin(theta)[:, None] * tang
+    inelastic = isinstance(pair_params, RestitutionParams)
+    if sampler.cutoff:
+        # theta is the impact-normal angle on the half-sphere: unit is n
+        c = rspeed * np.cos(theta)          # <v - v*, n> >= 0 on the half-sphere
+        post = geometry.inelastic_post_n if inelastic else geometry.mixture_post_n
+    else:
+        # theta is the scattering angle: unit is sigma
         c = rspeed * np.sqrt(0.5 * (1.0 - np.cos(theta)))   # = rspeed sin(theta/2)
-        va_new, vb_new = _post_sigma(va, vb, sigma, rspeed, pair_params)
+        post = geometry.inelastic_post_sigma if inelastic else geometry.mixture_post_sigma
+    va_new, vb_new, _ = post(va, vb, unit, pair_params)
     vi[ia] = va_new
     vj[ib] = vb_new
     stats["accepted"] += int(ia.size)
-    if pair_params[0] == "inelastic":
-        beta = pair_params[1]
+    if inelastic:
+        beta = pair_params.beta
         c2 = float(np.sum(c * c))
         stats["sum_c2"] += c2
         stats["predicted_energy_loss"] += 2.0 * beta * (1.0 - beta) * c2 * w
-
-
-def _post_sigma(va, vb, sigma, rspeed, pair_params):
-    if pair_params[0] == "inelastic":
-        beta = pair_params[1]
-        center = 0.5 * (va + vb)
-        half = 0.5 * (1.0 - beta) * (va - vb) + 0.5 * beta * rspeed[:, None] * sigma
-        return center + half, center - half
-    _, m_i, m_j = pair_params
-    total = m_i + m_j
-    com = (m_i * va + m_j * vb) / total
-    rs = rspeed[:, None] * sigma
-    return com + (m_j / total) * rs, com - (m_i / total) * rs
-
-
-def _post_n(va, vb, nvec, pair_params):
-    dot = np.sum((va - vb) * nvec, axis=1, keepdims=True)
-    if pair_params[0] == "inelastic":
-        beta = pair_params[1]
-        shift = beta * dot * nvec
-        return va - shift, vb + shift
-    _, m_i, m_j = pair_params
-    total = m_i + m_j
-    return va - (2.0 * m_j / total) * dot * nvec, \
-        vb + (2.0 * m_i / total) * dot * nvec
 
 
 def moments(ens: Ensemble, entropy_bins=24):

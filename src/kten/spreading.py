@@ -43,15 +43,8 @@ class Envelope:
             raise ValueError("envelope needs a, b, p > 0")
 
 
-def envelope_eval(env: Envelope, v):
-    """a * exp(-b |v|^p) for a velocity vector or batch of vectors."""
-    v = np.asarray(v, dtype=float)
-    speed = np.abs(v) if v.ndim == 0 else np.linalg.norm(v, axis=-1)
-    out = env.a * np.exp(-env.b * speed ** env.p)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def envelope_eval_speed(env: Envelope, speed):
+    """a * exp(-b speed^p) for a speed or an array of speeds."""
     speed = np.asarray(speed, dtype=float)
     out = env.a * np.exp(-env.b * speed ** env.p)
     return float(out) if out.ndim == 0 else out
@@ -130,10 +123,6 @@ class SpreadingConfig:
     def p(self):
         return growth_exponent(self.beta)
 
-    @property
-    def eps_max(self):
-        return 1.0 - 1.0 / self.rho
-
 
 def initial_state(cfg: SpreadingConfig) -> SpreadingState:
     # T_n = (1 - 2^-n) T0, eps_n = 2^-(n+1), R_0 = 1
@@ -189,12 +178,6 @@ def run_iteration(cfg: SpreadingConfig, n_max: int):
     if any(log_a - b * st.R ** p > st.log_l + 1e-9 for st in trace):
         b = max((log_a - st.log_l) / st.R ** p for st in trace[1:])
     return trace, Envelope(a=cfg.l0, b=b, p=p)
-
-
-def radius_prefactor_limit(n=60):
-    """Partial products of prod (1 - 2^-j): the limit of R_n / rho^n."""
-    j = np.arange(1, n + 1, dtype=float)
-    return float(np.prod(1.0 - 0.5 ** j))
 
 
 def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,

@@ -61,17 +61,6 @@ def panel_rule(edges, n_per_panel):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def graded_edges(a, b, n_panels, ratio=2.0, toward="left"):
-    """Panel edges on [a, b] geometrically refined toward one endpoint."""
-    if n_panels < 1:
-        raise ValueError("need at least one panel")
-    t = np.cumsum(ratio ** np.arange(n_panels, dtype=float))
-    t = np.concatenate([[0.0], t / t[-1]])
-    if toward == "left":
-        return a + (b - a) * t
-    return b - (b - a) * t[::-1]
-
-
 def log_edges(a, b, n_panels):
     """Logarithmically spaced panel edges; requires 0 < a < b."""
     if not 0 < a < b:

@@ -184,7 +184,7 @@ def test_criterion_5b_region_estimate_r_scaling():
     vals = []
     for k, radius in enumerate((1.0, 2.0, 4.0)):
         est, _ = spreading.region_estimate_mc(radius, 0.05, 0.8, 3, 10 ** 7,
-                                              seed=606 + k)
+                                              seed=606 + k, threads=2)
         vals.append(est)
     slope, _, _, _ = fit_loglog([1.0, 2.0, 4.0], vals)
     elapsed = time.time() - t0

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from kten import geometry, tails
 from kten.cli import dispatch, parse_config_file, build_sim_config
+from kten.errors import InsufficientData
 from kten.simulator import read_snapshot
 
 
@@ -93,6 +95,16 @@ class TestVerifyGeometryCommand:
         assert rep["pass"] is True
         assert rep["momentum_residual"] < 1e-12
 
+    def test_failed_identities_exit_2_with_report(self, tmp_path, monkeypatch):
+        def failing(seed, n, d):
+            return {"samples": n, "d": d, "pass": False}
+
+        monkeypatch.setattr(geometry, "verify_identities", failing)
+        assert dispatch(["verify-geometry", "--samples", "10",
+                         "--output-dir", str(tmp_path), "--quiet"]) == 2
+        rep = json.loads((tmp_path / "geometry_report.json").read_text())
+        assert rep == {"samples": 10, "d": 3, "pass": False}
+
 
 class TestSimulateAndTails:
     def write_config(self, tmp_path, outdir, steps=40, seed=321):
@@ -154,6 +166,37 @@ class TestSimulateAndTails:
         assert rep["species"][0]["uniform"] is True
         assert "resolved" in rep["note"]
 
+    def short_run_tails_argv(self, tmp_path):
+        outdir = tmp_path / "sim"
+        run_ok(["simulate", "--config", self.write_config(tmp_path, outdir, steps=2),
+                "--quiet"])
+        env = tmp_path / "env.json"
+        env.write_text('{"a": 1e-9, "b": 0.5, "p": 2.0}\n')
+        return ["tails", "--snapshots", str(outdir), "--envelope", str(env),
+                "--t0", "0.1", "--output-dir", str(tmp_path), "--quiet"]
+
+    def test_tails_insufficient_data_is_reported(self, tmp_path, monkeypatch):
+        argv = self.short_run_tails_argv(tmp_path)
+
+        def starved(hist, window):
+            raise InsufficientData("window holds 3 bins, need 8")
+
+        monkeypatch.setattr(tails, "fit_tail_exponent", starved)
+        run_ok(argv)
+        rep = json.loads((tmp_path / "tails_report.json").read_text())
+        fits = [entry["fit"] for entry in rep["species"][0]["times"]]
+        assert fits == [{"error": "window holds 3 bins, need 8"}] * 2
+
+    def test_tails_other_fit_errors_propagate(self, tmp_path, monkeypatch):
+        argv = self.short_run_tails_argv(tmp_path)
+
+        def broken(hist, window):
+            raise ZeroDivisionError("bug in the fit")
+
+        monkeypatch.setattr(tails, "fit_tail_exponent", broken)
+        with pytest.raises(ZeroDivisionError):
+            dispatch(argv)
+
     def test_missing_config_key_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("model = mixture\n")
@@ -162,9 +205,11 @@ class TestSimulateAndTails:
 
 
 # sha256 of every `simulate` output except manifest.json (which holds
-# times), for two small inelastic runs. Recorded with the greedy-wave
-# candidate scheduler (x86-64, numpy 2.4); the dependency-level scheduler
-# reproduces them. A change here is a change of computed numbers.
+# times), for small runs of both collision rules, cutoff and noncutoff.
+# The two inelastic cutoff runs were recorded with the greedy-wave
+# candidate scheduler, the other three with the simulator's own copy of the
+# post-collision formulas (x86-64, numpy 2.4); the current code reproduces
+# them all. A change here is a change of computed numbers.
 GOLDEN_CONFIGS = {
     "inelastic_d3_gamma0": [
         "model = inelastic", "d = 3", "gamma = 0", "s_or_h = iso",
@@ -175,6 +220,21 @@ GOLDEN_CONFIGS = {
         "model = inelastic", "d = 2", "gamma = 1", "s_or_h = iso",
         "alpha = 0.6", "particles = 3000", "dt = 0.02", "steps = 20",
         "seed = 77", "init = two_bump", "moments_every = 1",
+        "snapshot_every = 10"],
+    "mixture_d3_cutoff": [
+        "model = mixture", "d = 3", "gamma = 0", "s_or_h = iso",
+        "masses = 1,3", "particles = 2000,1000", "dt = 0.05", "steps = 20",
+        "seed = 31", "init = gaussian", "moments_every = 1",
+        "snapshot_every = 10"],
+    "mixture_d2_noncutoff": [
+        "model = mixture", "d = 2", "gamma = 0.5", "s_or_h = 0.3",
+        "masses = 1,2", "particles = 1500,1500", "dt = 0.005", "steps = 20",
+        "seed = 5", "init = two_bump", "moments_every = 1",
+        "snapshot_every = 10"],
+    "inelastic_d3_noncutoff": [
+        "model = inelastic", "d = 3", "gamma = 1", "s_or_h = 0.5",
+        "theta_min = 0.05", "alpha = 0.7", "particles = 3000", "dt = 0.0002",
+        "steps = 20", "seed = 11", "init = shell", "moments_every = 1",
         "snapshot_every = 10"],
 }
 GOLDEN_DIGESTS = {
@@ -197,6 +257,41 @@ GOLDEN_DIGESTS = {
         "tails_0000.csv": "a6c9cafe72c4bf8cdf9c54f296a73bf4dbd6541d7886714f39d7d9002451a064",
         "tails_0001.csv": "20f236b8e4ce818f3dbc3bd353c990ec90dbc5bb36b562ae1b6f81c27999b5dd",
         "tails_0002.csv": "2be95d176ee0ff4c775c37af3142bfa5cdbeac6f9f7cc390832c89712f38efa2",
+    },    "mixture_d3_cutoff": {
+        "moments.csv": "832d437d8d236332ec96b6c2c8063a1e9de83a80afac0fe311706d9858ecf1ed",
+        "snapshot_0000_species0.kten": "39d14764f4d642563ceae43697bb89384ab15172ca5f74f891d372e274c9407a",
+        "snapshot_0000_species1.kten": "6d140b4e014398e0c0e8feba6ec41b2ea878d952cfa1898169390cf5d0383bee",
+        "snapshot_0001_species0.kten": "0546499984f4315aca6c2bda60e5c7f9a07cb2e2d26ab5d04532cadbb39dd06a",
+        "snapshot_0001_species1.kten": "3fb79918df486e0f2de75ff121fda119672b278771749270eaf72ba98626390f",
+        "snapshot_0002_species0.kten": "c68274280a2ab19c1ff0a95bdd3afaebefd848d50a8326d14742235833113e71",
+        "snapshot_0002_species1.kten": "577c4741bd231f42baaed9efc07ca07eec8f1bcb47f2920a4c91bc34e3bada29",
+        "snapshots.json": "b5d5ec82495012e7ce5ebba6d1d0c6310d52dcc0380445ff67cb6453f688535b",
+        "tails_0000.csv": "c2032fbb40a86a88d53c3d22b04cbdea1dbdc0e1e22596b7606dff3245082d19",
+        "tails_0001.csv": "b647beb7a17d1cf5d708a279dd93e53c00c049963111393a35b1a7483b76b222",
+        "tails_0002.csv": "078db19768180d8f635f06454c219d782c75533621294e0f632b683b107d9bf7",
+    },
+    "mixture_d2_noncutoff": {
+        "moments.csv": "7c5b478c5d97f421456867c0689a58c9bdae847ca46874b5e26b05d6c3ee3337",
+        "snapshot_0000_species0.kten": "454b1d53057d74ac3153ee8003507271a7df2ee14c76edf8d50bdbd3b2a6fc3b",
+        "snapshot_0000_species1.kten": "e0e018d2c3aa5b564b64ef8410831251cfd64f638e33cf017eb84e8f5acb186d",
+        "snapshot_0001_species0.kten": "31dce243496a74fa4f1422cd29060da9d5f279c7912c4f9c35ed07feb4cdb6a9",
+        "snapshot_0001_species1.kten": "6f6b08a46c80c75e8a59c3ef15847608c1d3217fe3e28d3a0a8d5be70542cfd8",
+        "snapshot_0002_species0.kten": "068c4a845e2f8eec2d4f441734cebaff828e2647159248b08a5a52b17be59997",
+        "snapshot_0002_species1.kten": "10c671b309cf2d8dd589b60c5520113cd9d748991f5d8688193d555c542b63a8",
+        "snapshots.json": "4d24e11937fbfde3defe7075115cc2b3b6c541a373ab24dac8409b3b8acc7ecf",
+        "tails_0000.csv": "82ed93d3336e4648b3be8f09997f5e658378a1a94c292e681f5169b8689aece5",
+        "tails_0001.csv": "ddfc2521e87e6873f06fa3226d475377fb76f7bb58474db1750e956546a8faba",
+        "tails_0002.csv": "969f75019dd068ca27de5945f8b86a8066435d6e8ec549ef670f954d7d866ce8",
+    },
+    "inelastic_d3_noncutoff": {
+        "moments.csv": "033b2c9bc64497ed8c2663c9bb4ee7e77965dc9f3cdeb1eee4543f0aea979f07",
+        "snapshot_0000_species0.kten": "b2f40d2991345c9660a6a19202e5e5036877b67187812252b7e704cdb19c2ddf",
+        "snapshot_0001_species0.kten": "777fabfcac8cc8dd654223f56b1d319123b7bd50dd981e4de0eafe9117c9ab6e",
+        "snapshot_0002_species0.kten": "48d53c144db493572f492fed13eb2bc24b2a5d4ac1789ee4b1b921addc0df397",
+        "snapshots.json": "15f30a5d9d63d1b22b9493531ff39b9a248f6c118cadc9b4d4fb7ea094562504",
+        "tails_0000.csv": "e0157a4fde85cea5f5e355f9c938a4d67a2a01578df68d6335940cc35c48f1c8",
+        "tails_0001.csv": "3e7651a387d2ac96e10b2a45167efd84d4ef03f4d922bfe22195d4c2ea71eee3",
+        "tails_0002.csv": "9a03ff4db7a9be2aa6db2c08b697504551af7fe7156f533d4a373c9437202620",
     },
 }
 

@@ -322,6 +322,35 @@ class TestEnergyInequality:
         assert np.all(post <= rn ** 2 * (1.0 + 1e-12))
 
 
+class TestVerifyIdentities:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_passes_within_tolerances(self, d):
+        rep = geo.verify_identities(seed=5, n=4000, d=d)
+        assert rep["pass"] is True
+        assert (rep["samples"], rep["d"]) == (4000, d)
+        assert rep["momentum_residual"] < 1e-12
+        assert rep["mixture_energy_residual"] < 1e-10
+        assert rep["relative_speed_growth"] < 0.0
+        assert rep["sigma_flip_swap_gap"] > 1e-6
+
+    def test_deterministic_in_seed(self):
+        assert geo.verify_identities(3, 1000, 3) == geo.verify_identities(3, 1000, 3)
+        assert geo.verify_identities(3, 1000, 3) != geo.verify_identities(4, 1000, 3)
+
+    def test_energy_leak_fails(self, monkeypatch):
+        exact = geo.mixture_post_sigma
+
+        def leaky(v, v_star, sigma, m):
+            vp, vsp, deg = exact(v, v_star, sigma, m)
+            return geo.PostCollision(0.999 * vp, vsp, deg)
+
+        monkeypatch.setattr(geo, "mixture_post_sigma", leaky)
+        rep = geo.verify_identities(5, 1000, 3)
+        assert rep["pass"] is False
+        assert rep["mixture_energy_residual"] > 1e-6
+        assert rep["momentum_residual"] < 1e-12
+
+
 class TestCollisionFrame:
     def test_frame_roundtrip(self):
         r = rng()

@@ -222,6 +222,27 @@ class TestStep:
                 ens = sim.step(ens, cfg)
         assert sim.moments(ens)["energy"] <= e0 + 1e-12
 
+    def test_reduce_dt_warning_counts_block_particles(self):
+        # gamma 0, cutoff, d = 3: one species draws about
+        # 0.5 (n - 1) |S^1| dt candidates, 0.63 n at dt 0.2 and 0.31 n at
+        # dt 0.1; the warning fires above half a candidate per particle
+        n = 600
+
+        def reduce_dt_messages(dt):
+            cfg = sim.SimConfig(model="inelastic",
+                                kernel=iso_cutoff(model="inelastic"), dt=dt,
+                                steps=1, particles=(n,), alpha=0.5, seed=4)
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                sim.step(sim.build_ensemble(cfg), cfg)
+            return [str(w.message) for w in rec if "reduce dt" in str(w.message)]
+
+        assert reduce_dt_messages(0.1) == []
+        msgs = reduce_dt_messages(0.2)
+        assert len(msgs) == 1
+        assert msgs[0] == (f"step draws {0.1 * (n - 1) * 2 * math.pi:.0f} "
+                           f"candidates for {n} particles; reduce dt")
+
     def test_theta_min_required_for_strong_singularity(self):
         spec = KernelSpec(gamma=-1.0, d=3, s=0.7, model="inelastic",
                           moderately_soft=True)

@@ -170,12 +170,11 @@ class TestRegionEstimate:
 class TestEnvelopeEval:
     def test_at_origin(self):
         env = S.Envelope(a=0.3, b=1.0, p=2.0)
-        assert S.envelope_eval(env, np.zeros(3)) == pytest.approx(0.3)
+        assert S.envelope_eval_speed(env, 0.0) == pytest.approx(0.3)
 
     def test_unit_gaussian_point(self):
         env = S.Envelope(a=1.0, b=1.0, p=2.0)
-        assert S.envelope_eval(env, np.array([1.0, 0.0, 0.0])) \
-            == pytest.approx(math.exp(-1.0))
+        assert S.envelope_eval_speed(env, 1.0) == pytest.approx(math.exp(-1.0))
 
     def test_strictly_decreasing_in_speed(self):
         env = S.Envelope(a=1.0, b=0.5, p=2.8)
@@ -185,8 +184,7 @@ class TestEnvelopeEval:
 
     def test_batch_eval(self):
         env = S.Envelope(a=1.0, b=1.0, p=2.0)
-        pts = np.array([[1.0, 0.0], [0.0, 2.0]])
-        got = S.envelope_eval(env, pts)
+        got = S.envelope_eval_speed(env, [1.0, 2.0])
         assert got == pytest.approx([math.exp(-1.0), math.exp(-4.0)])
 
 
