@@ -231,11 +231,11 @@ def _run_spreading(args):
 
 def _run_region(args):
     eps_grid = _parse_grid(args.eps_grid, geometric=True)
+    estimates = spreading.region_estimate_mc(args.R, eps_grid, args.beta, args.d,
+                                             args.samples, seed=args.seed,
+                                             threads=args.threads)
     rows = []
-    for eps in eps_grid:
-        est, se = spreading.region_estimate_mc(
-            args.R, float(eps), args.beta, args.d, args.samples,
-            seed=args.seed, threads=args.threads)
+    for eps, (est, se) in zip(eps_grid, estimates):
         rows.append((float(eps), est, se))
         if not args.quiet:
             print(f"eps={eps:.5g}  estimate={est:.6g}  stderr={se:.3g}")

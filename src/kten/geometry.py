@@ -106,11 +106,11 @@ def _check_unit(u, name):
 
 
 def _norm(x):
-    return np.linalg.norm(x, axis=-1, keepdims=True)
+    return np.sqrt(_dot(x, x))
 
 
 def _dot(a, b):
-    return np.sum(a * b, axis=-1, keepdims=True)
+    return utils.row_dot(a, b)[..., None]
 
 
 def _sq_norm(x):

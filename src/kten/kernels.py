@@ -389,7 +389,7 @@ def _kernel_profile(center, others, ls, f, spec, kappa, n_radial, n_angular):
         + abs(stretch) * float(ls[-1])
     k, wk = utils.gauss_legendre(0.0, reach, n_radial)
     ang, wang = utils.circle_rule(d, n_angular)
-    tangents = np.stack([utils.tangent_basis(nh) for nh in nhats])   # (L, d-1, d)
+    tangents = utils.tangent_basis(nhats)                            # (L, d-1, d)
     inplane = np.einsum("me,led->lmd", ang, tangents)                # (L, m, d)
     pts = bases[:, None, None, :] + k[None, :, None, None] * inplane[:, None, :, :]
     vals = f(pts)                                                    # (L, nk, m)

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from . import geometry, utils
-from .errors import MajorantInflationWarning, MajorantViolation
+from .errors import MajorantInflationWarning, MajorantViolation, ValidationError
 from .geometry import MassPair, RestitutionParams
 from .kernels import KernelSpec
 
@@ -396,7 +396,7 @@ def _apply_wave(vi, vj, ia, ib, u_acc, u_theta, u_azim, majorant, gamma,
     va = vi[ia]
     vb = vj[ib]
     rel = va - vb
-    rspeed = np.linalg.norm(rel, axis=1)
+    rspeed = np.sqrt(utils.row_dot(rel, rel))
     live = rspeed > 0.0                     # zero-relative-speed pairs are no-ops
     factor = np.zeros_like(rspeed)
     factor[live] = rspeed[live] ** gamma
@@ -526,12 +526,24 @@ def write_snapshot(path, velocities):
 
 
 def read_snapshot(path):
+    """Velocities (count, d) from a snapshot file.
+
+    A file too short for its header's count, or with a bad magic or
+    version, raises ValidationError naming the file.
+    """
     with open(path, "rb") as fh:
         header = fh.read(20)
+        if len(header) < 20:
+            raise ValidationError(f"snapshot {path}: truncated header "
+                                  f"({len(header)} of 20 bytes)")
         magic, version, d, count = struct.unpack("<4sIIQ", header)
         if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"bad snapshot magic {magic!r}")
+            raise ValidationError(f"snapshot {path}: bad magic {magic!r}")
         if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        data = np.frombuffer(fh.read(count * d * 8), dtype="<f8")
-    return data.reshape(count, d).copy()
+            raise ValidationError(f"snapshot {path}: unsupported version {version}")
+        payload = fh.read(count * d * 8)
+    if len(payload) != count * d * 8:
+        raise ValidationError(f"snapshot {path}: payload holds {len(payload)} bytes, "
+                              f"header promises {count} x {d} float64 "
+                              f"({count * d * 8} bytes)")
+    return np.frombuffer(payload, dtype="<f8").reshape(count, d).copy()

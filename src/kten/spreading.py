@@ -190,6 +190,12 @@ def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
     hyperplane: a (d-1)-disk of radius sqrt(R^2 - dist^2) where dist is the
     plane's distance from the origin. Returns (estimate, standard error).
 
+    eps may also be a 1-d grid; then the result is a list with one
+    (estimate, standard error) pair per eps, each equal to the scalar call.
+    The samples do not depend on eps, so a grid shares one draw per chunk
+    (estimates at one seed always shared their samples); every eps is
+    checked before anything is drawn.
+
     What the estimate I(R, eps) promises:
     - scaling in R: I(R, eps) = R^(2d-1) I(1, eps);
     - the spreading lemma's lower bound: I >= C eps^d for eps in
@@ -209,17 +215,21 @@ def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
         raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
     if d not in (2, 3):
         raise ValueError("only d = 2 and d = 3 are supported")
+    eps_grid = np.asarray(eps, dtype=float)
+    if eps_grid.ndim > 1:
+        raise ValueError("eps must be a scalar or a 1-d grid")
     rho = math.sqrt(1.0 + beta * beta)
-    if eps >= 1.0 - 1.0 / rho:
-        raise EpsOutOfRange(f"eps must be below 1 - 1/sqrt(1+beta^2) = "
-                            f"{1.0 - 1.0 / rho:.6f}, got {eps}")
+    for e in eps_grid.ravel():
+        if e >= 1.0 - 1.0 / rho:
+            raise EpsOutOfRange(f"eps must be below 1 - 1/sqrt(1+beta^2) = "
+                                f"{1.0 - 1.0 / rho:.6f}, got {float(e)}")
     if axis is None:
         axis = np.zeros(d)
         axis[0] = 1.0
     else:
         axis = np.asarray(axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
-    v = rho * (1.0 - eps) * R * axis
+    probes = [rho * (1.0 - e) * R * axis for e in eps_grid.ravel()]
 
     n_chunks = (samples + chunk_size - 1) // chunk_size
     sizes = [min(chunk_size, samples - i * chunk_size) for i in range(n_chunks)]
@@ -231,37 +241,43 @@ def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         radius = R * rng.random(n) ** (1.0 / d)
         u = g * radius[:, None]
-        pt = (1.0 / beta) * v[None, :] - (1.0 / beta - 1.0) * u
-        nvec = u - v[None, :]
-        nn = np.linalg.norm(nvec, axis=1)
-        nn[nn == 0.0] = np.inf
-        dist = np.abs(np.sum(pt * nvec, axis=1)) / nn
-        sect = np.maximum(R * R - dist * dist, 0.0)
-        if d == 3:
-            area = math.pi * sect
-        else:
-            area = 2.0 * np.sqrt(sect)
-        return float(np.sum(area)), float(np.sum(area * area)), n
+        shift = (1.0 / beta - 1.0) * u
+        sums = []
+        for v in probes:
+            pt = (1.0 / beta) * v[None, :] - shift
+            nvec = u - v[None, :]
+            nn = np.linalg.norm(nvec, axis=1)
+            nn[nn == 0.0] = np.inf
+            dist = np.abs(np.sum(pt * nvec, axis=1)) / nn
+            sect = np.maximum(R * R - dist * dist, 0.0)
+            if d == 3:
+                area = math.pi * sect
+            else:
+                area = 2.0 * np.sqrt(sect)
+            sums.append((float(np.sum(area)), float(np.sum(area * area))))
+        return sums, n
 
     if threads > 1 and n_chunks > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(one_chunk, range(n_chunks)))
     else:
         parts = [one_chunk(i) for i in range(n_chunks)]
-    # fixed chunk-order reduction keeps the float result thread-count independent
-    total = sum(p[0] for p in parts)
-    total_sq = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-
+    n = sum(p[1] for p in parts)
     vol = utils.ball_volume(d, R)
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    estimate = vol * mean
-    stderr = vol * math.sqrt(var / n)
-    if estimate == 0.0:
-        warnings.warn("every sampled hyperplane missed the ball",
-                      DegenerateGeometry)
-    return estimate, stderr
+    results = []
+    for k in range(len(probes)):
+        # fixed chunk-order reduction keeps the float result thread-count independent
+        total = sum(p[0][k][0] for p in parts)
+        total_sq = sum(p[0][k][1] for p in parts)
+        mean = total / n
+        var = max(total_sq / n - mean * mean, 0.0)
+        estimate = vol * mean
+        stderr = vol * math.sqrt(var / n)
+        if estimate == 0.0:
+            warnings.warn("every sampled hyperplane missed the ball",
+                          DegenerateGeometry)
+        results.append((estimate, stderr))
+    return results[0] if eps_grid.ndim == 0 else results
 
 
 def plateau_bump(R, eps, rho):

@@ -51,14 +51,16 @@ def gauss_legendre(a, b, n):
 
 
 def panel_rule(edges, n_per_panel):
-    """Composite Gauss-Legendre rule over consecutive panels."""
+    """Composite Gauss-Legendre rule over consecutive panels.
+
+    One reference rule mapped onto every panel at once; the same scalar
+    operations as `gauss_legendre` per panel, so the nodes are bit-identical.
+    """
     edges = np.asarray(edges, dtype=float)
-    nodes, weights = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        x, w = gauss_legendre(lo, hi, n_per_panel)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+    x, w = leggauss(n_per_panel)
+    lo = edges[:-1, None]
+    half = 0.5 * (edges[1:, None] - lo)
+    return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 def log_edges(a, b, n_panels):
@@ -107,26 +109,47 @@ def circle_rule(d, n):
     raise ValueError("only d = 2 and d = 3 are supported")
 
 
+def row_dot(a, b):
+    """<a, b> over the last axis.
+
+    Summed column by column in index order, which is the order np.sum takes
+    over a 2- or 3-wide last axis, so the bits match it at a fraction of its
+    cost.
+    """
+    out = a[..., 0] * b[..., 0]
+    for k in range(1, np.shape(a)[-1]):
+        out = out + a[..., k] * b[..., k]
+    return out
+
+
+def _row_norms(x):
+    # the stacked (1, d) @ (d, 1) products sum like the dot product that
+    # np.linalg.norm takes of a single vector; einsum and np.sum can differ
+    # from it in the last bit
+    return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
+
+
 def tangent_basis(normal):
     """Deterministic orthonormal basis of the hyperplane orthogonal to `normal`.
 
-    Returns an array of shape (d-1, d). Built from a Householder reflection,
-    so nearby normals give nearby bases.
+    Returns an array of shape (d-1, d) for a normal of shape (d,), and one
+    basis per row, shape (L, d-1, d), for normals of shape (L, d). Built from
+    a Householder reflection, so nearby normals give nearby bases.
     """
     n = np.asarray(normal, dtype=float)
-    d = n.shape[0]
-    n = n / np.linalg.norm(n)
-    e = np.zeros(d)
-    e[0] = 1.0
-    v = n - e if n[0] >= 0.0 else n + e
-    nv = np.linalg.norm(v)
-    if nv < 1e-14:
-        basis = np.eye(d)[1:]
-    else:
-        v = v / nv
-        h = np.eye(d) - 2.0 * np.outer(v, v)
-        basis = h[1:]
-    return basis
+    single = n.ndim == 1
+    n = np.atleast_2d(n)
+    d = n.shape[1]
+    n = n / _row_norms(n)[:, None]
+    v = n.copy()
+    v[:, 0] = np.where(n[:, 0] >= 0.0, n[:, 0] - 1.0, n[:, 0] + 1.0)   # n -/+ e1
+    nv = _row_norms(v)
+    flat = nv < 1e-14                    # n is +-e1: the reflection degenerates
+    v = v / np.where(flat, 1.0, nv)[:, None]
+    h = np.eye(d) - 2.0 * (v[:, :, None] * v[:, None, :])
+    h[flat] = np.eye(d)
+    basis = h[:, 1:]
+    return basis[0] if single else basis
 
 
 def fit_linear(x, y):

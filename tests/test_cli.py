@@ -197,6 +197,14 @@ class TestSimulateAndTails:
         with pytest.raises(ZeroDivisionError):
             dispatch(argv)
 
+    def test_tails_truncated_snapshot_names_file(self, tmp_path, capsys):
+        argv = self.short_run_tails_argv(tmp_path)
+        snap = sorted((tmp_path / "sim").glob("snapshot_*.kten"))[-1]
+        snap.write_bytes(snap.read_bytes()[:-8])
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and str(snap) in err
+
     def test_missing_config_key_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("model = mixture\n")
@@ -306,6 +314,38 @@ def test_simulate_golden_digests(tmp_path, name):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(outdir.iterdir()) if p.name != "manifest.json"}
     assert digests == GOLDEN_DIGESTS[name]
+
+
+# sha256 of one output of each lower-bound sweep, recorded before the sweeps
+# shared their quadrature rules, tangent bases and Monte Carlo draws
+# (x86-64, numpy 2.4). A change here is a change of computed numbers.
+LOWERBOUND_RUNS = {
+    "region": (["region", "--beta", "0.8", "--eps-grid", "0.01:0.2:4",
+                "--samples", "200000", "--seed", "13"], "region.csv"),
+    "cancellation-inelastic": (["cancellation"], "cancellation.csv"),
+    "cancellation-mixture-light": (["cancellation", "--family", "mixture-light",
+                                    "--grid", "1.5:4:6"], "cancellation.csv"),
+    "kernel-scaling": (["kernel-scaling", "--points-per-decade", "2"],
+                       "kernel_scaling.csv"),
+    "verify-geometry": (["verify-geometry", "--seed", "13"], "geometry_report.json"),
+}
+LOWERBOUND_DIGESTS = {
+    "region": "119f47b54be6f4bd723ac82e7121970edeb29a96179a93120ba49790f97e62ee",
+    "cancellation-inelastic": "cad04d62dbe234946f3174d824064025c4cfc6b3e1dd8f3453d8cbcccc1043c9",
+    "cancellation-mixture-light": "7cf79cd4cf6415d6a7b0c1de759805cf2ea619feb481c524407fef80d4f792ad",
+    "kernel-scaling": "af43a1bc49076ce7f5cfe38ae1ce5fad232430795a2753e0ffe28358d1732e56",
+    "verify-geometry": "ea38e8515c83f8c267ea8c6731a8553f693f8db6921a121c4e44ff38614f22b8",
+}
+
+
+def test_lowerbound_golden_digests(tmp_path):
+    digests = {}
+    for name, (argv, output) in LOWERBOUND_RUNS.items():
+        out = tmp_path / name
+        run_ok(argv + ["--quiet", "--output-dir", out])
+        digests[name] = hashlib.sha256((out / output).read_bytes()).hexdigest()
+    assert digests == LOWERBOUND_DIGESTS
+
 
 class TestKernelScalingCommand:
     def test_small_grid_csv(self, tmp_path):

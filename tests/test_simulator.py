@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kten import simulator as sim
-from kten.errors import MajorantInflationWarning
+from kten.errors import MajorantInflationWarning, ValidationError
 from kten.kernels import KernelSpec
 
 
@@ -311,7 +311,24 @@ class TestSnapshotIO:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.kten"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError, match="bad.kten: bad magic"):
+            sim.read_snapshot(path)
+
+    def test_bad_version_rejected(self, tmp_path):
+        path = tmp_path / "v.kten"
+        sim.write_snapshot(path, np.zeros((2, 3)))
+        raw = bytearray(path.read_bytes())
+        raw[4] = 9
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValidationError, match="v.kten: unsupported version 9"):
+            sim.read_snapshot(path)
+
+    @pytest.mark.parametrize("keep", [10, 20, 20 + 8 * 7])
+    def test_truncated_file_rejected(self, tmp_path, keep):
+        path = tmp_path / "short.kten"
+        sim.write_snapshot(path, np.ones((4, 2)))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValidationError, match="short.kten: truncated|short.kten: payload"):
             sim.read_snapshot(path)
 
 

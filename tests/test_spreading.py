@@ -166,6 +166,35 @@ class TestRegionEstimate:
         est, se = S.region_estimate_mc(1.0, 0.1, 0.8, 2, 100000, seed=3)
         assert est > 0.0
 
+    @pytest.mark.parametrize("threads", [1, 4])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_grid_equals_one_call_per_eps(self, threads, d):
+        grid = np.geomspace(0.01, 0.2, 5)
+        together = S.region_estimate_mc(1.3, grid, 0.8, d, 300000, seed=5,
+                                        threads=threads)
+        apart = [S.region_estimate_mc(1.3, float(e), 0.8, d, 300000, seed=5,
+                                      threads=threads) for e in grid]
+        assert together == apart
+
+    def test_out_of_range_eps_in_grid_raises_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew samples before checking eps")
+
+        monkeypatch.setattr(S.utils, "substream", no_draws)
+        with pytest.raises(EpsOutOfRange, match="got 0.5"):
+            S.region_estimate_mc(1.0, [0.01, 0.1, 0.5, 0.05], 0.8, 3, 1000)
+
+    def test_degenerate_eps_in_grid_warns(self):
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            res = S.region_estimate_mc(1.0, [0.1, -0.05], 0.8, 3, 20000, seed=4)
+        assert res[0][0] > 0.0 and res[1] == (0.0, 0.0)
+        assert sum(issubclass(w.category, DegenerateGeometry) for w in rec) == 1
+
+    def test_eps_must_be_scalar_or_1d(self):
+        with pytest.raises(ValueError, match="1-d grid"):
+            S.region_estimate_mc(1.0, [[0.1]], 0.8, 3, 1000)
+
 
 class TestEnvelopeEval:
     def test_at_origin(self):
