@@ -19,6 +19,11 @@ in-plane radius k, and weight distance w(x) = k for the plain kernel or
 |x - center| = sqrt(k^2 + (1/kappa - 1)^2 l^2) for the symmetrized one.
 The perpendicular foot of `center` on the plane is exactly `base`, which is
 why the plain weight never exceeds the symmetrized one.
+
+One evaluator, `_kernel_profile`, integrates the planes of a batch of pairs
+sharing `center` (K_f_* are its one-pair case), with radial reach
+|f.center - center| + TRUNCATION_SIGMAS * f.scale + |1/kappa - 1| * max l. It
+checks the rule's disk volume and warns when the outer ring is not negligible.
 """
 
 import math
@@ -27,10 +32,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import utils
-from .density import DensityField
+from .density import TRUNCATION_SIGMAS, DensityField
 from .errors import (CoincidentPoints, EqualMasses, HistoryGap, InsufficientGrid,
                      NonFiniteResult, QuadratureTruncationWarning, SingularAngle,
                      SingularAtZeroSpeed)
@@ -94,6 +98,7 @@ class KernelSpec:
         return self.h is not None
 
     def _check_angular_integrable(self):
+        from scipy.integrate import quad
         if self.cutoff:
             val, _ = quad(lambda t: self.h(t) * math.sin(t) ** (self.d - 2),
                           0.0, math.pi / 2)
@@ -185,22 +190,13 @@ class HyperplaneQuadrature:
     @classmethod
     def build(cls, base_point, normal, R_trunc, d, n_radial=64, n_angular=48):
         base_point = np.asarray(base_point, dtype=float)
-        normal = np.asarray(normal, dtype=float)
-        normal = normal / np.linalg.norm(normal)
+        normal = np.asarray(normal, dtype=float) / np.linalg.norm(normal)
         k, wk = utils.gauss_legendre(0.0, R_trunc, n_radial)
         ang, wang = utils.circle_rule(d, n_angular)
-        q = cls(base_point=base_point, normal=normal, radial_nodes=k,
-                radial_weights=wk, angular_nodes=ang, angular_weights=wang,
-                R_trunc=R_trunc, tangent=utils.tangent_basis(normal))
-        q._check_disk_volume(d)
-        return q
-
-    def _check_disk_volume(self, d):
-        total = float(np.sum(self.radial_weights * self.radial_nodes ** (d - 2))
-                      * np.sum(self.angular_weights))
-        disk = utils.ball_volume(d - 1, self.R_trunc) if d > 2 else 2.0 * self.R_trunc
-        if abs(total / disk - 1.0) > 1e-8:
-            raise ValueError("plane quadrature fails the unit-density volume check")
+        _check_disk_volume(k, wk, wang, R_trunc, d)
+        return cls(base_point=base_point, normal=normal, radial_nodes=k,
+                   radial_weights=wk, angular_nodes=ang, angular_weights=wang,
+                   R_trunc=R_trunc, tangent=utils.tangent_basis(normal))
 
     def points(self):
         """All nodes as Cartesian points, shape (n_radial, n_angular, d)."""
@@ -208,53 +204,24 @@ class HyperplaneQuadrature:
         return self.base_point + self.radial_nodes[:, None, None] * inplane[None, :, :]
 
 
-def _default_plane_quad(base, normal, f: DensityField, d, n_radial, n_angular):
-    # reach: in-plane distance from the base point to the projected density
-    # center, padded by the truncation width of f
-    c = f.center - base
-    nhat = normal / np.linalg.norm(normal)
-    c_in = c - np.dot(c, nhat) * nhat
-    r_trunc = float(np.linalg.norm(c_in)) + 12.0 * f.scale
-    return HyperplaneQuadrature.build(base, nhat, max(r_trunc, 4.0 * f.scale), d,
-                                      n_radial, n_angular)
+def _check_disk_volume(k, wk, wang, R, d):
+    # the rule must integrate the unit density over the radius-R disk exactly
+    total = float(np.sum(wk * k ** (d - 2)) * np.sum(wang))
+    disk = utils.ball_volume(d - 1, R) if d > 2 else 2.0 * R
+    if abs(total / disk - 1.0) > 1e-8:
+        raise ValueError("plane quadrature fails the unit-density volume check")
 
 
 def _carleman_value(center, other, f, spec, kappa, symmetrized, quad=None,
-                    n_radial=64, n_angular=48, warn_truncation=True):
-    if spec.cutoff:
-        raise ValueError("hyperplane kernels are defined for noncutoff specs")
+                    n_radial=64, n_angular=48):
     center = np.asarray(center, dtype=float)
     other = np.asarray(other, dtype=float)
-    d, gamma, s = spec.d, spec.gamma, spec.s
-    diff = other - center
-    l = float(np.linalg.norm(diff))
+    l = float(np.linalg.norm(other - center))
     if l == 0.0:
         raise CoincidentPoints("kernel undefined at coincident points")
-    nhat = diff / l
-    stretch = 1.0 / kappa - 1.0
-    base = center - stretch * l * nhat
-    offset = abs(stretch) * l
-    if quad is None:
-        quad = _default_plane_quad(base, nhat, f, d, n_radial, n_angular)
-    k = quad.radial_nodes
-    cos_theta = 1.0 - 2.0 * l * l / (l * l + (kappa * k) ** 2)
-    expo = gamma + 2.0 * s + 1.0
-    if symmetrized:
-        wdist = (k * k + offset * offset) ** (0.5 * expo)
-    else:
-        wdist = k ** expo
-    vals = f(quad.points())                                  # (n_radial, n_angular)
-    prof = spec.btilde(cos_theta)
-    radial = quad.radial_weights * k ** (d - 2) * wdist * prof
-    contributions = radial[:, None] * quad.angular_weights[None, :] * vals
-    plane = float(np.sum(contributions))
-    if warn_truncation and plane > 0.0:
-        edge = float(np.sum(contributions[-1])) * k.size
-        if edge > 1e-8 * plane:
-            warnings.warn("outermost plane ring carries relative weight "
-                          f"{edge / plane:.2e}; R_trunc may be too small",
-                          QuadratureTruncationWarning)
-    return kappa ** (2.0 * s) * l ** (-(d + 2.0 * s)) * plane
+    plain, sym = _kernel_profile(center, other[None], np.array([l]), f, spec, kappa,
+                                 n_radial, n_angular, quad)
+    return float(sym[0] if symmetrized else plain[0])
 
 
 def K_f_inelastic(u, u_prime, f: DensityField, spec: KernelSpec,
@@ -378,17 +345,29 @@ def verify_Kf_scaling(f: DensityField, spec: KernelSpec, params, u_prime, r_grid
                          slopes=slopes, expected=expected, gamma=gamma, s=s)
 
 
-def _kernel_profile(center, others, ls, f, spec, kappa, n_radial, n_angular):
-    """Vectorized plain and symmetrized kernel values along one direction ray."""
+def _kernel_profile(center, others, ls, f, spec, kappa, n_radial, n_angular, quad=None):
+    """Plain and symmetrized kernel values at (center, others[i]), ls ascending.
+
+    `quad`, when given, supplies only the radial and circle nodes and
+    weights; each plane always comes from its pair.
+    """
+    if spec.cutoff:
+        raise ValueError("hyperplane kernels are defined for noncutoff specs")
     d, gamma, s = spec.d, spec.gamma, spec.s
     stretch = 1.0 / kappa - 1.0
     nhats = (others - center) / ls[:, None]
     bases = center - stretch * ls[:, None] * nhats
     offsets = abs(stretch) * ls
-    reach = float(np.linalg.norm(f.center - center)) + 12.0 * f.scale \
-        + abs(stretch) * float(ls[-1])
-    k, wk = utils.gauss_legendre(0.0, reach, n_radial)
-    ang, wang = utils.circle_rule(d, n_angular)
+    if quad is None:
+        reach = float(np.linalg.norm(f.center - center)) + TRUNCATION_SIGMAS * f.scale \
+            + abs(stretch) * float(ls[-1])
+        k, wk = utils.gauss_legendre(0.0, reach, n_radial)
+        ang, wang = utils.circle_rule(d, n_angular)
+    else:
+        reach = quad.R_trunc
+        k, wk = quad.radial_nodes, quad.radial_weights
+        ang, wang = quad.angular_nodes, quad.angular_weights
+    _check_disk_volume(k, wk, wang, reach, d)
     tangents = utils.tangent_basis(nhats)                            # (L, d-1, d)
     inplane = np.einsum("me,led->lmd", ang, tangents)                # (L, m, d)
     pts = bases[:, None, None, :] + k[None, :, None, None] * inplane[:, None, :, :]
@@ -400,8 +379,18 @@ def _kernel_profile(center, others, ls, f, spec, kappa, n_radial, n_angular):
     w_sym = (k[None, :] ** 2 + offsets[:, None] ** 2) ** (0.5 * expo)
     radial = wk * k ** (d - 2)
     ang_sum = vals @ wang                                            # (L, nk)
-    plane_plain = np.sum(radial[None, :] * prof * w_plain[None, :] * ang_sum, axis=1)
-    plane_sym = np.sum(radial[None, :] * prof * w_sym * ang_sum, axis=1)
+    rings_plain = radial[None, :] * prof * w_plain[None, :] * ang_sum
+    rings_sym = radial[None, :] * prof * w_sym * ang_sum
+    plane_plain = np.sum(rings_plain, axis=1)
+    plane_sym = np.sum(rings_sym, axis=1)
+    # the outermost ring, scaled to the whole radial range, must carry a
+    # negligible share of every ray's plane integral
+    edge = [rings[plane > 0.0, -1] * k.size / plane[plane > 0.0]
+            for rings, plane in ((rings_plain, plane_plain), (rings_sym, plane_sym))]
+    worst = max((float(np.max(e)) for e in edge if e.size), default=0.0)
+    if worst > 1e-8:
+        warnings.warn(f"outermost plane ring carries relative weight {worst:.2e}; "
+                      "R_trunc may be too small", QuadratureTruncationWarning)
     pref = kappa ** (2.0 * s) * ls ** (-(d + 2.0 * s))
     return pref * plane_plain, pref * plane_sym
 
@@ -532,7 +521,7 @@ def _antipodal_pairs(dirs_sorted):
 
 
 def _outer_reach(f, v, kappa, r_split):
-    reach_f = float(np.linalg.norm(f.center - v)) + 12.0 * f.scale
+    reach_f = float(np.linalg.norm(f.center - v)) + TRUNCATION_SIGMAS * f.scale
     stretch = abs(1.0 / kappa - 1.0)
     if stretch < 1e-3:
         plane_reach = 80.0 * (1.0 + reach_f)

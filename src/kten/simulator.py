@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import geometry, utils
 from .errors import MajorantInflationWarning, MajorantViolation, ValidationError
@@ -164,6 +163,7 @@ class AngularSampler:
             # s in (0,1); what is finite, and logged, is its momentum-transfer
             # weight (1 - cos theta) b sin^{d-2} theta
             self.discarded_mass = math.inf
+            from scipy.integrate import quad
             transfer, _ = quad(lambda t: float(b.from_angle(t))
                                * math.sin(t) ** (d - 2)
                                * (1.0 - math.cos(t)),

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import utils
 from .errors import EmptySeries, InsufficientData
@@ -144,6 +143,7 @@ def check_envelope(hist: TailHistogram, env: Envelope, confidence=0.99):
     confidence bound at level `confidence` falls below the envelope, so shot
     noise cannot create spurious violations. Empty bins are unresolved.
     """
+    from scipy.stats import chi2
     centers = hist.centers
     env_vals = envelope_eval_speed(env, centers)
     vols = hist.shell_volumes

@@ -1,5 +1,6 @@
 """Shared numerics: sphere measures, quadrature rules, RNG streams, log-log fits."""
 
+import functools
 import hashlib
 import math
 
@@ -43,9 +44,18 @@ def ball_volume(d, radius=1.0):
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius ** d
 
 
+@functools.lru_cache(maxsize=64)
+def legendre_rule(n):
+    """Gauss-Legendre nodes/weights on [-1, 1], solved once per n; shared, so read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def gauss_legendre(a, b, n):
     """Gauss-Legendre nodes/weights on [a, b]."""
-    x, w = leggauss(n)
+    x, w = legendre_rule(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
 
@@ -57,7 +67,7 @@ def panel_rule(edges, n_per_panel):
     operations as `gauss_legendre` per panel, so the nodes are bit-identical.
     """
     edges = np.asarray(edges, dtype=float)
-    x, w = leggauss(n_per_panel)
+    x, w = legendre_rule(n_per_panel)
     lo = edges[:-1, None]
     half = 0.5 * (edges[1:, None] - lo)
     return (lo + half * (x + 1.0)).ravel(), (half * w).ravel()
@@ -83,7 +93,7 @@ def sphere_rule(d, n_polar=16, n_azimuth=32):
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         return dirs, np.full(m, 2.0 * math.pi / m)
     if d == 3:
-        mu, wmu = leggauss(n_polar)
+        mu, wmu = legendre_rule(n_polar)
         phi = 2.0 * math.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
         smu = np.sqrt(1.0 - mu ** 2)
         x = np.outer(smu, np.cos(phi)).ravel()

@@ -1,10 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kten
 from kten import geometry, tails
 from kten.cli import dispatch, parse_config_file, build_sim_config
 from kten.errors import InsufficientData
@@ -31,6 +36,19 @@ class TestDispatchBasics:
                          "--output-dir", str(tmp_path)])
         assert code == 1
         assert "(1/2, 1)" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported inside its three call sites, so subcommands that
+    # never reach one start without it
+    src = str(Path(kten.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, kten.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSpreadingCommand:

@@ -1,18 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from kten import kernels as K
+from kten.cli import dispatch
 from kten.density import DensityField
 from kten.errors import (CoincidentPoints, EqualMasses, HistoryGap,
-                         InsufficientGrid, SingularAngle, SingularAtZeroSpeed)
+                         InsufficientGrid, QuadratureTruncationWarning, SingularAngle,
+                         SingularAtZeroSpeed)
 from kten.geometry import MassPair, RestitutionParams
 
 GAUSS3 = DensityField.gaussian(3)
 SOFT3 = K.KernelSpec(gamma=-1.0, d=3, s=0.5, model="inelastic", moderately_soft=True)
 SOFT3_MIX = K.KernelSpec(gamma=-1.0, d=3, s=0.5, model="mixture", moderately_soft=True)
 BETA08 = RestitutionParams.from_beta(0.8)
+CUTOFF3 = K.KernelSpec(gamma=1.0, d=3, h=lambda t: 1.0, model="inelastic")
 
 
 def brute_force_plane_integral(u, u_prime, f, spec, kappa, half_width=9.0, n=751):
@@ -166,6 +170,40 @@ class TestCarlemanKernels:
         assert any(issubclass(w.category, QuadratureTruncationWarning)
                    for w in rec)
 
+    def test_quad_supplies_nodes_but_not_the_plane(self):
+        # a rule built on another plane integrates the pair's own plane
+        u_prime, u = np.array([0.2, -0.1, 0.3]), np.array([1.0, 0.4, -0.2])
+        base = u_prime - (1.0 / BETA08.beta - 1.0) * (u - u_prime)
+        right = K.HyperplaneQuadrature.build(base, u - u_prime, 9.0, 3, 40, 24)
+        wrong = K.HyperplaneQuadrature.build(np.ones(3), np.eye(3)[2], 9.0, 3, 40, 24)
+        for sym in (False, True):
+            a = K.K_f_inelastic(u, u_prime, GAUSS3, SOFT3, BETA08, quad=right,
+                                symmetrized=sym)
+            b = K.K_f_inelastic(u, u_prime, GAUSS3, SOFT3, BETA08, quad=wrong,
+                                symmetrized=sym)
+            assert a == b
+            assert a == pytest.approx(K.K_f_inelastic(u, u_prime, GAUSS3, SOFT3, BETA08,
+                                                      symmetrized=sym), rel=1e-10)
+
+    def test_disk_volume_checked_on_every_evaluation(self):
+        q = K.HyperplaneQuadrature.build(np.zeros(3), np.eye(3)[0], 9.0, 3)
+        q.R_trunc = 10.0            # nodes no longer cover the claimed disk
+        with pytest.raises(ValueError, match="volume check"):
+            K.K_f_inelastic(np.ones(3), np.zeros(3), GAUSS3, SOFT3, BETA08, quad=q)
+
+    def test_profile_warns_once_on_undersized_plane(self):
+        q = K.HyperplaneQuadrature.build(np.zeros(3), np.eye(3)[0], 1.5, 3, 40, 24)
+        ls = np.array([0.1, 0.5, 2.0])
+        others = ls[:, None] * np.array([0.6, 0.0, 0.8])
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            K._kernel_profile(np.zeros(3), others, ls, GAUSS3, SOFT3, 0.8, 40, 24, q)
+        assert [w.category for w in rec] == [QuadratureTruncationWarning]
+
+    def test_cutoff_spec_rejected(self):
+        with pytest.raises(ValueError, match="noncutoff"):
+            K.K_f_inelastic(np.ones(3), np.zeros(3), GAUSS3, CUTOFF3, BETA08)
+
     def test_symmetrized_reflection_symmetry(self):
         # exact for densities symmetric about u'; here f is centered at u' = 0
         rng = np.random.default_rng(3)
@@ -254,6 +292,12 @@ class TestScalingReport:
         assert rep.slopes["outer_large"][0] == pytest.approx(gamma, abs=0.1)
         assert rep.slopes["inner_large"][0] <= gamma + 3.0 + 0.1
 
+    def test_cutoff_spec_rejected(self):
+        with pytest.raises(ValueError, match="noncutoff"):
+            K.verify_Kf_scaling(GAUSS3, CUTOFF3, BETA08, np.zeros(3),
+                                np.concatenate([np.geomspace(1e-2, 1.0, 4),
+                                                np.geomspace(2.0, 10.0, 4)]))
+
 
 class TestHyperplaneQuadrature:
     @pytest.mark.parametrize("d,expected", [(3, math.pi * 4.0 ** 2), (2, 8.0)])
@@ -318,6 +362,22 @@ class TestQsApply:
                 for rs in (0.06, 0.12, 0.2)]
         assert vals[1] == pytest.approx(vals[0], rel=2e-3)
         assert vals[2] == pytest.approx(vals[0], rel=2e-3)
+
+    def test_cutoff_spec_rejected(self):
+        with pytest.raises(ValueError, match="noncutoff"):
+            K.Q_s_apply(GAUSS3, K.gaussian_bump(np.zeros(3), 1.0),
+                        np.array([0.5, 0.0, 0.0]), CUTOFF3, BETA08)
+
+
+def test_truncation_warning_quiet_on_shipped_configs(tmp_path):
+    # the kernel-scaling defaults and the benchmark's Q_s_apply call must
+    # resolve every plane integral inside the default reach
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuadratureTruncationWarning)
+        assert dispatch(["kernel-scaling", "--output-dir", str(tmp_path), "--quiet"]) == 0
+        res = K.Q_s_apply(GAUSS3, K.gaussian_bump(np.array([0.1, -0.3, 0.2]), 1.0),
+                          np.array([0.3, 0.4, 0.0]), SOFT3, BETA08)
+    assert math.isfinite(res.value)
 
 
 class TestCutoffLossRate:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from kten import utils
 
@@ -11,6 +14,32 @@ def test_panel_rule_equals_per_panel_gauss_legendre(n):
     per_panel = [utils.gauss_legendre(lo, hi, n) for lo, hi in zip(edges[:-1], edges[1:])]
     assert np.array_equal(nodes, np.concatenate([x for x, _ in per_panel]))
     assert np.array_equal(weights, np.concatenate([w for _, w in per_panel]))
+
+
+@pytest.mark.parametrize("n", [6, 10, 40, 64])
+def test_cached_legendre_rule_keeps_the_bits(n):
+    x, w = leggauss(n)
+    cx, cw = utils.legendre_rule(n)
+    assert np.array_equal(cx, x) and np.array_equal(cw, w)
+    assert utils.legendre_rule(n)[0] is cx             # solved once per n
+    assert utils.legendre_rule.cache_info().maxsize is not None
+    for arr in (cx, cw):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the rules built on it equal the ones built on a fresh leggauss
+    nodes, weights = utils.gauss_legendre(0.5, 3.0, n)
+    assert np.array_equal(nodes, 0.5 + 1.25 * (x + 1.0))
+    assert np.array_equal(weights, 1.25 * w)
+    assert nodes.flags.writeable
+    edges = np.array([0.0, 0.1, 1.0, 7.0])
+    pn, pw = utils.panel_rule(edges, n)
+    half = 0.5 * (edges[1:, None] - edges[:-1, None])
+    assert np.array_equal(pn, (edges[:-1, None] + half * (x + 1.0)).ravel())
+    assert np.array_equal(pw, (half * w).ravel())
+    dirs, wd = utils.sphere_rule(3, n, 8)
+    assert np.array_equal(dirs[:, 2], np.repeat(x, 8))
+    assert np.array_equal(wd, np.repeat(w, 8) * (2.0 * math.pi / 8))
 
 
 def _reference_tangent_basis(normal):
