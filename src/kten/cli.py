@@ -18,8 +18,11 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 
 import argparse
 import csv
+import functools
 import json
 import math
+import os
+import platform
 import sys
 import time
 from pathlib import Path
@@ -155,12 +158,28 @@ def main(argv=None):
     sys.exit(dispatch(sys.argv[1:] if argv is None else argv))
 
 
+@functools.cache
+def _environment():
+    """Interpreter, library versions and host of this process, for manifests."""
+    # the scipy version comes from its installed metadata: importing scipy
+    # here would load it into every subcommand
+    from importlib.metadata import version
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": version("scipy"),
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+    }
+
+
 def _write_manifest(outdir, subcommand, config, seed, started, outputs):
     manifest = {
         "subcommand": subcommand,
         "config": config,
         "seed": seed,
         "version": __version__,
+        "environment": _environment(),
         "started_unix": started,
         "finished_unix": time.time(),
         "outputs": [
@@ -342,12 +361,24 @@ def parse_config_file(path):
     return cfg
 
 
+_SIM_REQUIRED_KEYS = ("model", "d", "gamma", "s_or_h", "particles", "dt", "steps")
+# output_dir is read by _run_simulate, the others by build_sim_config
+_SIM_OPTIONAL_KEYS = ("theta_min", "alpha", "masses", "seed", "init", "moments_every",
+                      "snapshot_every", "tail_bins", "output_dir")
+
+
 def build_sim_config(cfg_map, seed=None):
-    """SimConfig from the flat config mapping; returns (config, extras)."""
-    required = {"model", "d", "gamma", "s_or_h", "particles", "dt", "steps"}
-    missing = required - set(cfg_map)
+    """SimConfig from the flat config mapping; returns (config, extras).
+
+    A missing required key or a key outside _SIM_REQUIRED_KEYS and
+    _SIM_OPTIONAL_KEYS raises ValidationError naming it.
+    """
+    missing = set(_SIM_REQUIRED_KEYS) - set(cfg_map)
     if missing:
         raise ValidationError(f"config missing keys: {sorted(missing)}")
+    unknown = set(cfg_map) - set(_SIM_REQUIRED_KEYS) - set(_SIM_OPTIONAL_KEYS)
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     model = cfg_map["model"]
     d = int(cfg_map["d"])
     gamma = float(cfg_map["gamma"])

@@ -80,9 +80,9 @@ class DensityField:
         v = np.asarray(velocities, dtype=float)
         n, d = v.shape
         lim = max(pad * float(np.max(np.abs(v))), 1e-9) if n else 1.0
-        edges = [np.linspace(-lim, lim, bins + 1)] * d
-        counts, edges = np.histogramdd(v, bins=edges)
-        widths = [e[1] - e[0] for e in edges]
+        edges = np.linspace(-lim, lim, bins + 1)
+        counts = utils.grid_counts(v, edges)
+        widths = [edges[1] - edges[0]] * d
         cell = float(np.prod(widths))
         dens = weight * counts / cell
 

@@ -240,10 +240,18 @@ def _orthonormal_frame(khat):
     ref = np.zeros_like(khat)
     smallest = np.argmin(np.abs(khat), axis=1)
     ref[np.arange(m), smallest] = 1.0
-    e1 = np.cross(khat, ref)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(khat, e1)
+    e1 = _cross3(khat, ref)
+    e1 /= np.sqrt(utils.row_dot(e1, e1))[:, None]
+    e2 = _cross3(khat, e1)
     return e1, e2
+
+
+def _cross3(a, b):
+    """Row-wise a x b for (m, 3) arrays, the products np.cross takes, in its order."""
+    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
+                    axis=1)
 
 
 class _Violation(Exception):
@@ -406,11 +414,13 @@ def _apply_wave(vi, vj, ia, ib, u_acc, u_theta, u_azim, majorant, gamma,
     accept = live & (u_acc * majorant < factor)
     if not np.any(accept):
         return
-    ia, ib = ia[accept], ib[accept]
-    va, vb = va[accept], vb[accept]
-    rel, rspeed = rel[accept], rspeed[accept]
-    theta = sampler.sample(u_theta[accept])
-    azim = u_azim[accept]
+    if not np.all(accept):      # all accepted at gamma 0 with majorant 1
+        ia, ib = ia[accept], ib[accept]
+        va, vb = va[accept], vb[accept]
+        rel, rspeed = rel[accept], rspeed[accept]
+        u_theta, u_azim = u_theta[accept], u_azim[accept]
+    theta = sampler.sample(u_theta)
+    azim = u_azim
     khat = rel / rspeed[:, None]
     e1, e2 = _orthonormal_frame(khat)
     if d == 2:
@@ -442,7 +452,7 @@ def moments(ens: Ensemble, entropy_bins=24):
     """Weighted moments: per-species mass, momentum, energy, entropy estimate.
 
     Energy is the mass-weighted second moment sum_s w m_s sum |v|^2, the
-    quantity conserved by mixture collisions and dissipated by inelasticic
+    quantity conserved by mixture collisions and dissipated by inelastic
     ones. Entropy is the plug-in histogram estimate of sum integral f log f
     with a Miller-Madow bin-count correction, decreasing toward equilibrium.
     """
@@ -463,7 +473,7 @@ def _entropy_estimate(s: Species, bins):
     v = s.velocities
     n, d = v.shape
     lim = max(float(np.max(np.abs(v))) * 1.05, 1e-12)
-    counts, _ = np.histogramdd(v, bins=bins, range=[(-lim, lim)] * d)
+    counts = utils.grid_counts(v, np.linspace(-lim, lim, bins + 1))
     cell = (2.0 * lim / bins) ** d
     c = counts[counts > 0].ravel()
     dens = s.weight * c / cell
@@ -499,7 +509,7 @@ def positivity_probe(ens: Ensemble, radius, bins):
     inside = center_norm <= radius
     reports = []
     for k, s in enumerate(ens.species):
-        counts, _ = np.histogramdd(s.velocities, bins=[edges] * d)
+        counts = utils.grid_counts(s.velocities, edges)
         empty = inside & (counts == 0)
         if np.any(empty):
             populated_radius = float(max(np.min(center_norm[empty])

@@ -132,6 +132,35 @@ def row_dot(a, b):
     return out
 
 
+def grid_counts(x, edges):
+    """Counts of the rows of x (n, d) over the uniform grid edges^d.
+
+    The counts of NumPy's d-dimensional histogram with these edges on every
+    axis, as integers: a row outside [edges[0], edges[-1]] in any column is
+    dropped, and edges[-1] falls in the last bin. Each column is placed the
+    way np.histogram places values in uniform bins, by arithmetic corrected
+    against the edges, not by searchsorted.
+    """
+    x = np.asarray(x, dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    d = x.shape[1]
+    bins = len(edges) - 1
+    lo, hi = edges[0], edges[-1]
+    if x.size and not (lo <= x.min() and x.max() <= hi):     # NaN fails too
+        x = x[((x >= lo) & (x <= hi)).all(axis=1)]
+    norm = bins / (hi - lo)
+    flat = np.zeros(len(x), dtype=np.intp)
+    for k in range(d):
+        col = x[:, k]
+        idx = ((col - lo) * norm).astype(np.intp)
+        np.minimum(idx, bins - 1, out=idx)
+        # the arithmetic index can be one off within an ulp of an edge
+        idx -= col < edges[idx]
+        idx += (col >= edges[idx + 1]) & (idx != bins - 1)
+        flat = flat * bins + idx
+    return np.bincount(flat, minlength=bins ** d).reshape((bins,) * d)
+
+
 def _row_norms(x):
     # the stacked (1, d) @ (d, 1) products sum like the dot product that
     # np.linalg.norm takes of a single vector; einsum and np.sum can differ

@@ -1,7 +1,9 @@
 import hashlib
+import importlib.metadata
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,7 @@ import numpy as np
 import pytest
 
 import kten
-from kten import geometry, tails
+from kten import cli, geometry, tails
 from kten.cli import dispatch, parse_config_file, build_sim_config
 from kten.errors import InsufficientData
 from kten.simulator import read_snapshot
@@ -38,17 +40,42 @@ class TestDispatchBasics:
         assert "(1/2, 1)" in capsys.readouterr().err
 
 
+def _env_with_src():
+    """The environment for a fresh interpreter that imports this kten."""
+    src = str(Path(kten.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported inside its three call sites, so subcommands that
     # never reach one start without it
-    src = str(Path(kten.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, kten.cli; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-        env=env, capture_output=True, text=True, check=True)
+        env=_env_with_src(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_manifest_records_the_environment(tmp_path):
+    # run in a fresh process: reading the scipy version must not load scipy
+    subprocess.run(
+        [sys.executable, "-c", "import sys; from kten.cli import dispatch; "
+         "code = dispatch(['verify-geometry', '--samples', '200', '--quiet', "
+         f"'--output-dir', {str(tmp_path)!r}]); "
+         "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules); "
+         "sys.exit(code)"],
+        env=_env_with_src(), check=True)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert set(manifest) == {"subcommand", "config", "seed", "version", "environment",
+                             "started_unix", "finished_unix", "outputs"}
+    environment = manifest["environment"]
+    assert set(environment) == {"python", "numpy", "scipy", "cpu_count", "platform"}
+    assert environment["python"] == platform.python_version()
+    assert environment["numpy"] == np.__version__
+    assert environment["cpu_count"] == os.cpu_count()
+    assert environment["platform"] == platform.platform()
+    assert environment["scipy"] == importlib.metadata.version("scipy")
 
 
 class TestSpreadingCommand:
@@ -228,6 +255,22 @@ class TestSimulateAndTails:
         cfg.write_text("model = mixture\n")
         assert dispatch(["simulate", "--config", str(cfg)]) == 1
         assert "missing keys" in capsys.readouterr().err
+
+    def test_unknown_config_key_is_validation_error(self, tmp_path, capsys):
+        outdir = tmp_path / "sim"
+        cfg = self.write_config(tmp_path, outdir, steps=1)
+        cfg.write_text(cfg.read_text() + "theta_mn = 0.5\n")
+        assert dispatch(["simulate", "--config", str(cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert "validation error" in err and "theta_mn" in err
+        assert not (outdir / "moments.csv").exists()
+
+    def test_readme_lists_every_config_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Simulation config", 1)[1].split("```ini", 1)[1]
+        listed = {line.split("=", 1)[0].strip()
+                  for line in block.split("```", 1)[0].splitlines() if "=" in line}
+        assert listed == set(cli._SIM_REQUIRED_KEYS) | set(cli._SIM_OPTIONAL_KEYS)
 
 
 # sha256 of every `simulate` output except manifest.json (which holds

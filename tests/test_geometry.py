@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kten import geometry as geo
 from kten.errors import EqualMasses, NonUnitNormal, ZeroRelativeVelocity
@@ -378,3 +380,102 @@ class TestCollisionParams:
         with pytest.raises(ValueError):
             geo.CollisionParams(d=3, restitution=geo.RestitutionParams(0.5),
                                 masses=geo.MassPair(1.0, 2.0))
+
+
+# -- property tests --------------------------------------------------------------
+# Derandomized, so every run checks the same examples. Tolerances are relative
+# to the velocity scale: the rules are exact identities up to rounding.
+
+PROPERTIES = settings(derandomize=True, database=None, deadline=None,
+                      max_examples=300)
+COORD = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+
+
+def _draw_unit(draw, d):
+    u = np.array(draw(st.lists(COORD, min_size=d, max_size=d)))
+    size = np.linalg.norm(u)
+    assume(size > 1e-3)
+    return u / size
+
+
+@st.composite
+def collision_inputs(draw):
+    """(v, v*, sigma) with d in {2, 3} and |v - v*| from 0 through 1e-12 to 10."""
+    d = draw(st.sampled_from([2, 3]))
+    v = np.array(draw(st.lists(COORD, min_size=d, max_size=d)))
+    gap = draw(st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(1e-6, 10.0)))
+    v_star = v - gap * _draw_unit(draw, d)
+    return v, v_star, _draw_unit(draw, d)
+
+
+def _normal_of(v, v_star, sigma):
+    """The impact normal n = (khat - sigma)/|khat - sigma| of a sigma collision;
+    None when |v - v*| = 0, and grazing sigma ~ khat is assumed away."""
+    rel = v - v_star
+    if not rel.any():
+        return None
+    diff = rel / np.linalg.norm(rel) - sigma
+    assume(np.linalg.norm(diff) > 1e-4)
+    return diff / np.linalg.norm(diff)
+
+
+ALPHAS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+MASS_PAIRS = st.tuples(st.floats(0.1, 10.0), st.floats(-2.0, 2.0)).map(
+    lambda t: geo.MassPair(t[0], t[0] * 10.0 ** t[1]))       # ratio 1e-2 .. 1e2
+
+
+class TestProperties:
+    @PROPERTIES
+    @given(collision_inputs(), ALPHAS)
+    def test_inelastic_identities(self, pair, alpha):
+        v, vs, sigma = pair
+        p = geo.RestitutionParams(alpha)
+        scale = 1.0 + np.abs(v).max() + np.abs(vs).max()
+        vp, vsp, deg = geo.inelastic_post_sigma(v, vs, sigma, p)
+        assert np.allclose(vp + vsp, v + vs, rtol=0.0, atol=1e-14 * scale)
+        n = _normal_of(v, vs, sigma)
+        if n is None:
+            assert deg and np.array_equal(vp, v) and np.array_equal(vsp, vs)
+            vpn, vspn, degn = geo.inelastic_post_n(v, vs, sigma, p)
+            assert degn and np.array_equal(vpn, v) and np.array_equal(vspn, vs)
+            return
+        assert not deg
+        c = float(np.dot(v - vs, n))
+        assert c >= 0.0
+        # restitution: the normal relative velocity reverses with factor alpha
+        assert abs(np.dot(vp - vsp, n) + alpha * c) < 1e-12 * scale
+        # energy: the loss is 2 beta (1 - beta) <v - v*, n>^2
+        loss = (v @ v + vs @ vs) - (vp @ vp + vsp @ vsp)
+        assert abs(loss - 2.0 * p.beta * (1.0 - p.beta) * c * c) < 1e-12 * scale ** 2
+        # the impact-normal form gives the same collision
+        vpn, vspn, degn = geo.inelastic_post_n(v, vs, n, p)
+        assert not degn
+        assert np.allclose(vpn, vp, rtol=0.0, atol=1e-12 * scale)
+        assert np.allclose(vspn, vsp, rtol=0.0, atol=1e-12 * scale)
+
+    @PROPERTIES
+    @given(collision_inputs(), MASS_PAIRS)
+    def test_mixture_identities(self, pair, m):
+        v, vs, sigma = pair
+        scale = 1.0 + np.abs(v).max() + np.abs(vs).max()
+        vp, vsp, deg = geo.mixture_post_sigma(v, vs, sigma, m)
+        momentum = m.m_i * (vp - v) + m.m_j * (vsp - vs)
+        assert np.abs(momentum).max() < 1e-13 * m.total * scale
+        energy = (m.m_i * (vp @ vp - v @ v) + m.m_j * (vsp @ vsp - vs @ vs))
+        assert abs(energy) < 1e-13 * m.total * scale ** 2
+        n = _normal_of(v, vs, sigma)
+        if n is None:
+            assert deg
+            assert np.allclose(vp, v, rtol=0.0, atol=1e-15 * scale)
+            vpn, vspn, degn = geo.mixture_post_n(v, vs, sigma, m)
+            assert degn and np.array_equal(vpn, v) and np.array_equal(vspn, vs)
+            return
+        assert not deg
+        rel = v - vs
+        # elastic: the relative speed is kept and its normal part reverses
+        assert abs(np.linalg.norm(vp - vsp) - np.linalg.norm(rel)) < 1e-13 * scale
+        assert abs(np.dot(vp - vsp, n) + np.dot(rel, n)) < 1e-12 * scale
+        vpn, vspn, degn = geo.mixture_post_n(v, vs, n, m)
+        assert not degn
+        assert np.allclose(vpn, vp, rtol=0.0, atol=1e-12 * scale)
+        assert np.allclose(vspn, vsp, rtol=0.0, atol=1e-12 * scale)

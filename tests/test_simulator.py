@@ -6,6 +6,7 @@ import pytest
 
 from kten import simulator as sim
 from kten.errors import MajorantInflationWarning, ValidationError
+from kten.geometry import MassPair, RestitutionParams
 from kten.kernels import KernelSpec
 
 
@@ -500,3 +501,57 @@ class TestModuleState:
             run(cfg)
             assert cfg.sampler is cfg.sampler      # built once per config
         assert state() == before
+
+
+def _np_cross_frame(khat):
+    """The tangent frame as built with np.cross and np.linalg.norm."""
+    ref = np.zeros_like(khat)
+    ref[np.arange(len(khat)), np.argmin(np.abs(khat), axis=1)] = 1.0
+    e1 = np.cross(khat, ref)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    return e1, np.cross(khat, e1)
+
+
+class TestCommitKernels:
+    def test_cross3_and_frame_match_numpy_bits(self):
+        rng = np.random.default_rng(17)
+        khat = rng.normal(size=(50000, 3))
+        khat /= np.linalg.norm(khat, axis=1, keepdims=True)
+        other = rng.normal(size=(50000, 3))
+        assert np.array_equal(sim._cross3(khat, other), np.cross(khat, other))
+        e1, e2 = sim._orthonormal_frame(khat)
+        ref1, ref2 = _np_cross_frame(khat)
+        assert np.array_equal(e1, ref1) and np.array_equal(e2, ref2)
+
+    @pytest.mark.parametrize("case", ["inelastic_cutoff_d3", "noncutoff_mixture_d2"])
+    def test_fully_accepted_level_equals_masked_path(self, case):
+        # gamma 0 with majorant 2 accepts exactly the candidates with
+        # u_acc < 1/2; three extra rejected candidates on their own particles
+        # send the same collisions through the masked path
+        if case == "inelastic_cutoff_d3":
+            d, sampler = 3, sim.AngularSampler(iso_cutoff(model="inelastic"), 0.0)
+            params = RestitutionParams(0.5)
+        else:
+            d = 2
+            sampler = sim.AngularSampler(
+                KernelSpec(gamma=0.0, d=2, s=0.2, model="mixture"), 0.05)
+            params = MassPair(1.0, 1.0)
+        rng = np.random.default_rng(23)
+        v0 = rng.normal(size=(206, d))
+        perm = rng.permutation(200)
+        ia, ib = perm[:100], perm[100:]
+        u_theta, u_azim = rng.random(103), rng.random(103) * 2.0 * math.pi
+        u_acc = np.concatenate([0.49 * rng.random(100), [0.6, 0.8, 0.99]])
+        results = []
+        for ia_k, ib_k, m in ((ia, ib, 100),
+                              (np.append(ia, [200, 201, 202]),
+                               np.append(ib, [203, 204, 205]), 103)):
+            v = v0.copy()
+            stats = {"accepted": 0, "sum_c2": 0.0, "predicted_energy_loss": 0.0}
+            sim._apply_wave(v, v, ia_k, ib_k, u_acc[:m], u_theta[:m], u_azim[:m],
+                            2.0, 0.0, sampler, params, d, 1e-3, stats)
+            results.append((v, stats))
+        (v_all, stats_all), (v_masked, stats_masked) = results
+        assert stats_all == stats_masked and stats_all["accepted"] == 100
+        assert np.array_equal(v_all, v_masked)
+        assert not np.array_equal(v_all, v0)

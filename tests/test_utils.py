@@ -83,3 +83,36 @@ def test_row_dot_matches_sum_and_norm(d):
     assert np.array_equal(utils.row_dot(a, b), np.sum(a * b, axis=-1))
     assert np.array_equal(np.sqrt(utils.row_dot(a, a)), np.linalg.norm(a, axis=-1))
     assert np.array_equal(utils.row_dot(a, b[0]), np.sum(a * b[0], axis=-1))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("form", ["range", "edges"])
+def test_grid_counts_equal_histogramdd(d, form):
+    rng = np.random.default_rng(31 + d)
+    for bins in (1, 7, 24, 32):
+        x = rng.normal(size=(30000, d))
+        lim = 1.05 * float(np.max(np.abs(x))) if form == "range" else 2.5
+        edges = np.linspace(-lim, lim, bins + 1)
+        x[:2000] = rng.choice(edges, size=(2000, d))        # on interior and end edges
+        x[2000:2100, 0] = edges[-1]
+        x[2100:2200, -1] = edges[0]
+        on_edges = rng.choice(edges, size=(200, d))
+        x[2200:2300] = np.nextafter(on_edges[:100], np.inf)   # an ulp above edges
+        x[2300:2400] = np.nextafter(on_edges[100:], -np.inf)  # and below
+        x[2400:2500, 0] = rng.choice([-1.0, 1.0], 100) * 3.0 * lim   # outside
+        x[2500:2600, -1] = np.nextafter(edges[-1], np.inf)             # just outside
+        x[2600:2610, 0] = np.nan
+        ref = (np.histogramdd(x, bins=bins, range=[(-lim, lim)] * d)[0]
+               if form == "range" else np.histogramdd(x, bins=[edges] * d)[0])
+        counts = utils.grid_counts(x, edges)
+        assert counts.shape == (bins,) * d
+        assert np.array_equal(counts, ref)
+        assert counts.sum() < len(x)                          # rows were dropped
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_grid_counts_empty(d):
+    edges = np.linspace(-1.0, 1.0, 5)
+    counts = utils.grid_counts(np.empty((0, d)), edges)
+    assert counts.shape == (4,) * d and not counts.any()
+    assert np.array_equal(counts, np.histogramdd(np.empty((0, d)), bins=[edges] * d)[0])
