@@ -361,52 +361,97 @@ def parse_config_file(path):
     return cfg
 
 
-_SIM_REQUIRED_KEYS = ("model", "d", "gamma", "s_or_h", "particles", "dt", "steps")
-# output_dir is read by _run_simulate, the others by build_sim_config
-_SIM_OPTIONAL_KEYS = ("theta_min", "alpha", "masses", "seed", "init", "moments_every",
-                      "snapshot_every", "tail_bins", "output_dir")
+_CUTOFF_WORDS = ("iso", "h", "cutoff")
+
+
+def _ints(text):
+    return tuple(int(x) for x in text.split(","))
+
+
+def _floats(text):
+    return tuple(float(x) for x in text.split(","))
+
+
+def _s_or_h(text):
+    return text if text in _CUTOFF_WORDS else float(text)
+
+
+_REQUIRED = object()
+_AT_LEAST_0 = (lambda x: x >= 0, ">= 0")
+_AT_LEAST_1 = (lambda x: x >= 1, ">= 1")
+_POSITIVE = (lambda x: x > 0, "> 0")
+# key: (parse, default, check); a check holds for each value of a comma
+# separated list. output_dir is read by _run_simulate, the others by
+# build_sim_config.
+_SIM_SCHEMA = {
+    "model": (str, _REQUIRED, None),
+    "d": (int, _REQUIRED, None),
+    "gamma": (float, _REQUIRED, None),
+    "s_or_h": (_s_or_h, _REQUIRED, None),
+    "particles": (_ints, _REQUIRED, _AT_LEAST_1),
+    "dt": (float, _REQUIRED, _POSITIVE),
+    "steps": (int, _REQUIRED, _AT_LEAST_1),
+    "theta_min": (float, 1e-2, None),
+    "alpha": (float, None, None),
+    "masses": (_floats, None, None),
+    "seed": (int, None, None),
+    "init": (str, "gaussian", None),
+    "moments_every": (int, 1, _AT_LEAST_1),
+    "snapshot_every": (int, 0, _AT_LEAST_0),
+    "tail_bins": (int, 50, _AT_LEAST_1),
+    "output_dir": (str, None, None),
+}
+_SIM_REQUIRED_KEYS = tuple(k for k, row in _SIM_SCHEMA.items() if row[1] is _REQUIRED)
+_SIM_OPTIONAL_KEYS = tuple(k for k, row in _SIM_SCHEMA.items() if row[1] is not _REQUIRED)
+
+
+def _read_sim_keys(cfg_map):
+    """Every _SIM_SCHEMA key parsed and checked, or its default."""
+    missing = set(_SIM_REQUIRED_KEYS) - set(cfg_map)
+    if missing:
+        raise ValidationError(f"config missing keys: {sorted(missing)}")
+    unknown = set(cfg_map) - set(_SIM_SCHEMA)
+    if unknown:
+        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+    values = {}
+    for key, (parse, default, check) in _SIM_SCHEMA.items():
+        if key not in cfg_map:
+            values[key] = default
+            continue
+        raw = cfg_map[key]
+        try:
+            value = parse(raw)
+        except ValueError as exc:
+            raise ValidationError(
+                f"config key {key!r}: cannot read {raw!r} ({exc})") from exc
+        items = value if isinstance(value, tuple) else (value,)
+        if check is not None and not all(check[0](x) for x in items):
+            raise ValidationError(f"config key {key!r} must be {check[1]}, got {raw!r}")
+        values[key] = value
+    return values
 
 
 def build_sim_config(cfg_map, seed=None):
     """SimConfig from the flat config mapping; returns (config, extras).
 
-    A missing required key or a key outside _SIM_REQUIRED_KEYS and
-    _SIM_OPTIONAL_KEYS raises ValidationError naming it.
+    A missing required key, a key outside _SIM_SCHEMA, or a value that does
+    not parse or fails its check raises ValidationError naming the key.
     """
-    missing = set(_SIM_REQUIRED_KEYS) - set(cfg_map)
-    if missing:
-        raise ValidationError(f"config missing keys: {sorted(missing)}")
-    unknown = set(cfg_map) - set(_SIM_REQUIRED_KEYS) - set(_SIM_OPTIONAL_KEYS)
-    if unknown:
-        raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    model = cfg_map["model"]
-    d = int(cfg_map["d"])
-    gamma = float(cfg_map["gamma"])
-    s_or_h = cfg_map["s_or_h"]
-    theta_min = float(cfg_map.get("theta_min", 1e-2))
+    c = _read_sim_keys(cfg_map)
+    model, d, gamma, s_or_h = c["model"], c["d"], c["gamma"], c["s_or_h"]
     kmodel = "inelastic" if model == "inelastic" else "mixture"
-    if s_or_h in ("iso", "h", "cutoff"):
+    if s_or_h in _CUTOFF_WORDS:
         spec = kernels.KernelSpec(gamma=gamma, d=d, h=lambda t: 1.0, model=kmodel)
     else:
-        spec = kernels.KernelSpec(gamma=gamma, d=d, s=float(s_or_h), model=kmodel,
+        spec = kernels.KernelSpec(gamma=gamma, d=d, s=s_or_h, model=kmodel,
                                   moderately_soft=(gamma < 0.0))
-    particles = tuple(int(x) for x in str(cfg_map["particles"]).split(","))
-    alpha = float(cfg_map["alpha"]) if "alpha" in cfg_map else None
-    masses = tuple(float(x) for x in cfg_map["masses"].split(",")) \
-        if "masses" in cfg_map else None
     cfg = simulator.SimConfig(
-        model=model, kernel=spec, dt=float(cfg_map["dt"]),
-        steps=int(cfg_map["steps"]), particles=particles, alpha=alpha,
-        masses=masses,
-        seed=int(cfg_map["seed"]) if "seed" in cfg_map else
+        model=model, kernel=spec, dt=c["dt"], steps=c["steps"],
+        particles=c["particles"], alpha=c["alpha"], masses=c["masses"],
+        seed=c["seed"] if c["seed"] is not None else
         (seed if seed is not None else DEFAULT_SEED),
-        theta_min=theta_min, init=cfg_map.get("init", "gaussian"),
-        collect_stats=True)
-    extras = {
-        "moments_every": int(cfg_map.get("moments_every", 1)),
-        "snapshot_every": int(cfg_map.get("snapshot_every", 0)),
-        "tail_bins": int(cfg_map.get("tail_bins", 50)),
-    }
+        theta_min=c["theta_min"], init=c["init"], collect_stats=True)
+    extras = {k: c[k] for k in ("moments_every", "snapshot_every", "tail_bins")}
     return cfg, extras
 
 

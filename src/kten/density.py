@@ -55,8 +55,16 @@ class DensityField:
         norm = mass / ((2.0 * np.pi * sigma ** 2) ** (d / 2.0))
 
         def f(v):
-            r2 = np.sum((v - c) ** 2, axis=-1)
-            return norm * np.exp(-0.5 * r2 / sigma ** 2)
+            diff = v - c
+            if diff.ndim == 1:      # one point: a scalar, which in-place ops reject
+                return norm * np.exp(-0.5 * np.sum(diff ** 2) / sigma ** 2)
+            # the bits of norm * exp(-0.5 * sum(diff^2, axis=-1) / sigma^2)
+            r2 = utils.row_dot(diff, diff)
+            r2 *= -0.5
+            r2 /= sigma ** 2
+            np.exp(r2, out=r2)
+            r2 *= norm
+            return r2
 
         energy = mass * (d * sigma ** 2 + float(np.dot(c, c)))
         return cls(kind="analytic", d=d, evaluator=f, mass=mass,
@@ -82,19 +90,16 @@ class DensityField:
         lim = max(pad * float(np.max(np.abs(v))), 1e-9) if n else 1.0
         edges = np.linspace(-lim, lim, bins + 1)
         counts = utils.grid_counts(v, edges)
-        widths = [edges[1] - edges[0]] * d
-        cell = float(np.prod(widths))
+        cell = float(np.prod([edges[1] - edges[0]] * d))
         dens = weight * counts / cell
 
         def f(pts):
+            # a point reads the bin that grid_counts would count it in
             pts = np.atleast_2d(pts)
-            idx = []
-            inside = np.ones(pts.shape[0], dtype=bool)
-            for k in range(d):
-                i = np.floor((pts[:, k] + lim) / widths[k]).astype(int)
-                inside &= (i >= 0) & (i < bins)
-                idx.append(np.clip(i, 0, bins - 1))
-            out = dens[tuple(idx)]
+            inside = ((pts >= edges[0]) & (pts <= edges[-1])).all(axis=-1)
+            idx = tuple(utils.grid_bin(np.where(inside, pts[..., k], edges[0]), edges)
+                        for k in range(d))
+            out = dens[idx]
             out[~inside] = 0.0
             return out if out.size > 1 else float(out[0])
 
@@ -106,6 +111,19 @@ class DensityField:
 
     # -- quadrature -----------------------------------------------------------
 
+    def _shell_points(self, origin, rho):
+        """origin + rho[i] * dirs[j] as an (n_rho, n_dirs, d) coordinate-major view.
+
+        Built one coordinate at a time, so each column the evaluator reads is
+        contiguous; the values are those of the broadcast expression.
+        """
+        dirs, _ = self.sphere_rule()
+        pts = np.empty((self.d, rho.size, len(dirs)))
+        for j in range(self.d):
+            np.multiply(rho[:, None], dirs[None, :, j], out=pts[j])
+            pts[j] += origin[j]
+        return np.moveaxis(pts, 0, -1)
+
     def radial_moment(self, v, gamma, n_radial=96, n_sigmas=TRUNCATION_SIGMAS):
         """integral of f(v*) |v* - v|^gamma dv*, by shells centered at v.
 
@@ -115,7 +133,8 @@ class DensityField:
         """
         v = np.asarray(v, dtype=float)
         if self.kind == "histogram" and self.particles is not None:
-            dist = np.linalg.norm(self.particles - v, axis=1)
+            diff = self.particles - v
+            dist = np.sqrt(utils.row_dot(diff, diff))
             if gamma < 0:
                 dist = dist[dist > 0]
             return float(self.weight * np.sum(dist ** gamma))
@@ -128,9 +147,10 @@ class DensityField:
                 np.linspace(0.5 * self.scale, n_sigmas * self.scale, 25)[1:],
             ])
             rho, w_rho = utils.panel_rule(edges, max(8, n_radial // 12))
-            dirs, w_ang = self.sphere_rule()
-            pts = self.center + rho[:, None, None] * dirs[None, :, :]
-            vals = self.evaluator(pts) * np.linalg.norm(pts - v, axis=-1) ** gamma
+            pts = self._shell_points(self.center, rho)
+            diff = pts - v
+            vals = self.evaluator(pts) * np.sqrt(utils.row_dot(diff, diff)) ** gamma
+            _, w_ang = self.sphere_rule()
             return float(np.einsum("i,j,ij->", w_rho * rho ** (self.d - 1),
                                    w_ang, vals))
         reach = offset + n_sigmas * self.scale
@@ -149,9 +169,8 @@ class DensityField:
             edges.append(np.linspace(hi, reach, 7)[1:])
         grid = np.concatenate(edges)
         rho, w_rho = utils.panel_rule(grid, max(8, n_radial // 12))
-        dirs, w_ang = self.sphere_rule()
-        pts = v + rho[:, None, None] * dirs[None, :, :]
-        vals = self.evaluator(pts)
+        vals = self.evaluator(self._shell_points(v, rho))
+        _, w_ang = self.sphere_rule()
         radial_w = w_rho * rho ** (gamma + self.d - 1)
         return float(np.einsum("i,j,ij->", radial_w, w_ang, vals))
 

@@ -370,8 +370,13 @@ def _kernel_profile(center, others, ls, f, spec, kappa, n_radial, n_angular, qua
     _check_disk_volume(k, wk, wang, reach, d)
     tangents = utils.tangent_basis(nhats)                            # (L, d-1, d)
     inplane = np.einsum("me,led->lmd", ang, tangents)                # (L, m, d)
-    pts = bases[:, None, None, :] + k[None, :, None, None] * inplane[:, None, :, :]
-    vals = f(pts)                                                    # (L, nk, m)
+    # bases + k * inplane, built one coordinate at a time so that f reads
+    # contiguous columns of its (L, nk, m, d) argument
+    pts = np.empty((d, len(ls), k.size, inplane.shape[1]))
+    for j in range(d):
+        np.multiply(k[None, :, None], inplane[:, None, :, j], out=pts[j])
+        pts[j] += bases[:, j, None, None]
+    vals = f(np.moveaxis(pts, 0, -1))                                # (L, nk, m)
     cos_theta = 1.0 - 2.0 * ls[:, None] ** 2 / (ls[:, None] ** 2 + (kappa * k[None, :]) ** 2)
     prof = spec.btilde(cos_theta)
     expo = gamma + 2.0 * s + 1.0
@@ -413,7 +418,8 @@ def gaussian_bump(center, width, amplitude=1.0):
     c = np.asarray(center, dtype=float)
 
     def f(x):
-        r2 = np.sum((x - c) ** 2, axis=-1)
+        diff = x - c
+        r2 = utils.row_dot(diff, diff)
         return amplitude * np.exp(-0.5 * r2 / width ** 2)
 
     return TestFunction(fn=f, sup_norm=amplitude,

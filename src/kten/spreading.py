@@ -237,8 +237,10 @@ def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
     def one_chunk(idx):
         rng = utils.substream(seed, idx)
         n = sizes[idx]
-        g = rng.normal(size=(n, d))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        # column-major draws: every array derived from them below keeps the
+        # layout, so the row sums read contiguous columns
+        g = np.asfortranarray(rng.normal(size=(n, d)))
+        g /= np.sqrt(utils.row_dot(g, g))[:, None]
         radius = R * rng.random(n) ** (1.0 / d)
         u = g * radius[:, None]
         shift = (1.0 / beta - 1.0) * u
@@ -246,9 +248,9 @@ def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
         for v in probes:
             pt = (1.0 / beta) * v[None, :] - shift
             nvec = u - v[None, :]
-            nn = np.linalg.norm(nvec, axis=1)
+            nn = np.sqrt(utils.row_dot(nvec, nvec))
             nn[nn == 0.0] = np.inf
-            dist = np.abs(np.sum(pt * nvec, axis=1)) / nn
+            dist = np.abs(utils.row_dot(pt, nvec)) / nn
             sect = np.maximum(R * R - dist * dist, 0.0)
             if d == 3:
                 area = math.pi * sect

@@ -124,7 +124,9 @@ def row_dot(a, b):
 
     Summed column by column in index order, which is the order np.sum takes
     over a 2- or 3-wide last axis, so the bits match it at a fraction of its
-    cost.
+    cost. On a coordinate-major array (the moveaxis view of a (d, ...)
+    buffer, or a Fortran-ordered (n, d) array) each column it reads is
+    contiguous.
     """
     out = a[..., 0] * b[..., 0]
     for k in range(1, np.shape(a)[-1]):
@@ -148,17 +150,26 @@ def grid_counts(x, edges):
     lo, hi = edges[0], edges[-1]
     if x.size and not (lo <= x.min() and x.max() <= hi):     # NaN fails too
         x = x[((x >= lo) & (x <= hi)).all(axis=1)]
-    norm = bins / (hi - lo)
     flat = np.zeros(len(x), dtype=np.intp)
     for k in range(d):
-        col = x[:, k]
-        idx = ((col - lo) * norm).astype(np.intp)
-        np.minimum(idx, bins - 1, out=idx)
-        # the arithmetic index can be one off within an ulp of an edge
-        idx -= col < edges[idx]
-        idx += (col >= edges[idx + 1]) & (idx != bins - 1)
-        flat = flat * bins + idx
+        flat = flat * bins + grid_bin(x[:, k], edges)
     return np.bincount(flat, minlength=bins ** d).reshape((bins,) * d)
+
+
+def grid_bin(col, edges):
+    """Bin of each value of col in [edges[0], edges[-1]] over the uniform edges.
+
+    Placed the way np.histogram places values in uniform bins: arithmetic
+    corrected against the edges, with edges[-1] in the last bin. The caller
+    drops values outside the range first.
+    """
+    bins = len(edges) - 1
+    idx = ((col - edges[0]) * (bins / (edges[-1] - edges[0]))).astype(np.intp)
+    np.minimum(idx, bins - 1, out=idx)
+    # the arithmetic index can be one off within an ulp of an edge
+    idx -= col < edges[idx]
+    idx += (col >= edges[idx + 1]) & (idx != bins - 1)
+    return idx
 
 
 def _row_norms(x):

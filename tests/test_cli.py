@@ -265,6 +265,22 @@ class TestSimulateAndTails:
         assert "validation error" in err and "theta_mn" in err
         assert not (outdir / "moments.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("d", "three"), ("moments_every", "0"), ("snapshot_every", "-1"),
+        ("steps", "0"), ("particles", "5000,0"), ("particles", "5e3"), ("dt", "0"),
+        ("dt", "nan"), ("tail_bins", "0"), ("s_or_h", "half"), ("masses", "1,x")])
+    def test_bad_config_value_is_validation_error_naming_key(self, tmp_path, capsys,
+                                                             key, value):
+        outdir = tmp_path / "sim"
+        cfg = self.write_config(tmp_path, outdir, steps=1)
+        lines = [ln for ln in cfg.read_text().splitlines()
+                 if ln.split("=", 1)[0].strip() != key]
+        cfg.write_text("\n".join(lines + [f"{key} = {value}"]) + "\n")
+        assert dispatch(["simulate", "--config", str(cfg), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error") and f"config key {key!r}" in err
+        assert not (outdir / "moments.csv").exists()
+
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("### Simulation config", 1)[1].split("```ini", 1)[1]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -378,6 +379,33 @@ def test_truncation_warning_quiet_on_shipped_configs(tmp_path):
         res = K.Q_s_apply(GAUSS3, K.gaussian_bump(np.array([0.1, -0.3, 0.2]), 1.0),
                           np.array([0.3, 0.4, 0.0]), SOFT3, BETA08)
     assert math.isfinite(res.value)
+
+
+def _f8_digest(values):
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8").tobytes()).hexdigest()
+
+
+# sha256 of the benchmark's two library operations on fixed inputs, recorded
+# before the plane points, radial shells and test bump were summed column by
+# column (x86-64, numpy 2.4). A change here is a change of computed numbers.
+GOLDEN_DIRECTION = np.array([1.0, 2.0, 2.0]) / 3.0
+QS_APPLY_DIGEST = "9a1836ebe1fa2cfb7c8cda74dce2bc710c640cb8423c728ca7cc338d6816a73a"
+LOSS_RATES_DIGEST = "e1566050b4a3070bf1107d18cda1138693e58ee0b9a0f053c5182ead5fc32a15"
+
+
+def test_Q_s_apply_golden_digest():
+    res = K.Q_s_apply(GAUSS3, K.gaussian_bump([0.1, -0.2, 0.3], 1.0),
+                      0.5 * GOLDEN_DIRECTION, SOFT3, BETA08)
+    assert _f8_digest([res.value, res.inner_symmetric, res.inner_correction,
+                       res.outer]) == QS_APPLY_DIGEST
+
+
+def test_cutoff_loss_rate_golden_digest():
+    # speeds beyond 2 sigma take radial_moment's shells around the density
+    # center, the others its shells around v
+    rates = [K.cutoff_loss_rate(GAUSS3, s * GOLDEN_DIRECTION, CUTOFF3)
+             for s in np.linspace(0.0, 5.0, 20)]
+    assert _f8_digest(rates) == LOSS_RATES_DIGEST
 
 
 class TestCutoffLossRate:

@@ -116,3 +116,29 @@ def test_grid_counts_empty(d):
     counts = utils.grid_counts(np.empty((0, d)), edges)
     assert counts.shape == (4,) * d and not counts.any()
     assert np.array_equal(counts, np.histogramdd(np.empty((0, d)), bins=[edges] * d)[0])
+
+
+def _layouts(d, seed):
+    """The same random values as a single point, (n, d) rows, a C-order
+    (L, nk, m, d) array and the coordinate-major view of a (d, L, nk, m) buffer."""
+    rng = np.random.default_rng(seed)
+    c_order = rng.normal(size=(5, 7, 6, d)) * rng.uniform(1e-3, 1e3, size=(5, 7, 1, 1))
+    coord_major = np.moveaxis(np.ascontiguousarray(np.moveaxis(c_order, -1, 0)), 0, -1)
+    assert not coord_major.flags.c_contiguous and np.array_equal(coord_major, c_order)
+    return {"point": c_order[1, 2, 3].copy(), "rows": c_order.reshape(-1, d).copy(),
+            "c_order": c_order, "coord_major": coord_major,
+            "fortran_rows": np.asfortranarray(c_order.reshape(-1, d))}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("layout", ["point", "rows", "c_order", "coord_major",
+                                    "fortran_rows"])
+def test_row_dot_layouts_keep_the_bits(d, layout):
+    a = _layouts(d, 40 + d)[layout]
+    b = _layouts(d, 50 + d)[layout]
+    dot = utils.row_dot(a, b)
+    assert dot.shape == a.shape[:-1]
+    assert np.array_equal(dot, np.sum(a * b, axis=-1))
+    assert np.array_equal(np.sqrt(utils.row_dot(a, a)), np.linalg.norm(a, axis=-1))
+    if layout == "point":
+        assert np.ndim(dot) == 0
