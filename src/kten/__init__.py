@@ -6,13 +6,12 @@ DSMC particle simulator, and empirical tail measurement."""
 __version__ = "0.1.0"
 
 from .density import DensityField
-from .geometry import CollisionParams, MassPair, RestitutionParams
+from .geometry import MassPair, RestitutionParams
 from .kernels import KernelSpec
 from .spreading import Envelope, SpreadingConfig
 
 __all__ = [
     "__version__",
-    "CollisionParams",
     "DensityField",
     "Envelope",
     "KernelSpec",

@@ -213,7 +213,7 @@ def S_value(rel_speed, spec: SFunctionSpec):
     return float(out) if out.ndim == 0 else out
 
 
-def Q_ns_apply(f: DensityField, g_at_v, v, spec: SFunctionSpec, **kw):
+def Q_ns_apply(f: DensityField, g_at_v, v, spec: SFunctionSpec):
     """Nonsingular part g(v) * integral f(v*) S(|v - v*|) dv*.
 
     Uses the factorization S = r^gamma S1, so the velocity integral reduces
@@ -221,7 +221,7 @@ def Q_ns_apply(f: DensityField, g_at_v, v, spec: SFunctionSpec, **kw):
     """
     if g_at_v == 0.0:
         return 0.0
-    moment = f.radial_moment(np.asarray(v, dtype=float), spec.gamma, **kw)
+    moment = f.radial_moment(np.asarray(v, dtype=float), spec.gamma)
     return float(g_at_v * spec.s1 * moment)
 
 

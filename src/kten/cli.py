@@ -138,11 +138,7 @@ def dispatch(argv):
         _write_manifest(args.output_dir, args.subcommand, config, args.seed,
                         started, outputs)
         return 0
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
-    except UnknownSubcommand as exc:
+    except (_UsageError, UnknownSubcommand) as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
@@ -450,7 +446,7 @@ def build_sim_config(cfg_map, seed=None):
         particles=c["particles"], alpha=c["alpha"], masses=c["masses"],
         seed=c["seed"] if c["seed"] is not None else
         (seed if seed is not None else DEFAULT_SEED),
-        theta_min=c["theta_min"], init=c["init"], collect_stats=True)
+        theta_min=c["theta_min"], init=c["init"])
     extras = {k: c[k] for k in ("moments_every", "snapshot_every", "tail_bins")}
     return cfg, extras
 

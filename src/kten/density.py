@@ -13,19 +13,19 @@ import numpy as np
 
 from . import utils
 
-TRUNCATION_SIGMAS = 12.0  # default quadrature reach in units of the support scale
+TRUNCATION_SIGMAS = 12.0  # quadrature reach in units of the support scale
+_SHELL_NODES = 8          # Gauss-Legendre nodes per radial panel of radial_moment
 
 
 @dataclass
 class DensityField:
-    kind: str                      # "analytic" | "histogram"
     d: int
     evaluator: Callable            # (..., d) -> (...), vectorized
     mass: float                    # M0 = integral of f
     energy: float                  # E0 = integral of f |v|^2
     center: np.ndarray             # representative center of mass of f
     scale: float                   # standard-deviation-like support scale
-    particles: np.ndarray | None = None
+    particles: np.ndarray | None = None     # set for histogram fields
     weight: float | None = None
     _sphere: tuple = field(default=None, repr=False)
 
@@ -67,18 +67,16 @@ class DensityField:
             return r2
 
         energy = mass * (d * sigma ** 2 + float(np.dot(c, c)))
-        return cls(kind="analytic", d=d, evaluator=f, mass=mass,
-                   energy=energy, center=c, scale=sigma)
+        return cls(d=d, evaluator=f, mass=mass, energy=energy, center=c, scale=sigma)
 
     @classmethod
-    def from_callable(cls, fn, d, scale, center=None, n_radial=96):
+    def from_callable(cls, fn, d, scale, center=None):
         """Wrap an arbitrary nonnegative density; moments by shell quadrature."""
         c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
-        probe = cls(kind="analytic", d=d, evaluator=fn, mass=1.0, energy=1.0,
-                    center=c, scale=scale)
-        probe.mass = float(probe.radial_moment(c, 0.0, n_radial=n_radial))
+        probe = cls(d=d, evaluator=fn, mass=1.0, energy=1.0, center=c, scale=scale)
+        probe.mass = float(probe.radial_moment(c, 0.0))
         # second moment about the origin, |v|^gamma shells centered there
-        probe.energy = float(probe.radial_moment(np.zeros(d), 2.0, n_radial=n_radial))
+        probe.energy = float(probe.radial_moment(np.zeros(d), 2.0))
         _spot_check_nonnegative(probe)
         return probe
 
@@ -95,17 +93,18 @@ class DensityField:
 
         def f(pts):
             # a point reads the bin that grid_counts would count it in
+            single = np.ndim(pts) == 1
             pts = np.atleast_2d(pts)
             inside = ((pts >= edges[0]) & (pts <= edges[-1])).all(axis=-1)
             idx = tuple(utils.grid_bin(np.where(inside, pts[..., k], edges[0]), edges)
                         for k in range(d))
             out = dens[idx]
             out[~inside] = 0.0
-            return out if out.size > 1 else float(out[0])
+            return float(out[0]) if single else out
 
         mean = v.mean(axis=0) if n else np.zeros(d)
         scale = float(np.sqrt(np.mean(np.sum((v - mean) ** 2, axis=1)) / d)) if n else 1.0
-        return cls(kind="histogram", d=d, evaluator=f, mass=weight * n,
+        return cls(d=d, evaluator=f, mass=weight * n,
                    energy=weight * float(np.sum(v ** 2)), center=mean,
                    scale=max(scale, 1e-12), particles=v, weight=weight)
 
@@ -124,7 +123,7 @@ class DensityField:
             pts[j] += origin[j]
         return np.moveaxis(pts, 0, -1)
 
-    def radial_moment(self, v, gamma, n_radial=96, n_sigmas=TRUNCATION_SIGMAS):
+    def radial_moment(self, v, gamma):
         """integral of f(v*) |v* - v|^gamma dv*, by shells centered at v.
 
         For histogram fields built from particles this is the exact weighted
@@ -132,7 +131,7 @@ class DensityField:
         singular set has measure zero and the event is flagged nowhere).
         """
         v = np.asarray(v, dtype=float)
-        if self.kind == "histogram" and self.particles is not None:
+        if self.particles is not None:
             diff = self.particles - v
             dist = np.sqrt(utils.row_dot(diff, diff))
             if gamma < 0:
@@ -144,23 +143,23 @@ class DensityField:
             # regardless of how far v sits
             edges = np.concatenate([
                 utils.log_edges(self.scale * 1e-9, 0.5 * self.scale, 6),
-                np.linspace(0.5 * self.scale, n_sigmas * self.scale, 25)[1:],
+                np.linspace(0.5 * self.scale, TRUNCATION_SIGMAS * self.scale, 25)[1:],
             ])
-            rho, w_rho = utils.panel_rule(edges, max(8, n_radial // 12))
+            rho, w_rho = utils.panel_rule(edges, _SHELL_NODES)
             pts = self._shell_points(self.center, rho)
             diff = pts - v
             vals = self.evaluator(pts) * np.sqrt(utils.row_dot(diff, diff)) ** gamma
             _, w_ang = self.sphere_rule()
             return float(np.einsum("i,j,ij->", w_rho * rho ** (self.d - 1),
                                    w_ang, vals))
-        reach = offset + n_sigmas * self.scale
+        reach = offset + TRUNCATION_SIGMAS * self.scale
         # graded panels near rho = 0 absorb the |v*-v|^gamma weight for
         # gamma < 0; a refined band around rho = |v - center| resolves the
         # bulk of f when v sits far from it
         a0 = min(0.5 * self.scale, 0.01 * reach)
         edges = [utils.log_edges(reach * 1e-9, a0, 8)]
-        lo = max(a0, offset - (n_sigmas - 2.0) * self.scale)
-        hi = min(reach, offset + (n_sigmas - 2.0) * self.scale)
+        lo = max(a0, offset - (TRUNCATION_SIGMAS - 2.0) * self.scale)
+        hi = min(reach, offset + (TRUNCATION_SIGMAS - 2.0) * self.scale)
         if lo > a0:
             edges.append(np.linspace(a0, lo, 7)[1:])
         if hi > lo:
@@ -168,7 +167,7 @@ class DensityField:
         if hi < reach:
             edges.append(np.linspace(hi, reach, 7)[1:])
         grid = np.concatenate(edges)
-        rho, w_rho = utils.panel_rule(grid, max(8, n_radial // 12))
+        rho, w_rho = utils.panel_rule(grid, _SHELL_NODES)
         vals = self.evaluator(self._shell_points(v, rho))
         _, w_ang = self.sphere_rule()
         radial_w = w_rho * rho ** (gamma + self.d - 1)

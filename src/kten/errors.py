@@ -40,10 +40,6 @@ class SingularAtZeroSpeed(ValidationError):
     """Kernel with negative speed exponent evaluated at zero relative speed."""
 
 
-class SingularAngle(ValidationError):
-    """Angle below the configured truncation in a sampling context."""
-
-
 class EpsOutOfRange(ValidationError):
     """Region-estimate eps outside (0, 1 - 1/rho)."""
 

@@ -38,6 +38,11 @@ class RestitutionParams:
     def beta(self):
         return 0.5 * (1.0 + self.alpha)
 
+    @property
+    def kappa(self):
+        # the contraction factor of the half-angle identities, as MassPair.kappa
+        return self.beta
+
     @classmethod
     def from_beta(cls, beta):
         if not 0.5 < beta < 1.0:
@@ -54,6 +59,9 @@ class MassPair:
         for name, m in (("m_i", self.m_i), ("m_j", self.m_j)):
             if not (m > 0.0 and np.isfinite(m)):
                 raise ValueError(f"{name} must be positive and finite, got {m}")
+        if not np.isfinite(self.total):
+            # kappa = 2 m_j / total would be nan or inf
+            raise ValueError(f"m_i + m_j overflows: {self.m_i} + {self.m_j}")
 
     @property
     def total(self):
@@ -63,25 +71,6 @@ class MassPair:
     def kappa(self):
         # 2 m_j / (m_i + m_j): the contraction factor of the half-angle identities
         return 2.0 * self.m_j / self.total
-
-
-@dataclass(frozen=True)
-class CollisionParams:
-    """Dimension plus either restitution or masses; selects the kinematics."""
-
-    d: int
-    restitution: RestitutionParams | None = None
-    masses: MassPair | None = None
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("dimension d must be >= 2")
-        if (self.restitution is None) == (self.masses is None):
-            raise ValueError("provide exactly one of restitution or masses")
-
-    @property
-    def model(self):
-        return "inelastic" if self.restitution is not None else "mixture"
 
 
 class PostCollision(NamedTuple):

@@ -36,8 +36,7 @@ import numpy as np
 from . import utils
 from .density import TRUNCATION_SIGMAS, DensityField
 from .errors import (CoincidentPoints, EqualMasses, HistoryGap, InsufficientGrid,
-                     NonFiniteResult, QuadratureTruncationWarning, SingularAngle,
-                     SingularAtZeroSpeed)
+                     NonFiniteResult, QuadratureTruncationWarning, SingularAtZeroSpeed)
 from .geometry import MassPair, RestitutionParams
 
 # The constant relating the assembled b(cos theta) to the smooth profile
@@ -67,7 +66,6 @@ class KernelSpec:
     s: float | None = None
     btilde: Callable = None
     h: Callable = None
-    theta_min: float = 0.0
     model: str = "elastic"
     moderately_soft: bool = False
     _angular_mass: float = field(default=None, repr=False, compare=False)
@@ -153,55 +151,20 @@ class AssembledB:
         return self._from_halves(sin_half, cos_half, 1.0 - 2.0 * sin_half ** 2)
 
 
-def eval_B(rel_speed, cos_theta, spec: KernelSpec, enforce_truncation=False):
+def eval_B(rel_speed, cos_theta, spec: KernelSpec):
     """Kernel value B = rel_speed^gamma * b(cos theta).
 
-    Raises SingularAtZeroSpeed for gamma < 0 at zero speed and, when
-    `enforce_truncation` is set (sampling contexts), SingularAngle for
-    angles below spec.theta_min.
+    Raises SingularAtZeroSpeed for gamma < 0 at zero speed.
     """
     rel_speed = np.asarray(rel_speed, dtype=float)
     if np.any(rel_speed == 0.0) and spec.gamma < 0.0:
         raise SingularAtZeroSpeed("rel_speed = 0 with gamma < 0")
     cos_theta = np.asarray(cos_theta, dtype=float)
-    theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
-    if enforce_truncation and np.any(theta < spec.theta_min):
-        raise SingularAngle(f"theta below truncation {spec.theta_min}")
     if spec.cutoff:
-        ang = spec.h(theta)
+        ang = spec.h(np.arccos(np.clip(cos_theta, -1.0, 1.0)))
     else:
         ang = spec.assembled_b(cos_theta)
     return rel_speed ** spec.gamma * ang
-
-
-@dataclass
-class HyperplaneQuadrature:
-    """Product rule (radial Gauss-Legendre x uniform S^{d-2}) on a hyperplane."""
-
-    base_point: np.ndarray
-    normal: np.ndarray
-    radial_nodes: np.ndarray
-    radial_weights: np.ndarray
-    angular_nodes: np.ndarray      # (m, d-1) unit vectors in tangent coordinates
-    angular_weights: np.ndarray
-    R_trunc: float
-    tangent: np.ndarray            # (d-1, d) orthonormal rows
-
-    @classmethod
-    def build(cls, base_point, normal, R_trunc, d, n_radial=64, n_angular=48):
-        base_point = np.asarray(base_point, dtype=float)
-        normal = np.asarray(normal, dtype=float) / np.linalg.norm(normal)
-        k, wk = utils.gauss_legendre(0.0, R_trunc, n_radial)
-        ang, wang = utils.circle_rule(d, n_angular)
-        _check_disk_volume(k, wk, wang, R_trunc, d)
-        return cls(base_point=base_point, normal=normal, radial_nodes=k,
-                   radial_weights=wk, angular_nodes=ang, angular_weights=wang,
-                   R_trunc=R_trunc, tangent=utils.tangent_basis(normal))
-
-    def points(self):
-        """All nodes as Cartesian points, shape (n_radial, n_angular, d)."""
-        inplane = self.angular_nodes @ self.tangent      # (m, d)
-        return self.base_point + self.radial_nodes[:, None, None] * inplane[None, :, :]
 
 
 def _check_disk_volume(k, wk, wang, R, d):
@@ -212,37 +175,35 @@ def _check_disk_volume(k, wk, wang, R, d):
         raise ValueError("plane quadrature fails the unit-density volume check")
 
 
-def _carleman_value(center, other, f, spec, kappa, symmetrized, quad=None,
-                    n_radial=64, n_angular=48):
+def _carleman_value(center, other, f, spec, kappa, symmetrized, n_radial=64, n_angular=48):
     center = np.asarray(center, dtype=float)
     other = np.asarray(other, dtype=float)
     l = float(np.linalg.norm(other - center))
     if l == 0.0:
         raise CoincidentPoints("kernel undefined at coincident points")
     plain, sym = _kernel_profile(center, other[None], np.array([l]), f, spec, kappa,
-                                 n_radial, n_angular, quad)
+                                 n_radial, n_angular)
     return float(sym[0] if symmetrized else plain[0])
 
 
 def K_f_inelastic(u, u_prime, f: DensityField, spec: KernelSpec,
-                  p: RestitutionParams, quad=None, symmetrized=False, **kw):
+                  p: RestitutionParams, symmetrized=False, **kw):
     """Inelastic Carleman kernel K_f(u, u'); symmetrized=True gives K-bar.
 
     The hyperplane passes through P = (1/beta) u' - (1/beta - 1) u with
     normal u - u'; the plain weight is the node distance to P, the
     symmetrized weight the distance to u'.
     """
-    return _carleman_value(u_prime, u, f, spec, p.beta, symmetrized, quad, **kw)
+    return _carleman_value(u_prime, u, f, spec, p.kappa, symmetrized, **kw)
 
 
-def K_f_elastic(u, u_prime, f: DensityField, spec: KernelSpec, quad=None,
-                symmetrized=False, **kw):
+def K_f_elastic(u, u_prime, f: DensityField, spec: KernelSpec, symmetrized=False, **kw):
     """Equal-mass elastic kernel: the kappa -> 1 degeneration (plane through u')."""
-    return _carleman_value(u_prime, u, f, spec, 1.0, symmetrized, quad, **kw)
+    return _carleman_value(u_prime, u, f, spec, 1.0, symmetrized, **kw)
 
 
 def K_f_mixture(u, u_prime, f_j: DensityField, spec: KernelSpec, m: MassPair,
-                quad=None, symmetrized=False, **kw):
+                symmetrized=False, **kw):
     """Two-mass Carleman kernel; the mass ordering picks the base point.
 
     For m_i < m_j the anchor is the first argument and the plane passes
@@ -256,15 +217,7 @@ def K_f_mixture(u, u_prime, f_j: DensityField, spec: KernelSpec, m: MassPair,
         center, other = u, u_prime
     else:
         center, other = u_prime, u
-    return _carleman_value(center, other, f_j, spec, m.kappa, symmetrized, quad, **kw)
-
-
-def _kernel_kappa(params):
-    if isinstance(params, RestitutionParams):
-        return params.beta
-    if isinstance(params, MassPair):
-        return 1.0 if params.m_i == params.m_j else params.kappa
-    raise TypeError("params must be RestitutionParams or MassPair")
+    return _carleman_value(center, other, f_j, spec, m.kappa, symmetrized, **kw)
 
 
 @dataclass
@@ -301,7 +254,7 @@ def verify_Kf_scaling(f: DensityField, spec: KernelSpec, params, u_prime, r_grid
     if r_grid.size < 4:
         raise InsufficientGrid("need at least 4 r points")
     u_prime = np.asarray(u_prime, dtype=float)
-    kappa = _kernel_kappa(params)
+    kappa = params.kappa
     d, gamma, s = spec.d, spec.gamma, spec.s
 
     l_min = float(r_grid[0]) / 20.0
@@ -345,12 +298,8 @@ def verify_Kf_scaling(f: DensityField, spec: KernelSpec, params, u_prime, r_grid
                          slopes=slopes, expected=expected, gamma=gamma, s=s)
 
 
-def _kernel_profile(center, others, ls, f, spec, kappa, n_radial, n_angular, quad=None):
-    """Plain and symmetrized kernel values at (center, others[i]), ls ascending.
-
-    `quad`, when given, supplies only the radial and circle nodes and
-    weights; each plane always comes from its pair.
-    """
+def _kernel_profile(center, others, ls, f, spec, kappa, n_radial, n_angular):
+    """Plain and symmetrized kernel values at (center, others[i]), ls ascending."""
     if spec.cutoff:
         raise ValueError("hyperplane kernels are defined for noncutoff specs")
     d, gamma, s = spec.d, spec.gamma, spec.s
@@ -358,15 +307,10 @@ def _kernel_profile(center, others, ls, f, spec, kappa, n_radial, n_angular, qua
     nhats = (others - center) / ls[:, None]
     bases = center - stretch * ls[:, None] * nhats
     offsets = abs(stretch) * ls
-    if quad is None:
-        reach = float(np.linalg.norm(f.center - center)) + TRUNCATION_SIGMAS * f.scale \
-            + abs(stretch) * float(ls[-1])
-        k, wk = utils.gauss_legendre(0.0, reach, n_radial)
-        ang, wang = utils.circle_rule(d, n_angular)
-    else:
-        reach = quad.R_trunc
-        k, wk = quad.radial_nodes, quad.radial_weights
-        ang, wang = quad.angular_nodes, quad.angular_weights
+    reach = float(np.linalg.norm(f.center - center)) + TRUNCATION_SIGMAS * f.scale \
+        + abs(stretch) * float(ls[-1])
+    k, wk = utils.gauss_legendre(0.0, reach, n_radial)
+    ang, wang = utils.circle_rule(d, n_angular)
     _check_disk_volume(k, wk, wang, reach, d)
     tangents = utils.tangent_basis(nhats)                            # (L, d-1, d)
     inplane = np.einsum("me,led->lmd", ang, tangents)                # (L, m, d)
@@ -452,7 +396,7 @@ def Q_s_apply(f: DensityField, psi, v, spec: KernelSpec, params, r_split=None,
     """
     v = np.asarray(v, dtype=float)
     d, gamma, s = spec.d, spec.gamma, spec.s
-    kappa = _kernel_kappa(params)
+    kappa = params.kappa
     if r_split is None:
         r_split = 0.1 * (1.0 + float(np.linalg.norm(v)))
     psi_v = float(psi(v))
@@ -536,7 +480,7 @@ def _outer_reach(f, v, kappa, r_split):
     return max(4.0 * r_split, min(plane_reach, 200.0 * (1.0 + reach_f)))
 
 
-def cutoff_loss_rate(f_j: DensityField, v, spec: KernelSpec, **kw):
+def cutoff_loss_rate(f_j: DensityField, v, spec: KernelSpec):
     """Loss rate L(f_j)(v) of the cutoff operator.
 
     Equals the angular mass of h times the radial moment
@@ -545,8 +489,7 @@ def cutoff_loss_rate(f_j: DensityField, v, spec: KernelSpec, **kw):
     """
     if not spec.cutoff:
         raise ValueError("loss rate requires a cutoff spec")
-    return spec.angular_mass * f_j.radial_moment(np.asarray(v, dtype=float),
-                                                 spec.gamma, **kw)
+    return spec.angular_mass * f_j.radial_moment(np.asarray(v, dtype=float), spec.gamma)
 
 
 def duhamel_factor(times, rates, t1, t2):

@@ -94,10 +94,8 @@ class SimConfig:
     seed: int = utils.DEFAULT_SEED
     theta_min: float = 1e-2
     init: str = "gaussian"
-    init_scale: float = 1.0
     majorant: float | None = None          # initial speed-factor estimate
     majorant_refresh: int = 100
-    collect_stats: bool = False
 
     def __post_init__(self):
         if self.model not in ("inelastic", "mixture"):
@@ -182,18 +180,18 @@ class AngularSampler:
         return np.interp(uniforms, self.cdf, self.grid)
 
 
-def _init_velocities(rng, n, d, kind, scale):
+def _init_velocities(rng, n, d, kind):
     if kind == "gaussian":
-        return rng.normal(size=(n, d)) * scale
+        return rng.normal(size=(n, d))
     if kind == "two_bump":
-        v = rng.normal(size=(n, d)) * (0.3 * scale)
+        v = rng.normal(size=(n, d)) * 0.3
         signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
-        v[:, 0] += signs * 2.0 * scale
+        v[:, 0] += signs * 2.0
         return v
     if kind == "shell":
         g = rng.normal(size=(n, d))
         g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return g * scale
+        return g
     raise ValueError(f"unknown initializer {kind!r}")
 
 
@@ -202,7 +200,7 @@ def build_ensemble(cfg: SimConfig) -> Ensemble:
     species = []
     masses = (1.0,) if cfg.model == "inelastic" else tuple(cfg.masses)
     for k, n in enumerate(cfg.particles):
-        v = _init_velocities(rng, n, cfg.d, cfg.init, cfg.init_scale)
+        v = _init_velocities(rng, n, cfg.d, cfg.init)
         species.append(Species(mass=masses[k], velocities=v, weight=1.0 / sum(cfg.particles)))
     return Ensemble(species=species, time=0.0, seed=cfg.seed, majorant=cfg.majorant)
 
@@ -270,9 +268,9 @@ def step(ens: Ensemble, cfg: SimConfig) -> Ensemble:
     majorant) and the step is re-run from its own saved stream, so recovery
     is deterministic.
 
-    With cfg.collect_stats, last_step_stats holds the candidate and accepted
-    counts, sum_c2 and predicted_energy_loss (inelastic bookkeeping), the
-    majorant used, and levels, the number of levels summed over pair blocks.
+    The result's last_step_stats holds the candidate and accepted counts,
+    sum_c2 and predicted_energy_loss (inelastic bookkeeping), the majorant
+    used, and levels, the number of levels summed over pair blocks.
     """
     out = ens.copy()
     if out.majorant is None or (cfg.majorant_refresh > 0
@@ -296,7 +294,7 @@ def step(ens: Ensemble, cfg: SimConfig) -> Ensemble:
                                 "pair speeds are too singular for this dt")
     out.time = ens.time + cfg.dt
     out.step_index = ens.step_index + 1
-    out.last_step_stats = stats if cfg.collect_stats else None
+    out.last_step_stats = stats
     return out
 
 

@@ -210,7 +210,7 @@ def test_criterion_7_dsmc_equilibrium_and_cooling():
     spec = kernels.KernelSpec(gamma=0.0, d=3, h=lambda t: 1.0, model="mixture")
     cfg = simulator.SimConfig(model="mixture", kernel=spec, dt=0.06, steps=0,
                               particles=(n,), masses=(1.0,), seed=2024,
-                              init="two_bump", collect_stats=True)
+                              init="two_bump")
     ens = simulator.build_ensemble(cfg)
     e0 = simulator.moments(ens)["energy"]
     collisions = 0
@@ -234,7 +234,7 @@ def test_criterion_7_dsmc_equilibrium_and_cooling():
                                 model="inelastic")
     cfg_i = simulator.SimConfig(model="inelastic", kernel=spec_i, dt=0.05,
                                 steps=0, particles=(n2,), alpha=alpha,
-                                seed=2025, collect_stats=True)
+                                seed=2025)
     ens_i = simulator.build_ensemble(cfg_i)
     for s in ens_i.species:
         s.velocities -= s.velocities.mean(axis=0)

@@ -79,6 +79,18 @@ class TestParticleField:
         f = DensityField.from_particles(v, weight=0.1)
         assert f(np.array([100.0, 100.0])) == 0.0
 
+    def test_evaluator_keeps_the_batch_shape(self):
+        # a scalar only for one (d,) point, as the Gaussian evaluator gives
+        rng = np.random.default_rng(8)
+        f = DensityField.from_particles(rng.normal(size=(500, 3)), weight=1e-3)
+        pts = rng.normal(size=(5, 3)) * 0.5
+        assert isinstance(f(pts[0]), float)
+        for shape in [(1, 3), (1, 1, 3), (5, 3), (5, 1, 3)]:
+            batch = pts[: shape[0]].reshape(shape)
+            got = f(batch)
+            assert got.shape == shape[:-1]
+            assert np.array_equal(got.ravel(), [f(p) for p in batch.reshape(-1, 3)])
+
 
 def _layouts(d, seed):
     """The same random velocities as a single point, (n, d) rows, a C-order

@@ -21,6 +21,11 @@ class TestRestitutionParams:
         p = geo.RestitutionParams(alpha=0.5)
         assert p.beta == 0.75
 
+    def test_kappa_is_beta(self):
+        for alpha in (0.1, 0.5, 0.6, 0.93):
+            p = geo.RestitutionParams(alpha=alpha)
+            assert p.kappa == p.beta
+
     def test_from_beta_roundtrip(self):
         p = geo.RestitutionParams.from_beta(0.8)
         assert p.alpha == pytest.approx(0.6, abs=1e-15)
@@ -111,6 +116,13 @@ class TestInelasticNormal:
 
 
 class TestMixture:
+    def test_equal_mass_kappa_is_one(self):
+        # the elastic plane through u' needs no equal-mass branch in the kernels
+        for m in (1e-300, 1e-100, 1e-8, 0.3, 1.0, 7.0, 1e8, 1e100, 3e299):
+            assert geo.MassPair(m, m).kappa == 1.0
+        with pytest.raises(ValueError, match="overflows"):
+            geo.MassPair(1e308, 1e308)
+
     def test_equal_masses_reduce_to_elastic_rule(self):
         r = rng()
         m = geo.MassPair(2.0, 2.0)
@@ -365,21 +377,6 @@ class TestCollisionFrame:
         with pytest.raises(ValueError):
             geo.CollisionFrame(v=np.array([1.0, 0.0]), v_star=np.zeros(2),
                                sigma=np.array([1.0, 0.0]), cos_theta=0.0)
-
-
-class TestCollisionParams:
-    def test_model_selection(self):
-        cp = geo.CollisionParams(d=3, restitution=geo.RestitutionParams(0.5))
-        assert cp.model == "inelastic"
-        cp = geo.CollisionParams(d=2, masses=geo.MassPair(1.0, 2.0))
-        assert cp.model == "mixture"
-
-    def test_exactly_one_parameter_set(self):
-        with pytest.raises(ValueError):
-            geo.CollisionParams(d=3)
-        with pytest.raises(ValueError):
-            geo.CollisionParams(d=3, restitution=geo.RestitutionParams(0.5),
-                                masses=geo.MassPair(1.0, 2.0))
 
 
 # -- property tests --------------------------------------------------------------

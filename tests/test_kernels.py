@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import warnings
@@ -6,14 +7,17 @@ import numpy as np
 import pytest
 
 from kten import kernels as K
+from kten import utils
 from kten.cli import dispatch
 from kten.density import DensityField
 from kten.errors import (CoincidentPoints, EqualMasses, HistoryGap,
-                         InsufficientGrid, QuadratureTruncationWarning, SingularAngle,
-                         SingularAtZeroSpeed)
+                         InsufficientGrid, QuadratureTruncationWarning, SingularAtZeroSpeed)
 from kten.geometry import MassPair, RestitutionParams
 
 GAUSS3 = DensityField.gaussian(3)
+# the unit Gaussian declaring a scale of 0.1: the plane reach it implies
+# stops well inside the bulk of f
+UNDERSTATED3 = dataclasses.replace(GAUSS3, scale=0.1)
 SOFT3 = K.KernelSpec(gamma=-1.0, d=3, s=0.5, model="inelastic", moderately_soft=True)
 SOFT3_MIX = K.KernelSpec(gamma=-1.0, d=3, s=0.5, model="mixture", moderately_soft=True)
 BETA08 = RestitutionParams.from_beta(0.8)
@@ -73,13 +77,6 @@ class TestEvalB:
         with pytest.raises(SingularAtZeroSpeed):
             K.eval_B(0.0, 0.5, SOFT3)
 
-    def test_truncation_enforcement(self):
-        spec = K.KernelSpec(gamma=-1.0, d=3, s=0.5, theta_min=0.1,
-                            model="inelastic", moderately_soft=True)
-        with pytest.raises(SingularAngle):
-            K.eval_B(1.0, math.cos(0.01), spec, enforce_truncation=True)
-        K.eval_B(1.0, math.cos(0.5), spec, enforce_truncation=True)
-
     def test_moderately_soft_validation(self):
         with pytest.raises(ValueError):
             K.KernelSpec(gamma=0.5, d=3, s=0.5, model="inelastic",
@@ -97,7 +94,7 @@ class TestEvalB:
 
 class TestCarlemanKernels:
     def test_zero_density_gives_zero(self):
-        zero = DensityField(kind="analytic", d=3,
+        zero = DensityField(d=3,
                             evaluator=lambda v: np.zeros(v.shape[:-1]),
                             mass=0.0, energy=0.0, center=np.zeros(3), scale=1.0)
         val = K.K_f_inelastic(np.ones(3), np.zeros(3), zero, SOFT3, BETA08)
@@ -158,47 +155,33 @@ class TestCarlemanKernels:
             assert 0.0 <= plain <= sym * (1.0 + 1e-12)
 
     def test_truncation_warning_on_undersized_plane(self):
-        import warnings as _warnings
-        from kten.errors import QuadratureTruncationWarning
         u_prime = np.zeros(3)
         u = np.array([1.0, 0.0, 0.0])
-        quad = K.HyperplaneQuadrature.build(
-            u_prime - (1.0 / BETA08.beta - 1.0) * (u - u_prime),
-            (u - u_prime), R_trunc=1.5, d=3)
-        with _warnings.catch_warnings(record=True) as rec:
-            _warnings.simplefilter("always")
-            K.K_f_inelastic(u, u_prime, GAUSS3, SOFT3, BETA08, quad=quad)
-        assert any(issubclass(w.category, QuadratureTruncationWarning)
-                   for w in rec)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            K.K_f_inelastic(u, u_prime, GAUSS3, SOFT3, BETA08)
+            assert rec == []
+            K.K_f_inelastic(u, u_prime, UNDERSTATED3, SOFT3, BETA08)
+        assert [w.category for w in rec] == [QuadratureTruncationWarning]
 
-    def test_quad_supplies_nodes_but_not_the_plane(self):
-        # a rule built on another plane integrates the pair's own plane
-        u_prime, u = np.array([0.2, -0.1, 0.3]), np.array([1.0, 0.4, -0.2])
-        base = u_prime - (1.0 / BETA08.beta - 1.0) * (u - u_prime)
-        right = K.HyperplaneQuadrature.build(base, u - u_prime, 9.0, 3, 40, 24)
-        wrong = K.HyperplaneQuadrature.build(np.ones(3), np.eye(3)[2], 9.0, 3, 40, 24)
-        for sym in (False, True):
-            a = K.K_f_inelastic(u, u_prime, GAUSS3, SOFT3, BETA08, quad=right,
-                                symmetrized=sym)
-            b = K.K_f_inelastic(u, u_prime, GAUSS3, SOFT3, BETA08, quad=wrong,
-                                symmetrized=sym)
-            assert a == b
-            assert a == pytest.approx(K.K_f_inelastic(u, u_prime, GAUSS3, SOFT3, BETA08,
-                                                      symmetrized=sym), rel=1e-10)
-
-    def test_disk_volume_checked_on_every_evaluation(self):
-        q = K.HyperplaneQuadrature.build(np.zeros(3), np.eye(3)[0], 9.0, 3)
-        q.R_trunc = 10.0            # nodes no longer cover the claimed disk
+    def test_disk_volume_checked_on_every_evaluation(self, monkeypatch):
+        k, wk = utils.gauss_legendre(0.0, 9.0, 64)
+        _, wang = utils.circle_rule(3, 48)
+        K._check_disk_volume(k, wk, wang, 9.0, 3)
         with pytest.raises(ValueError, match="volume check"):
-            K.K_f_inelastic(np.ones(3), np.zeros(3), GAUSS3, SOFT3, BETA08, quad=q)
+            K._check_disk_volume(k, wk, wang, 10.0, 3)
+        # radial nodes that stop short of the reach fail inside the evaluator
+        rule = utils.gauss_legendre
+        monkeypatch.setattr(utils, "gauss_legendre", lambda a, b, n: rule(a, 0.9 * b, n))
+        with pytest.raises(ValueError, match="volume check"):
+            K.K_f_inelastic(np.ones(3), np.zeros(3), GAUSS3, SOFT3, BETA08)
 
     def test_profile_warns_once_on_undersized_plane(self):
-        q = K.HyperplaneQuadrature.build(np.zeros(3), np.eye(3)[0], 1.5, 3, 40, 24)
         ls = np.array([0.1, 0.5, 2.0])
         others = ls[:, None] * np.array([0.6, 0.0, 0.8])
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            K._kernel_profile(np.zeros(3), others, ls, GAUSS3, SOFT3, 0.8, 40, 24, q)
+            K._kernel_profile(np.zeros(3), others, ls, UNDERSTATED3, SOFT3, 0.8, 40, 24)
         assert [w.category for w in rec] == [QuadratureTruncationWarning]
 
     def test_cutoff_spec_rejected(self):
@@ -300,20 +283,36 @@ class TestScalingReport:
                                                 np.geomspace(2.0, 10.0, 4)]))
 
 
-class TestHyperplaneQuadrature:
+class TestPlaneRule:
     @pytest.mark.parametrize("d,expected", [(3, math.pi * 4.0 ** 2), (2, 8.0)])
     def test_disk_volume_check(self, d, expected):
-        q = K.HyperplaneQuadrature.build(np.zeros(d), np.eye(d)[0], 4.0, d)
-        total = float(np.sum(q.radial_weights * q.radial_nodes ** (d - 2))
-                      * np.sum(q.angular_weights))
+        # the radial and circle rules _kernel_profile combines
+        k, wk = utils.gauss_legendre(0.0, 4.0, 64)
+        _, wang = utils.circle_rule(d, 48)
+        total = float(np.sum(wk * k ** (d - 2)) * np.sum(wang))
         assert total == pytest.approx(expected, rel=1e-10)
 
     def test_nodes_lie_on_the_plane(self):
-        normal = np.array([1.0, 2.0, -0.5])
-        base = np.array([0.3, -0.4, 1.0])
-        q = K.HyperplaneQuadrature.build(base, normal, 3.0, 3)
-        pts = q.points().reshape(-1, 3)
-        res = (pts - base) @ (normal / np.linalg.norm(normal))
+        # every point f is handed lies on its own pair's plane, through
+        # center - (1/kappa - 1)(other - center) with normal other - center
+        center = np.array([0.3, -0.4, 1.0])
+        ls = np.array([0.2, 0.7, 1.5])
+        dirs = np.array([[1.0, 2.0, -0.5], [0.0, 0.0, 1.0], [-0.6, 0.8, 0.0]])
+        others = center + ls[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        seen = []
+
+        def record(v):
+            seen.append(np.array(v))
+            return GAUSS3.evaluator(v)
+
+        kappa = 0.8
+        K._kernel_profile(center, others, ls, dataclasses.replace(GAUSS3, evaluator=record),
+                          SOFT3, kappa, 40, 24)
+        (pts,) = seen
+        assert pts.shape == (3, 40, 24, 3)
+        bases = center - (1.0 / kappa - 1.0) * (others - center)
+        normals = (others - center) / ls[:, None]
+        res = np.einsum("lkmd,ld->lkm", pts - bases[:, None, None, :], normals)
         assert np.abs(res).max() < 1e-12
 
 

@@ -17,7 +17,7 @@ def iso_cutoff(gamma=0.0, d=3, model="mixture"):
 def elastic_cfg(n=3000, steps=40, seed=11, gamma=0.0, init="two_bump", dt=0.05):
     return sim.SimConfig(model="mixture", kernel=iso_cutoff(gamma), dt=dt,
                          steps=steps, particles=(n,), masses=(1.0,), seed=seed,
-                         init=init, collect_stats=True)
+                         init=init)
 
 
 def run(cfg, steps=None):
@@ -79,8 +79,7 @@ class TestStep:
     def test_inelastic_energy_monotone_and_bookkeeping(self):
         spec = iso_cutoff(model="inelastic")
         cfg = sim.SimConfig(model="inelastic", kernel=spec, dt=0.05, steps=0,
-                            particles=(3000,), alpha=0.5, seed=5,
-                            collect_stats=True)
+                            particles=(3000,), alpha=0.5, seed=5)
         ens = sim.build_ensemble(cfg)
         energies = [sim.moments(ens)["energy"]]
         predicted = 0.0
@@ -101,8 +100,7 @@ class TestStep:
         alpha, n = 0.5, 4000
         spec = iso_cutoff(model="inelastic")
         cfg = sim.SimConfig(model="inelastic", kernel=spec, dt=0.05, steps=0,
-                            particles=(n,), alpha=alpha, seed=5,
-                            collect_stats=True)
+                            particles=(n,), alpha=alpha, seed=5)
         ens = sim.build_ensemble(cfg)
         for s in ens.species:
             s.velocities -= s.velocities.mean(axis=0)
@@ -120,7 +118,7 @@ class TestStep:
         spec2 = iso_cutoff(gamma=0.0, d=2)
         cfg2 = sim.SimConfig(model="mixture", kernel=spec2, dt=0.05, steps=0,
                              particles=(2000,), masses=(1.0,), seed=7,
-                             init="two_bump", collect_stats=True)
+                             init="two_bump")
         ens = sim.build_ensemble(cfg2)
         m0 = sim.moments(ens)
         for _ in range(40):
@@ -129,8 +127,7 @@ class TestStep:
         assert abs(m1["energy"] / m0["energy"] - 1.0) < 1e-10
         spec_i = iso_cutoff(gamma=0.0, d=2, model="inelastic")
         cfg_i = sim.SimConfig(model="inelastic", kernel=spec_i, dt=0.05,
-                              steps=0, particles=(2000,), alpha=0.6, seed=8,
-                              collect_stats=True)
+                              steps=0, particles=(2000,), alpha=0.6, seed=8)
         e = sim.build_ensemble(cfg_i)
         e0 = sim.moments(e)["energy"]
         for _ in range(40):
@@ -143,7 +140,7 @@ class TestStep:
         spec = iso_cutoff(gamma=0.0)
         cfg = sim.SimConfig(model="mixture", kernel=spec, dt=0.04, steps=0,
                             particles=(15000, 15000), masses=(1.0, 3.0),
-                            seed=31, init="gaussian", collect_stats=True)
+                            seed=31, init="gaussian")
         ens = sim.build_ensemble(cfg)
         ens.species[1].velocities *= 0.2     # start far from equipartition
         for _ in range(160):
@@ -160,7 +157,7 @@ class TestStep:
         n = 20000
         cfg = sim.SimConfig(model="mixture", kernel=spec, dt=0.002, steps=0,
                             particles=(n,), masses=(1.0,), seed=77,
-                            init="gaussian", collect_stats=True)
+                            init="gaussian")
         ens = sim.build_ensemble(cfg)
         total, elapsed = 0, 0.0
         with warnings.catch_warnings():
@@ -177,7 +174,7 @@ class TestStep:
         spec = iso_cutoff(gamma=0.0)
         cfg = sim.SimConfig(model="mixture", kernel=spec, dt=0.05, steps=0,
                             particles=(2000, 2000), masses=(1.0, 3.0), seed=9,
-                            init="gaussian", collect_stats=True)
+                            init="gaussian")
         ens = sim.build_ensemble(cfg)
         m0 = sim.moments(ens)
         for _ in range(80):
@@ -194,8 +191,7 @@ class TestStep:
         spec = iso_cutoff(gamma=1.0)
         cfg = sim.SimConfig(model="mixture", kernel=spec, dt=0.02, steps=0,
                             particles=(1000,), masses=(1.0,), seed=3,
-                            majorant=0.5, majorant_refresh=0,
-                            collect_stats=True)
+                            majorant=0.5, majorant_refresh=0)
         ens = sim.build_ensemble(cfg)
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
@@ -214,7 +210,7 @@ class TestStep:
                           moderately_soft=True)
         cfg = sim.SimConfig(model="inelastic", kernel=spec, dt=0.002, steps=0,
                             particles=(500,), alpha=0.7, seed=6,
-                            theta_min=0.05, collect_stats=True)
+                            theta_min=0.05)
         ens = sim.build_ensemble(cfg)
         e0 = sim.moments(ens)["energy"]
         with warnings.catch_warnings():
@@ -395,23 +391,22 @@ def _equivalence_cfg(case):
     if case == "inelastic_cutoff_d3":
         return sim.SimConfig(model="inelastic", kernel=iso_cutoff(model="inelastic"),
                              dt=0.1, steps=4, particles=(800,), alpha=0.5,
-                             seed=41, collect_stats=True)
+                             seed=41)
     if case == "inelastic_cutoff_d2":
         return sim.SimConfig(model="inelastic",
                              kernel=iso_cutoff(gamma=1.0, d=2, model="inelastic"),
                              dt=0.02, steps=4, particles=(800,), alpha=0.6,
                              seed=42, majorant=20.0, majorant_refresh=0,
-                             init="two_bump", collect_stats=True)
+                             init="two_bump")
     if case == "mixture_two_species":
         return sim.SimConfig(model="mixture", kernel=iso_cutoff(gamma=0.0),
                              dt=0.1, steps=4, particles=(500, 300),
-                             masses=(1.0, 3.0), seed=43, collect_stats=True)
+                             masses=(1.0, 3.0), seed=43)
     if case == "noncutoff":
         spec = KernelSpec(gamma=1.0, d=3, s=0.2, model="mixture")
         return sim.SimConfig(model="mixture", kernel=spec, dt=0.0008, steps=4,
                              particles=(600,), masses=(1.0,), seed=44,
-                             majorant=20.0, majorant_refresh=0,
-                             collect_stats=True)
+                             majorant=20.0, majorant_refresh=0)
     raise ValueError(case)
 
 
@@ -462,8 +457,7 @@ class TestLevelSchedule:
         spec = iso_cutoff(gamma=1.0)
         cfg = sim.SimConfig(model="mixture", kernel=spec, dt=0.02, steps=0,
                             particles=(20000,), masses=(1.0,), seed=5,
-                            majorant=0.5, majorant_refresh=0,
-                            collect_stats=True)
+                            majorant=0.5, majorant_refresh=0)
         ens = sim.build_ensemble(cfg)
         apply_wave = sim._apply_wave
         violated = []
