@@ -53,23 +53,24 @@ def _angle_equation(a, lam):
     return a + np.arcsin(np.clip(lam * np.sin(a), -1.0, 1.0))
 
 
-def solve_angle(w, lam, tol=1e-13, max_iter=200):
+def solve_angle(w, lam):
     """Unique a in (0, w) with a + arcsin(lambda sin a) = w.
 
     The map is strictly increasing for lambda in (0, 1), so bisection on
     (max(0, w - pi/2), w) always converges; a couple of Newton steps polish
-    the root to ~1e-15 residual.
+    the root to ~1e-15 residual. A residual above 1e-13 max(1, w) raises
+    ConvergenceFailure.
     """
     if not 0.0 < w <= math.pi:
         raise ValueError("w must lie in (0, pi]")
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
-    a = _solve_angle_vec(np.array([w]), lam, tol, max_iter)[0]
+    a = _solve_angle_vec(np.array([w]), lam)[0]
     A = w - a
     return AngleFrame(w=w, a=float(a), A=float(A), lam=lam)
 
 
-def _solve_angle_vec(w, lam, tol=1e-13, max_iter=200):
+def _solve_angle_vec(w, lam):
     w = np.asarray(w, dtype=float)
     lo = np.maximum(0.0, w - math.pi / 2.0)
     hi = w.copy()
@@ -85,7 +86,7 @@ def _solve_angle_vec(w, lam, tol=1e-13, max_iter=200):
         a = a - (_angle_equation(a, lam) - w) / deriv
         a = np.clip(a, lo, hi)
     res = np.abs(_angle_equation(a, lam) - w)
-    if np.any(res > tol * np.maximum(1.0, w)):
+    if np.any(res > 1e-13 * np.maximum(1.0, w)):
         raise ConvergenceFailure(
             f"angle solve residual {res.max():.2e} on bracket "
             f"[{lo[np.argmax(res)]:.6f}, {hi[np.argmax(res)]:.6f}]")
@@ -188,16 +189,17 @@ def _s1_on_mesh(spec, edges, gl_nodes):
     return float(utils.sphere_area(spec.d - 1) * np.sum(wt * vals))
 
 
-def _angular_integral(spec: SFunctionSpec, n_panels=24, gl_nodes=24):
+def _angular_integral(spec: SFunctionSpec):
     """The w-integral S1, with a refinement tail test.
 
     Endpoints contribute nothing (the bracket vanishes at 0 and the measure
-    at pi), so the graded interior mesh excludes them. A profile with a
-    non-integrable angular singularity (s >= 1 strength) shows up as mesh
-    dependence and raises DivergentIntegral.
+    at pi), so the graded interior mesh (24 panels per half of (0, pi), 24
+    nodes each) excludes them. A profile with a non-integrable angular
+    singularity (s >= 1 strength) shows up as a change on the mesh with both
+    counts doubled, and raises DivergentIntegral.
     """
-    coarse = _s1_on_mesh(spec, _angular_mesh(n_panels, eps=1e-6), gl_nodes)
-    fine = _s1_on_mesh(spec, _angular_mesh(2 * n_panels, eps=1e-9), 2 * gl_nodes)
+    coarse = _s1_on_mesh(spec, _angular_mesh(24, eps=1e-6), 24)
+    fine = _s1_on_mesh(spec, _angular_mesh(48, eps=1e-9), 48)
     if not np.isfinite(fine) or abs(fine - coarse) > 1e-5 * max(abs(fine), 1e-300):
         raise DivergentIntegral(
             f"angular integral fails refinement test: {coarse} vs {fine}")

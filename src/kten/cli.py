@@ -184,10 +184,7 @@ def _write_manifest(outdir, subcommand, config, seed, started, outputs):
             for p in outputs
         ],
     }
-    path = outdir / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(outdir / "manifest.json", manifest)
 
 
 def _write_csv(path, header, rows):
@@ -216,18 +213,21 @@ def _parse_grid(text, geometric=False):
     return np.linspace(lo, hi, n)
 
 
+# options the manifest records in fields of its own (subcommand, seed) or not at all
+_COMMON_OPTIONS = ("subcommand", "seed", "threads", "output_dir", "quiet")
+
+
+def _parsed_config(args):
+    """The subcommand's own options as parsed, for the manifest's config."""
+    return {k: v for k, v in vars(args).items() if k not in _COMMON_OPTIONS}
+
+
 # -- subcommand runners --------------------------------------------------------
 
 def _run_spreading(args):
-    if (args.beta is None) == (args.masses is None):
-        raise ValidationError("give exactly one of --beta or --masses")
     masses = None
     if args.masses is not None:
         masses = tuple(float(x) for x in args.masses.split(","))
-        if len(masses) != 2:
-            raise ValidationError("--masses wants two comma separated values")
-    if args.beta is not None and not 0.5 < args.beta < 1.0:
-        raise ValidationError(f"beta must lie in (1/2, 1), got {args.beta}")
     cfg = spreading.SpreadingConfig(d=args.d, gamma=args.gamma, s=args.s,
                                     beta=args.beta, masses=masses, T0=args.t0,
                                     l0=args.l0, K=args.K, seed=args.seed)
@@ -240,8 +240,7 @@ def _run_spreading(args):
     })
     if not args.quiet:
         print(f"p = {env.p:.6f}, b = {env.b:.6g}, a = {env.a:.6g}")
-    return vars_config(args, ["beta", "masses", "gamma", "s", "d", "t0", "l0",
-                              "K", "n_max"]), [out]
+    return _parsed_config(args), [out]
 
 
 def _run_region(args):
@@ -256,7 +255,7 @@ def _run_region(args):
             print(f"eps={eps:.5g}  estimate={est:.6g}  stderr={se:.3g}")
     out = args.output_dir / "region.csv"
     _write_csv(out, ["eps", "estimate", "stderr"], rows)
-    return vars_config(args, ["beta", "d", "R", "eps_grid", "samples"]), [out]
+    return _parsed_config(args), [out]
 
 
 def _run_kernel_scaling(args):
@@ -284,8 +283,7 @@ def _run_kernel_scaling(args):
         for tag, (sl, ci) in rep.slopes.items():
             print(f"{tag}: {sl:+.4f} (ci {ci:.4f}, bound exponent "
                   f"{rep.expected[tag]:+.2f})")
-    return vars_config(args, ["d", "gamma", "s", "beta", "r_min", "r_max",
-                              "points_per_decade"]), [out]
+    return _parsed_config(args), [out]
 
 
 def _run_cancellation(args):
@@ -313,7 +311,7 @@ def _run_cancellation(args):
             print(f"param={x:.4f}  S1={spec.s1:.6g}  elastic={elastic.s1:.6g}")
     out = args.output_dir / "cancellation.csv"
     _write_csv(out, ["param", "S1", "S1_elastic", "ratio"], rows)
-    return vars_config(args, ["family", "d", "gamma", "s", "grid"]), [out]
+    return _parsed_config(args), [out]
 
 
 def _run_verify_geometry(args):
@@ -326,7 +324,7 @@ def _run_verify_geometry(args):
     if not report["pass"]:
         raise NumericalError("geometry identities exceeded tolerances; "
                              "see geometry_report.json")
-    return vars_config(args, ["d", "samples"]), [out]
+    return _parsed_config(args), [out]
 
 
 def _run_simulate(args):
@@ -378,7 +376,7 @@ _AT_LEAST_1 = (lambda x: x >= 1, ">= 1")
 _POSITIVE = (lambda x: x > 0, "> 0")
 # key: (parse, default, check); a check holds for each value of a comma
 # separated list. output_dir is read by _run_simulate, the others by
-# build_sim_config.
+# build_sim_config. theta_min and init default to SimConfig's values.
 _SIM_SCHEMA = {
     "model": (str, _REQUIRED, None),
     "d": (int, _REQUIRED, None),
@@ -387,11 +385,11 @@ _SIM_SCHEMA = {
     "particles": (_ints, _REQUIRED, _AT_LEAST_1),
     "dt": (float, _REQUIRED, _POSITIVE),
     "steps": (int, _REQUIRED, _AT_LEAST_1),
-    "theta_min": (float, 1e-2, None),
+    "theta_min": (float, None, None),
     "alpha": (float, None, None),
     "masses": (_floats, None, None),
     "seed": (int, None, None),
-    "init": (str, "gaussian", None),
+    "init": (str, None, None),
     "moments_every": (int, 1, _AT_LEAST_1),
     "snapshot_every": (int, 0, _AT_LEAST_0),
     "tail_bins": (int, 50, _AT_LEAST_1),
@@ -441,12 +439,12 @@ def build_sim_config(cfg_map, seed=None):
     else:
         spec = kernels.KernelSpec(gamma=gamma, d=d, s=s_or_h, model=kmodel,
                                   moderately_soft=(gamma < 0.0))
+    set_in_file = {k: c[k] for k in ("theta_min", "init") if c[k] is not None}
     cfg = simulator.SimConfig(
         model=model, kernel=spec, dt=c["dt"], steps=c["steps"],
         particles=c["particles"], alpha=c["alpha"], masses=c["masses"],
         seed=c["seed"] if c["seed"] is not None else
-        (seed if seed is not None else DEFAULT_SEED),
-        theta_min=c["theta_min"], init=c["init"])
+        (seed if seed is not None else DEFAULT_SEED), **set_in_file)
     extras = {k: c[k] for k in ("moments_every", "snapshot_every", "tail_bins")}
     return cfg, extras
 
@@ -562,11 +560,6 @@ def _run_tails(args):
         for spr in report["species"]:
             print(f"species {spr['species']}: uniform={spr['uniform']}")
     return {"snapshots": str(snapdir), "envelope": env_map, "t0": args.t0}, [out]
-
-
-def vars_config(args, keys):
-    return {k: (str(getattr(args, k)) if isinstance(getattr(args, k), Path)
-                else getattr(args, k)) for k in keys if hasattr(args, k)}
 
 
 _RUNNERS = {

@@ -41,9 +41,10 @@ class DensityField:
     def __call__(self, v):
         return self.evaluator(np.asarray(v, dtype=float))
 
-    def sphere_rule(self, n_polar=24, n_azimuth=48):
+    def sphere_rule(self):
+        """The 24 x 48 direction rule of the shell quadrature, built once."""
         if self._sphere is None:
-            self._sphere = utils.sphere_rule(self.d, n_polar, n_azimuth)
+            self._sphere = utils.sphere_rule(self.d, 24, 48)
         return self._sphere
 
     # -- constructors ---------------------------------------------------------
@@ -174,8 +175,8 @@ class DensityField:
         return float(np.einsum("i,j,ij->", radial_w, w_ang, vals))
 
 
-def _spot_check_nonnegative(f: DensityField, n=64):
+def _spot_check_nonnegative(f: DensityField):
     rng = utils.substream(7, 1)
-    pts = f.center + f.scale * rng.normal(size=(n, f.d)) * 3.0
+    pts = f.center + f.scale * rng.normal(size=(64, f.d)) * 3.0
     if np.any(f(pts) < 0):
         raise ValueError("density evaluator returned negative values")

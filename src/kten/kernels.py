@@ -44,6 +44,9 @@ from .geometry import MassPair, RestitutionParams
 # elastic/mixture one (2^{d-1}); both coexist here, keyed by model.
 _MODELS = ("inelastic", "mixture", "elastic")
 
+# radial x angular nodes of the plane rule in verify_Kf_scaling and Q_s_apply
+_PLANE_NODES = (40, 24)
+
 
 def _b_norm_constant(model, d):
     return 2.0 ** (-(d - 2)) if model == "inelastic" else 2.0 ** (-(d - 1))
@@ -233,14 +236,14 @@ class ScalingReport:
     s: float
 
 
-def verify_Kf_scaling(f: DensityField, spec: KernelSpec, params, u_prime, r_grid,
-                      n_dirs=(4, 8), n_radial_l=14, gl_per_panel=10,
-                      plane_nodes=(40, 24)):
+def verify_Kf_scaling(f: DensityField, spec: KernelSpec, params, u_prime, r_grid):
     """Measure the four ball-integral scaling regimes of the Carleman kernel.
 
     Computes I_in(r) = integral over B_r(u') of |u-u'|^2 Kbar and
     I_out(r) = integral outside B_r(u') of K, on a shared radial grid with
-    nested spherical quadrature around u', and fits log-log slopes per regime.
+    nested spherical quadrature around u' (4 x 8 directions, 8 at d = 2;
+    42 log panels of 10 Gauss-Legendre nodes in |u - u'|), and fits log-log
+    slopes per regime.
     The expected exponents are 2-2s and gamma+3 (inner), -2s and gamma
     (outer); the bounds are upper bounds, so measured slopes can only be
     asserted to saturate them where the configuration allows (see tests).
@@ -259,20 +262,14 @@ def verify_Kf_scaling(f: DensityField, spec: KernelSpec, params, u_prime, r_grid
 
     l_min = float(r_grid[0]) / 20.0
     l_max = float(r_grid[-1]) * 4.0
-    panels = utils.log_edges(l_min, l_max, n_radial_l * 3)
-    l_nodes, l_weights = utils.panel_rule(panels, gl_per_panel)
+    l_nodes, l_weights = utils.panel_rule(utils.log_edges(l_min, l_max, 42), 10)
+    dirs, wd = utils.sphere_rule(d, 4, 8)
 
-    if d == 3:
-        dirs, wd = utils.sphere_rule(3, n_dirs[0], n_dirs[1])
-    else:
-        dirs, wd = utils.sphere_rule(2, n_azimuth=max(8, n_dirs[1]))
-
-    n_r, n_a = plane_nodes
     kern = np.zeros(l_nodes.size)       # angular average of K times |S^{d-1}|
     kern_bar = np.zeros(l_nodes.size)
     for a, w in zip(dirs, wd):
         us = u_prime + l_nodes[:, None] * a[None, :]
-        k_plain, k_sym = _kernel_profile(u_prime, us, l_nodes, f, spec, kappa, n_r, n_a)
+        k_plain, k_sym = _kernel_profile(u_prime, us, l_nodes, f, spec, kappa, *_PLANE_NODES)
         kern += w * k_plain
         kern_bar += w * k_sym
 
@@ -383,15 +380,15 @@ class QsResult:
 
 
 def Q_s_apply(f: DensityField, psi, v, spec: KernelSpec, params, r_split=None,
-              n_dirs=(6, 8), inner_panels=10, outer_panels=12, gl_per_panel=6,
-              plane_nodes=(40, 24), remainder_tol=0.05):
+              inner_panels=10, outer_panels=12, gl_per_panel=6, remainder_tol=0.05):
     """Principal-value application of the singular operator part to psi at v.
 
     Splits at |u - v| = r_split. Inside, antipodal direction pairs are summed
     exactly against the symmetrized kernel (the odd singular contribution
     cancels within each pair) and the plain-minus-symmetrized correction is
     integrated directly (it is O(l^{gamma+1-d}), integrable). Outside, the
-    plain kernel is integrated directly. Raises NonFiniteResult when the
+    plain kernel is integrated directly; directions come from a 6 x 8 rule
+    (16 on the circle at d = 2). Raises NonFiniteResult when the
     innermost shells keep growing, which signals a non-integrable s.
     """
     v = np.asarray(v, dtype=float)
@@ -401,13 +398,9 @@ def Q_s_apply(f: DensityField, psi, v, spec: KernelSpec, params, r_split=None,
         r_split = 0.1 * (1.0 + float(np.linalg.norm(v)))
     psi_v = float(psi(v))
 
-    if d == 3:
-        dirs, wd = utils.sphere_rule(3, n_dirs[0], n_dirs[1])
-    else:
-        dirs, wd = utils.sphere_rule(2, n_azimuth=2 * n_dirs[1])
+    dirs, wd = utils.sphere_rule(3, 6, 8) if d == 3 else utils.sphere_rule(2, n_azimuth=16)
     pairs = _antipodal_pairs(dirs)
 
-    n_r, n_a = plane_nodes
     inner_edges = utils.log_edges(r_split * 1e-5, r_split, inner_panels)
     li, wi = utils.panel_rule(inner_edges, gl_per_panel)
     l_out_max = _outer_reach(f, v, kappa, r_split)
@@ -425,13 +418,13 @@ def Q_s_apply(f: DensityField, psi, v, spec: KernelSpec, params, r_split=None,
         for idx in (ia, ib):
             ax = dirs[idx]
             us = v + li[:, None] * ax[None, :]
-            kp, ks = _kernel_profile(v, us, li, f, spec, kappa, n_r, n_a)
+            kp, ks = _kernel_profile(v, us, li, f, spec, kappa, *_PLANE_NODES)
             dpsi = psi(us) - psi_v
             pair_sym += wd[idx] * wi * li ** (d - 1) * ks * dpsi
             inner_corr += float(np.sum(wd[idx] * wi * li ** (d - 1)
                                        * (kp - ks) * dpsi))
             uo = v + louter[:, None] * ax[None, :]
-            kpo, _ = _kernel_profile(v, uo, louter, f, spec, kappa, n_r, n_a)
+            kpo, _ = _kernel_profile(v, uo, louter, f, spec, kappa, *_PLANE_NODES)
             outer += float(np.sum(wd[idx] * wouter * louter ** (d - 1)
                                   * kpo * (psi(uo) - psi_v)))
         inner_sym += float(np.sum(pair_sym))

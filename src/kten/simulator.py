@@ -37,6 +37,8 @@ logger = logging.getLogger(__name__)
 
 SNAPSHOT_MAGIC = b"KTEN"
 SNAPSHOT_VERSION = 1
+_ANGLE_TABLE = 4096        # grid points of the angular sampler's inverse-CDF table
+_ENTROPY_BINS = 24         # histogram bins per axis of the entropy estimate
 
 
 @dataclass
@@ -137,13 +139,13 @@ class AngularSampler:
     density h(theta) sin^{d-2} theta (h == 1 is the uniform half-sphere).
     """
 
-    def __init__(self, spec: KernelSpec, theta_min, table=4096):
+    def __init__(self, spec: KernelSpec, theta_min):
         self.spec = spec
         self.cutoff = spec.cutoff
         d = spec.d
         if self.cutoff:
             lo, hi = 0.0, math.pi / 2.0
-            grid = np.linspace(lo, hi, table)
+            grid = np.linspace(lo, hi, _ANGLE_TABLE)
             dens = np.array([spec.h(t) for t in grid]) * np.sin(grid) ** (d - 2)
             self.discarded_mass = 0.0
         else:
@@ -151,8 +153,8 @@ class AngularSampler:
                 raise ValueError("noncutoff sampling needs theta_min > 0")
             lo, hi = theta_min, math.pi
             grid = np.concatenate([
-                np.geomspace(lo, min(0.5, hi / 2), table // 2),
-                np.linspace(min(0.5, hi / 2), hi, table // 2)[1:],
+                np.geomspace(lo, min(0.5, hi / 2), _ANGLE_TABLE // 2),
+                np.linspace(min(0.5, hi / 2), hi, _ANGLE_TABLE // 2)[1:],
             ])
             b = spec.assembled_b
             dens = b.from_angle(grid) * np.sin(grid) ** (d - 2)
@@ -205,8 +207,8 @@ def build_ensemble(cfg: SimConfig) -> Ensemble:
     return Ensemble(species=species, time=0.0, seed=cfg.seed, majorant=cfg.majorant)
 
 
-def _speed_majorant(ens: Ensemble, cfg: SimConfig, margin=1.3):
-    """Majorant of |v - v*|^gamma from sampled pair speeds, inflated."""
+def _speed_majorant(ens: Ensemble, cfg: SimConfig):
+    """Majorant of |v - v*|^gamma from sampled pair speeds, inflated by 1.3."""
     gamma = cfg.kernel.gamma
     if gamma == 0.0:
         return 1.0
@@ -222,7 +224,7 @@ def _speed_majorant(ens: Ensemble, cfg: SimConfig, margin=1.3):
             speeds = speeds[speeds > 0]
             if speeds.size:
                 best = max(best, float(np.max(speeds ** gamma)))
-    return margin * best if best > 0 else 1.0
+    return 1.3 * best if best > 0 else 1.0
 
 
 def _pair_blocks(n_species):
@@ -446,7 +448,7 @@ def _apply_wave(vi, vj, ia, ib, u_acc, u_theta, u_azim, majorant, gamma,
         stats["predicted_energy_loss"] += 2.0 * beta * (1.0 - beta) * c2 * w
 
 
-def moments(ens: Ensemble, entropy_bins=24):
+def moments(ens: Ensemble):
     """Weighted moments: per-species mass, momentum, energy, entropy estimate.
 
     Energy is the mass-weighted second moment sum_s w m_s sum |v|^2, the
@@ -462,17 +464,17 @@ def moments(ens: Ensemble, entropy_bins=24):
     for s in ens.species:
         momentum += s.weight * s.mass * s.velocities.sum(axis=0)
         energy += s.weight * s.mass * float(np.sum(s.velocities ** 2))
-        entropy += _entropy_estimate(s, entropy_bins)
+        entropy += _entropy_estimate(s)
     return {"mass": mass, "momentum": momentum, "energy": float(energy),
             "entropy_estimate": float(entropy)}
 
 
-def _entropy_estimate(s: Species, bins):
+def _entropy_estimate(s: Species):
     v = s.velocities
     n, d = v.shape
     lim = max(float(np.max(np.abs(v))) * 1.05, 1e-12)
-    counts = utils.grid_counts(v, np.linspace(-lim, lim, bins + 1))
-    cell = (2.0 * lim / bins) ** d
+    counts = utils.grid_counts(v, np.linspace(-lim, lim, _ENTROPY_BINS + 1))
+    cell = (2.0 * lim / _ENTROPY_BINS) ** d
     c = counts[counts > 0].ravel()
     dens = s.weight * c / cell
     h_plugin = float(np.sum(dens * np.log(dens) * cell))

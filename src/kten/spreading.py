@@ -24,6 +24,10 @@ from . import utils
 from .errors import DegenerateGeometry, EpsOutOfRange, GuardViolated
 from .kernels import TestFunction
 
+# samples per region Monte Carlo chunk; chunk k draws from substream (seed, k),
+# so this size is part of what a seed means
+_REGION_CHUNK = 1 << 17
+
 
 @dataclass(frozen=True)
 class Envelope:
@@ -98,6 +102,8 @@ class SpreadingConfig:
                              "(beta=None selects the mixture iteration)")
         if self.beta is not None and not 0.5 < self.beta < 1.0:
             raise ValueError(f"beta must lie in (1/2, 1), got {self.beta}")
+        if self.masses is not None and len(self.masses) != 2:
+            raise ValueError(f"masses wants two values (m_i, m_j), got {len(self.masses)}")
         if self.masses is not None and any(m <= 0 for m in self.masses):
             raise ValueError("masses must be positive")
         if not 0.0 < self.T0 < 1.0:
@@ -181,7 +187,7 @@ def run_iteration(cfg: SpreadingConfig, n_max: int):
 
 
 def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
-                       threads=1, axis=None, chunk_size=1 << 17):
+                       threads=1, axis=None):
     """Monte Carlo region integral of the collision geometry.
 
     Places the post-collision velocity at |v| = sqrt(1+beta^2)(1-eps) R on
@@ -231,8 +237,8 @@ def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
         axis = axis / np.linalg.norm(axis)
     probes = [rho * (1.0 - e) * R * axis for e in eps_grid.ravel()]
 
-    n_chunks = (samples + chunk_size - 1) // chunk_size
-    sizes = [min(chunk_size, samples - i * chunk_size) for i in range(n_chunks)]
+    n_chunks = (samples + _REGION_CHUNK - 1) // _REGION_CHUNK
+    sizes = [min(_REGION_CHUNK, samples - i * _REGION_CHUNK) for i in range(n_chunks)]
 
     def one_chunk(idx):
         rng = utils.substream(seed, idx)

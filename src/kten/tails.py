@@ -18,6 +18,10 @@ from . import utils
 from .errors import EmptySeries, InsufficientData
 from .spreading import Envelope, envelope_eval_speed
 
+_FIT_MIN_BINS = 8         # bins a tail-fit window must hold
+_FIT_MIN_COUNT = 10       # counts each of those bins must hold
+_CONFIDENCE = 0.99        # level of the Poisson upper bound in check_envelope
+
 
 @dataclass
 class TailHistogram:
@@ -48,7 +52,7 @@ class TailHistogram:
         return float(np.sum(self.densities * self.shell_volumes))
 
 
-def tail_histogram(velocities, weight, edges=None, n_bins=50, d=None):
+def tail_histogram(velocities, weight, edges=None, n_bins=50):
     """Isotropized speed histogram of a velocity array.
 
     Default edges span [0, 5 sigma] where sigma is the per-component scale
@@ -56,8 +60,7 @@ def tail_histogram(velocities, weight, edges=None, n_bins=50, d=None):
     histogram (and from its mass identity).
     """
     v = np.asarray(velocities, dtype=float)
-    if d is None:
-        d = v.shape[1]
+    d = v.shape[1]
     speeds = np.linalg.norm(v, axis=1)
     if edges is None:
         sigma = math.sqrt(float(np.mean(speeds ** 2)) / d)
@@ -91,24 +94,24 @@ class TailFit:
     n_bins: int
 
 
-def fit_tail_exponent(hist: TailHistogram, window, min_count=10, min_bins=8):
+def fit_tail_exponent(hist: TailHistogram, window):
     """Fit a exp(-b r^p) on the bins inside `window`.
 
     a_hat is the peak density of the whole histogram; the regression is
     log(-log(f/a_hat)) against log r, whose slope is p and intercept log b.
-    Raises InsufficientData unless the window holds at least `min_bins` bins,
-    every one with at least `min_count` counts.
+    Raises InsufficientData unless the window holds at least _FIT_MIN_BINS
+    (8) bins, every one with at least _FIT_MIN_COUNT (10) counts.
     """
     lo, hi = window
     centers = hist.centers
     sel = (centers >= lo) & (centers <= hi)
-    if int(np.sum(sel)) < min_bins:
+    if int(np.sum(sel)) < _FIT_MIN_BINS:
         raise InsufficientData(
             f"window [{lo:.3g}, {hi:.3g}] holds {int(np.sum(sel))} bins, "
-            f"need {min_bins}")
-    if np.any(hist.counts[sel] < min_count):
+            f"need {_FIT_MIN_BINS}")
+    if np.any(hist.counts[sel] < _FIT_MIN_COUNT):
         raise InsufficientData(
-            f"window contains bins with fewer than {min_count} counts")
+            f"window contains bins with fewer than {_FIT_MIN_COUNT} counts")
     a_hat = float(np.max(hist.densities))
     dens = hist.densities[sel]
     if np.any(dens >= a_hat):
@@ -136,11 +139,11 @@ class DominationReport:
         return len(self.violations) == 0
 
 
-def check_envelope(hist: TailHistogram, env: Envelope, confidence=0.99):
+def check_envelope(hist: TailHistogram, env: Envelope):
     """Check pointwise density >= envelope at bin centers.
 
     A populated bin is a violation only when even its upper Poisson
-    confidence bound at level `confidence` falls below the envelope, so shot
+    confidence bound at level _CONFIDENCE (0.99) falls below the envelope, so shot
     noise cannot create spurious violations. Empty bins are unresolved.
     """
     from scipy.stats import chi2
@@ -152,7 +155,7 @@ def check_envelope(hist: TailHistogram, env: Envelope, confidence=0.99):
         if c == 0:
             unresolved.append(k)
             continue
-        upper_count = 0.5 * chi2.ppf(confidence, 2 * (c + 1))
+        upper_count = 0.5 * chi2.ppf(_CONFIDENCE, 2 * (c + 1))
         upper_density = hist.weight * upper_count / vol
         if upper_density < env_vals[k]:
             violations.append(k)
@@ -160,7 +163,7 @@ def check_envelope(hist: TailHistogram, env: Envelope, confidence=0.99):
     resolved = (float(populated.min()), float(populated.max())) if populated.size \
         else (math.nan, math.nan)
     return DominationReport(violations=violations, unresolved=unresolved,
-                            resolved_range=resolved, confidence=confidence,
+                            resolved_range=resolved, confidence=_CONFIDENCE,
                             n_bins=len(hist.counts))
 
 
@@ -172,7 +175,7 @@ class UniformityReport:
     first_failing_t: float | None
 
 
-def uniformity_scan(hist_series, env: Envelope, t0, confidence=0.99):
+def uniformity_scan(hist_series, env: Envelope, t0):
     """Apply check_envelope across a time series of histograms.
 
     `hist_series` is a sequence of (t, TailHistogram); only t > t0 enters.
@@ -184,7 +187,7 @@ def uniformity_scan(hist_series, env: Envelope, t0, confidence=0.99):
     times, reports = [], []
     first_failing = None
     for t, h in sorted(selected, key=lambda th: th[0]):
-        rep = check_envelope(h, env, confidence)
+        rep = check_envelope(h, env)
         times.append(t)
         reports.append(rep)
         if not rep.dominated and first_failing is None:

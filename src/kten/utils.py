@@ -88,10 +88,9 @@ def sphere_rule(d, n_polar=16, n_azimuth=32):
     antipodally symmetric, which the singular-part quadrature relies on.
     """
     if d == 2:
-        m = max(4, n_azimuth)
-        ang = 2.0 * math.pi * (np.arange(m) + 0.5) / m
+        ang = 2.0 * math.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return dirs, np.full(m, 2.0 * math.pi / m)
+        return dirs, np.full(n_azimuth, 2.0 * math.pi / n_azimuth)
     if d == 3:
         mu, wmu = legendre_rule(n_polar)
         phi = 2.0 * math.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
@@ -113,9 +112,7 @@ def circle_rule(d, n):
     if d == 2:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if d == 3:
-        ang = 2.0 * math.pi * (np.arange(n) + 0.5) / n
-        pts = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return pts, np.full(n, 2.0 * math.pi / n)
+        return sphere_rule(2, n_azimuth=n)
     raise ValueError("only d = 2 and d = 3 are supported")
 
 

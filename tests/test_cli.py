@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kten
-from kten import cli, geometry, tails
+from kten import cli, geometry, simulator, tails
 from kten.cli import dispatch, parse_config_file, build_sim_config
 from kten.errors import InsufficientData
 from kten.simulator import read_snapshot
@@ -96,6 +96,39 @@ class TestSpreadingCommand:
                 "--quiet"])
         out = json.loads((tmp_path / "spreading.json").read_text())
         assert out["envelope"]["p"] == 2.0
+
+    def test_three_masses_are_a_validation_error(self, tmp_path, capsys):
+        assert dispatch(["spreading", "--masses", "1,2,3",
+                         "--output-dir", str(tmp_path), "--quiet"]) == 1
+        assert "two values" in capsys.readouterr().err
+        assert not (tmp_path / "spreading.json").exists()
+
+
+# the manifest config of each subcommand at its defaults, recorded before the
+# runners took it from the parsed options. A change here changes the manifests.
+DEFAULT_CONFIGS = {
+    "spreading": (["--beta", "0.8"], {
+        "K": 0.001, "beta": 0.8, "d": 3, "gamma": -1.0, "l0": 0.1, "masses": None,
+        "n_max": 30, "s": 0.5, "t0": 0.5}),
+    "region": (["--beta", "0.8"], {
+        "R": 1.0, "beta": 0.8, "d": 3, "eps_grid": "0.01:0.2:8", "samples": 1000000}),
+    "kernel-scaling": ([], {
+        "beta": 0.999, "d": 3, "gamma": -1.0, "points_per_decade": 4, "r_max": 100.0,
+        "r_min": 0.001, "s": 0.5}),
+    "cancellation": ([], {
+        "d": 3, "family": "inelastic", "gamma": -1.0, "grid": "0.55:0.95:9", "s": 0.5}),
+    "verify-geometry": ([], {"d": 3, "samples": 100000}),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(DEFAULT_CONFIGS))
+def test_manifest_config_at_defaults(tmp_path, subcommand):
+    argv, config = DEFAULT_CONFIGS[subcommand]
+    run_ok([subcommand] + argv + ["--seed", "5", "--threads", "2", "--quiet",
+                                  "--output-dir", tmp_path])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["config"] == config
+    assert manifest["subcommand"] == subcommand and manifest["seed"] == 5
 
 
 class TestRegionCommand:
@@ -455,3 +488,11 @@ class TestConfigParsing:
         sim_cfg, _ = build_sim_config(parse_config_file(cfg))
         assert not sim_cfg.kernel.cutoff
         assert sim_cfg.kernel.s == 0.5
+
+    def test_unset_keys_take_simconfig_defaults(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("model = inelastic\nd = 3\ngamma = -1\ns_or_h = 0.5\n"
+                       "alpha = 0.5\nparticles = 50\ndt = 0.01\nsteps = 1\n")
+        sim_cfg, _ = build_sim_config(parse_config_file(cfg))
+        assert (sim_cfg.theta_min, sim_cfg.init) == (simulator.SimConfig.theta_min,
+                                                     simulator.SimConfig.init)

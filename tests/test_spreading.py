@@ -114,6 +114,11 @@ class TestRunIteration:
         with pytest.raises(ValueError):
             S.run_iteration(S.SpreadingConfig(), 1)
 
+    @pytest.mark.parametrize("masses", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_mixture_needs_two_masses(self, masses):
+        with pytest.raises(ValueError, match="two values"):
+            S.SpreadingConfig(beta=None, masses=masses)
+
 
 class TestRegionEstimate:
     def test_eps_beyond_reachability_gives_zero_with_warning(self):
