@@ -89,7 +89,8 @@ def _build_parser():
     s = sub.add_parser("spreading", parents=[common])
     s.add_argument("--beta", type=float, default=None)
     s.add_argument("--masses", type=str, default=None,
-                   help="comma separated m_i,m_j for the mixture iteration")
+                   help="comma separated m_i,m_j: selects the mixture iteration, "
+                        "which takes rho = sqrt 2 whatever the two masses are")
     s.add_argument("--gamma", type=float, default=-1.0)
     s.add_argument("--s", type=float, default=0.5)
     s.add_argument("--d", type=int, default=3)
@@ -227,7 +228,10 @@ def _parsed_config(args):
 def _run_spreading(args):
     masses = None
     if args.masses is not None:
-        masses = tuple(float(x) for x in args.masses.split(","))
+        try:
+            masses = _floats(args.masses)
+        except ValueError as exc:
+            raise ValidationError(f"--masses: cannot read {args.masses!r} ({exc})") from exc
     cfg = spreading.SpreadingConfig(d=args.d, gamma=args.gamma, s=args.s,
                                     beta=args.beta, masses=masses, T0=args.t0,
                                     l0=args.l0, K=args.K, seed=args.seed)

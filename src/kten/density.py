@@ -2,8 +2,10 @@
 
 A DensityField wraps either an analytic nonnegative f(v) or a particle
 ensemble turned into a histogram lookup. Kernel and cancellation code only
-needs two things from it: pointwise evaluation on batches of velocities and
-weighted radial moments around an arbitrary center.
+needs three things from it: pointwise evaluation on batches of velocities,
+sums of f over the rings of a hyperplane, and weighted radial moments
+around an arbitrary center. Ring sums and moments come by quadrature, except
+for `gaussian()` fields, which give them in closed form (ring sums at d = 3).
 """
 
 from dataclasses import dataclass, field
@@ -28,6 +30,8 @@ class DensityField:
     particles: np.ndarray | None = None     # set for histogram fields
     weight: float | None = None
     _sphere: tuple = field(default=None, repr=False)
+    # gaussian()'s closed forms by name, with the evaluator they integrate
+    _closed_forms: dict = field(default=None, repr=False)
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
@@ -47,11 +51,26 @@ class DensityField:
             self._sphere = utils.sphere_rule(self.d, 24, 48)
         return self._sphere
 
+    def _closed_form(self, name):
+        """gaussian()'s closed form `name`, or None.
+
+        None also when the evaluator was replaced (dataclasses.replace): the
+        closed forms integrate the Gaussian, not whatever evaluates now.
+        """
+        forms = self._closed_forms
+        if forms is None or forms["evaluator"] is not self.evaluator:
+            return None
+        return forms.get(name)
+
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def gaussian(cls, d, sigma=1.0, mass=1.0, center=None):
-        """Isotropic Gaussian with the given total mass."""
+        """Isotropic Gaussian with the given total mass.
+
+        Its ring sums (at d = 3; the two-point ring of d = 2 is exact already)
+        and its radial moments (gamma > -d) are closed forms.
+        """
         c = np.zeros(d) if center is None else np.asarray(center, dtype=float)
         norm = mass / ((2.0 * np.pi * sigma ** 2) ** (d / 2.0))
 
@@ -67,8 +86,33 @@ class DensityField:
             r2 *= norm
             return r2
 
+        def ring_sums(bases, normals, k):
+            # c lies h from the plane and its foot q from the base, so on the
+            # ring |x - c|^2 = h^2 + k^2 + q^2 - 2 k q cos(phi): the circle
+            # integral is 2 pi norm exp(-(h^2 + k^2 + q^2) / 2 sigma^2) I0(k q / sigma^2),
+            # taken through i0e(z) = exp(-z) I0(z), which cannot overflow
+            from scipy.special import i0e
+            diff = c - bases
+            h = utils.row_dot(diff, normals)
+            foot = diff - h[:, None] * normals
+            q = np.sqrt(utils.row_dot(foot, foot))[:, None]
+            r2 = h[:, None] ** 2 + (k - q) ** 2
+            return 2.0 * np.pi * norm * np.exp(-0.5 * r2 / sigma ** 2) * i0e(k * q / sigma ** 2)
+
+        def radial_moment(v, gamma):
+            # mass E|X - v|^gamma for X ~ N(c, sigma^2 I): a Kummer function of |v - c|
+            from scipy.special import gammaln, hyp1f1
+            x = 0.5 * float(np.dot(v - c, v - c)) / sigma ** 2
+            ratio = np.exp(gammaln(0.5 * (d + gamma)) - gammaln(0.5 * d))
+            return float(mass * (2.0 * sigma ** 2) ** (0.5 * gamma) * ratio
+                         * hyp1f1(-0.5 * gamma, 0.5 * d, -x))
+
+        forms = {"evaluator": f, "radial_moment": radial_moment}
+        if d == 3:
+            forms["ring_sums"] = ring_sums
         energy = mass * (d * sigma ** 2 + float(np.dot(c, c)))
-        return cls(d=d, evaluator=f, mass=mass, energy=energy, center=c, scale=sigma)
+        return cls(d=d, evaluator=f, mass=mass, energy=energy, center=c, scale=sigma,
+                   _closed_forms=forms)
 
     @classmethod
     def from_callable(cls, fn, d, scale, center=None):
@@ -111,6 +155,28 @@ class DensityField:
 
     # -- quadrature -----------------------------------------------------------
 
+    def ring_sums(self, bases, normals, k, circle):
+        """Sums of f over the rings of radius k[i] around bases[l], shape (L, nk).
+
+        Ring (l, i) lies in the plane through bases[l] with unit normal
+        normals[l]. `circle` is the (points, weights) rule of
+        `utils.circle_rule`, whose weights sum to the measure of S^{d-2}; each
+        sum approximates the integral of f over the ring's unit sphere.
+        """
+        exact = self._closed_form("ring_sums")
+        if exact is not None:
+            return exact(bases, normals, k)
+        ang, wang = circle
+        tangents = utils.tangent_basis(normals)                          # (L, d-1, d)
+        inplane = np.einsum("me,led->lmd", ang, tangents)                # (L, m, d)
+        # bases + k * inplane, built one coordinate at a time so that f reads
+        # contiguous columns of its (L, nk, m, d) argument
+        pts = np.empty((self.d, len(bases), k.size, inplane.shape[1]))
+        for j in range(self.d):
+            np.multiply(k[None, :, None], inplane[:, None, :, j], out=pts[j])
+            pts[j] += bases[:, j, None, None]
+        return self(np.moveaxis(pts, 0, -1)) @ wang
+
     def _shell_points(self, origin, rho):
         """origin + rho[i] * dirs[j] as an (n_rho, n_dirs, d) coordinate-major view.
 
@@ -127,11 +193,15 @@ class DensityField:
     def radial_moment(self, v, gamma):
         """integral of f(v*) |v* - v|^gamma dv*, by shells centered at v.
 
-        For histogram fields built from particles this is the exact weighted
+        A `gaussian()` field gives it in closed form for gamma > -d. For
+        histogram fields built from particles this is the exact weighted
         particle sum instead (zero-distance particles are skipped: the
         singular set has measure zero and the event is flagged nowhere).
         """
         v = np.asarray(v, dtype=float)
+        exact = self._closed_form("radial_moment")
+        if exact is not None and gamma > -self.d:
+            return exact(v, gamma)
         if self.particles is not None:
             diff = self.particles - v
             dist = np.sqrt(utils.row_dot(diff, diff))
@@ -139,20 +209,6 @@ class DensityField:
                 dist = dist[dist > 0]
             return float(self.weight * np.sum(dist ** gamma))
         offset = float(np.linalg.norm(v - self.center))
-        if gamma >= 0.0 and offset > 2.0 * self.scale:
-            # nonsingular weight: shells around the density center resolve f
-            # regardless of how far v sits
-            edges = np.concatenate([
-                utils.log_edges(self.scale * 1e-9, 0.5 * self.scale, 6),
-                np.linspace(0.5 * self.scale, TRUNCATION_SIGMAS * self.scale, 25)[1:],
-            ])
-            rho, w_rho = utils.panel_rule(edges, _SHELL_NODES)
-            pts = self._shell_points(self.center, rho)
-            diff = pts - v
-            vals = self.evaluator(pts) * np.sqrt(utils.row_dot(diff, diff)) ** gamma
-            _, w_ang = self.sphere_rule()
-            return float(np.einsum("i,j,ij->", w_rho * rho ** (self.d - 1),
-                                   w_ang, vals))
         reach = offset + TRUNCATION_SIGMAS * self.scale
         # graded panels near rho = 0 absorb the |v*-v|^gamma weight for
         # gamma < 0; a refined band around rho = |v - center| resolves the

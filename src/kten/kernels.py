@@ -22,8 +22,12 @@ why the plain weight never exceeds the symmetrized one.
 
 One evaluator, `_kernel_profile`, integrates the planes of a batch of pairs
 sharing `center` (K_f_* are its one-pair case), with radial reach
-|f.center - center| + TRUNCATION_SIGMAS * f.scale + |1/kappa - 1| * max l. It
-checks the rule's disk volume and warns when the outer ring is not negligible.
+|f.center - center| + TRUNCATION_SIGMAS * f.scale + |1/kappa - 1| * max l.
+The density supplies the sum over each ring of the plane
+(`DensityField.ring_sums`: the circle rule, or a closed form for a
+Gaussian), and `_kernel_profile` weights the rings by the radial rule. It
+checks the rule's disk volume and warns when the outer ring is not
+negligible.
 """
 
 import math
@@ -307,24 +311,15 @@ def _kernel_profile(center, others, ls, f, spec, kappa, n_radial, n_angular):
     reach = float(np.linalg.norm(f.center - center)) + TRUNCATION_SIGMAS * f.scale \
         + abs(stretch) * float(ls[-1])
     k, wk = utils.gauss_legendre(0.0, reach, n_radial)
-    ang, wang = utils.circle_rule(d, n_angular)
-    _check_disk_volume(k, wk, wang, reach, d)
-    tangents = utils.tangent_basis(nhats)                            # (L, d-1, d)
-    inplane = np.einsum("me,led->lmd", ang, tangents)                # (L, m, d)
-    # bases + k * inplane, built one coordinate at a time so that f reads
-    # contiguous columns of its (L, nk, m, d) argument
-    pts = np.empty((d, len(ls), k.size, inplane.shape[1]))
-    for j in range(d):
-        np.multiply(k[None, :, None], inplane[:, None, :, j], out=pts[j])
-        pts[j] += bases[:, j, None, None]
-    vals = f(np.moveaxis(pts, 0, -1))                                # (L, nk, m)
+    circle = utils.circle_rule(d, n_angular)
+    _check_disk_volume(k, wk, circle[1], reach, d)
+    ang_sum = f.ring_sums(bases, nhats, k, circle)                   # (L, nk)
     cos_theta = 1.0 - 2.0 * ls[:, None] ** 2 / (ls[:, None] ** 2 + (kappa * k[None, :]) ** 2)
     prof = spec.btilde(cos_theta)
     expo = gamma + 2.0 * s + 1.0
     w_plain = k ** expo
     w_sym = (k[None, :] ** 2 + offsets[:, None] ** 2) ** (0.5 * expo)
     radial = wk * k ** (d - 2)
-    ang_sum = vals @ wang                                            # (L, nk)
     rings_plain = radial[None, :] * prof * w_plain[None, :] * ang_sum
     rings_sym = radial[None, :] * prof * w_sym * ang_sum
     plane_plain = np.sum(rings_plain, axis=1)

@@ -97,6 +97,13 @@ class TestSpreadingCommand:
         out = json.loads((tmp_path / "spreading.json").read_text())
         assert out["envelope"]["p"] == 2.0
 
+    def test_unreadable_masses_name_the_option(self, tmp_path, capsys):
+        assert dispatch(["spreading", "--masses", "1,x",
+                         "--output-dir", str(tmp_path), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: --masses: cannot read '1,x'")
+        assert not (tmp_path / "spreading.json").exists()
+
     def test_three_masses_are_a_validation_error(self, tmp_path, capsys):
         assert dispatch(["spreading", "--masses", "1,2,3",
                          "--output-dir", str(tmp_path), "--quiet"]) == 1
@@ -428,7 +435,8 @@ def test_simulate_golden_digests(tmp_path, name):
 
 # sha256 of one output of each lower-bound sweep, recorded before the sweeps
 # shared their quadrature rules, tangent bases and Monte Carlo draws
-# (x86-64, numpy 2.4). A change here is a change of computed numbers.
+# (x86-64, numpy 2.4); kernel-scaling re-recorded when Gaussian ring sums
+# became closed forms (scipy 1.17). A change here is a change of computed numbers.
 LOWERBOUND_RUNS = {
     "region": (["region", "--beta", "0.8", "--eps-grid", "0.01:0.2:4",
                 "--samples", "200000", "--seed", "13"], "region.csv"),
@@ -443,7 +451,7 @@ LOWERBOUND_DIGESTS = {
     "region": "119f47b54be6f4bd723ac82e7121970edeb29a96179a93120ba49790f97e62ee",
     "cancellation-inelastic": "cad04d62dbe234946f3174d824064025c4cfc6b3e1dd8f3453d8cbcccc1043c9",
     "cancellation-mixture-light": "7cf79cd4cf6415d6a7b0c1de759805cf2ea619feb481c524407fef80d4f792ad",
-    "kernel-scaling": "af43a1bc49076ce7f5cfe38ae1ce5fad232430795a2753e0ffe28358d1732e56",
+    "kernel-scaling": "c938027841dabef86d34a5cd5c2e6d3e0db365433c425a198d3ff6424e57b84d",
     "verify-geometry": "ea38e8515c83f8c267ea8c6731a8553f693f8db6921a121c4e44ff38614f22b8",
 }
 

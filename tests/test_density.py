@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erf
+from scipy.special import erf, gammaln, hyp1f1
 
 from kten.density import DensityField
 from kten.kernels import gaussian_bump
@@ -18,6 +18,16 @@ def mean_distance_to_unit_gaussian(speed):
     mu = speed
     return math.sqrt(2.0 / math.pi) * math.exp(-0.5 * mu * mu) \
         + (mu + 1.0 / mu) * erf(mu / math.sqrt(2.0))
+
+
+def kummer_moment(d, gamma, dist, sigma=1.0, mass=1.0):
+    # mass E|X - v|^gamma for X ~ N(c, sigma^2 I_d) and |v - c| = dist, gamma > -d
+    ratio = math.exp(gammaln(0.5 * (d + gamma)) - gammaln(0.5 * d))
+    return mass * (2.0 * sigma ** 2) ** (0.5 * gamma) * ratio \
+        * hyp1f1(-0.5 * gamma, 0.5 * d, -0.5 * (dist / sigma) ** 2)
+
+
+LOSS_RATE_SPEEDS = np.linspace(0.0, 5.0, 20)
 
 
 class TestGaussianField:
@@ -47,6 +57,18 @@ class TestGaussianField:
         assert f.radial_moment(np.zeros(2), 0.0) == pytest.approx(1.0, rel=1e-9)
         assert f.radial_moment(np.zeros(2), 2.0) == pytest.approx(2 * 0.49, rel=1e-9)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("gamma", [-1.0, 0.5, 1.0, 2.0])
+    def test_moments_in_closed_form(self, d, gamma):
+        # off-center, sigma != 1 and mass != 1
+        center = np.array([0.4, -0.3, 0.2])[:d]
+        direction = np.array([1.0, 2.0, 2.0])[:d] / np.linalg.norm([1.0, 2.0, 2.0][:d])
+        f = DensityField.gaussian(d, sigma=0.7, mass=2.5, center=center)
+        for speed in LOSS_RATE_SPEEDS:
+            got = f.radial_moment(center + 0.7 * speed * direction, gamma)
+            assert got == pytest.approx(kummer_moment(d, gamma, 0.7 * speed, 0.7, 2.5),
+                                        rel=1e-13)
+
 
 class TestFromCallable:
     def test_moments_computed(self):
@@ -55,6 +77,17 @@ class TestFromCallable:
             lambda v: norm * np.exp(-np.sum(v ** 2, axis=-1)), 3, scale=0.8)
         assert f.mass == pytest.approx(1.0, rel=1e-8)
         assert f.energy == pytest.approx(1.5, rel=1e-8)
+
+    @pytest.mark.parametrize("d, gamma, rtol", [
+        (3, -1.0, 1e-12), (3, 0.5, 1e-12), (3, 1.0, 1e-12), (2, 1.0, 1e-12), (2, 0.5, 1e-10)])
+    def test_shell_moments_match_the_kummer_form(self, d, gamma, rtol):
+        # the unit Gaussian on the quadrature path: shells centered at v,
+        # however far v sits from the density center
+        direction = np.array([1.0, 2.0, 2.0])[:d] / np.linalg.norm([1.0, 2.0, 2.0][:d])
+        f = DensityField.from_callable(DensityField.gaussian(d).evaluator, d, scale=1.0)
+        for speed in LOSS_RATE_SPEEDS:
+            assert f.radial_moment(speed * direction, gamma) == pytest.approx(
+                kummer_moment(d, gamma, speed), rel=rtol)
 
     def test_negative_density_rejected(self):
         with pytest.raises(ValueError):

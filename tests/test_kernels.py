@@ -315,6 +315,44 @@ class TestPlaneRule:
         res = np.einsum("lkmd,ld->lkm", pts - bases[:, None, None, :], normals)
         assert np.abs(res).max() < 1e-12
 
+    def test_gaussian_rings_never_evaluate_f(self, monkeypatch):
+        # the d = 3 Gaussian's ring sums are closed forms: no call reaches f,
+        # which the same plane through the quadrature path does call
+        quadrature = DensityField.from_callable(GAUSS3.evaluator, 3, scale=1.0)
+        calls = []
+        evaluate = DensityField.__call__
+        monkeypatch.setattr(DensityField, "__call__",
+                            lambda self, v: calls.append(1) or evaluate(self, v))
+        ls = np.array([0.2, 0.7, 1.5])
+        others = ls[:, None] * np.array([0.6, 0.0, 0.8])
+        K._kernel_profile(np.zeros(3), others, ls, GAUSS3, SOFT3, 0.8, 40, 24)
+        assert calls == []
+        K._kernel_profile(np.zeros(3), others, ls, quadrature, SOFT3, 0.8, 40, 24)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("beta", [0.8, 0.999])
+    def test_gaussian_rings_match_the_circle_rule(self, beta):
+        # an off-center Gaussian with sigma != 1 against the same field on the
+        # quadrature path, with plane bases within 1.5 sigma of its center.
+        # Farther out the 24-point circle rule drifts (~5e-11 at 2.2 sigma),
+        # and the closed form is matched by a 96-point rule instead
+        c, sigma = np.array([0.4, -0.3, 0.2]), 0.7
+        exact = DensityField.gaussian(3, sigma=sigma, mass=1.3, center=c)
+        quadrature = DensityField.from_callable(exact.evaluator, 3, scale=sigma, center=c)
+        rng = np.random.default_rng(11)
+        dirs = rng.normal(size=(6, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        ls = np.geomspace(0.02, 1.0, 6) * sigma
+        for reach, n_angular in ((1.5, 24), (3.5, 96)):
+            for offset in np.linspace(0.0, reach - 0.25, 5):
+                center = c + offset * sigma * dirs[0]
+                others = center + ls[:, None] * dirs
+                got = K._kernel_profile(center, others, ls, exact, SOFT3, beta, 40, 24)
+                want = K._kernel_profile(center, others, ls, quadrature, SOFT3, beta,
+                                         40, n_angular)
+                for g, w in zip(got, want):      # plain, then symmetrized
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
 
 class TestQsApply:
     def test_constant_test_function_gives_zero(self):
@@ -385,11 +423,11 @@ def _f8_digest(values):
 
 
 # sha256 of the benchmark's two library operations on fixed inputs, recorded
-# before the plane points, radial shells and test bump were summed column by
-# column (x86-64, numpy 2.4). A change here is a change of computed numbers.
+# when Gaussian fields took their ring sums and radial moments in closed form
+# (x86-64, numpy 2.4, scipy 1.17). A change here is a change of computed numbers.
 GOLDEN_DIRECTION = np.array([1.0, 2.0, 2.0]) / 3.0
-QS_APPLY_DIGEST = "9a1836ebe1fa2cfb7c8cda74dce2bc710c640cb8423c728ca7cc338d6816a73a"
-LOSS_RATES_DIGEST = "e1566050b4a3070bf1107d18cda1138693e58ee0b9a0f053c5182ead5fc32a15"
+QS_APPLY_DIGEST = "996bcbcb00c5102ab9d9cf6812a62c64d3fa74d4fd9b3aa432ef726f2989258b"
+LOSS_RATES_DIGEST = "2b7711de53a7ab582761df79216f1a6d64e5d52507512d466a87b7f55883b3df"
 
 
 def test_Q_s_apply_golden_digest():
@@ -400,14 +438,27 @@ def test_Q_s_apply_golden_digest():
 
 
 def test_cutoff_loss_rate_golden_digest():
-    # speeds beyond 2 sigma take radial_moment's shells around the density
-    # center, the others its shells around v
+    # the Gaussian's radial moments come from its closed form at every speed
     rates = [K.cutoff_loss_rate(GAUSS3, s * GOLDEN_DIRECTION, CUTOFF3)
              for s in np.linspace(0.0, 5.0, 20)]
     assert _f8_digest(rates) == LOSS_RATES_DIGEST
 
 
+def erf_loss_rate(speed):
+    """Loss rate of the uniform h = 1 cutoff kernel, gamma 1, unit Gaussian in
+    d = 3: 2 pi E|v - X| for X ~ N(0, I), in closed form."""
+    if speed == 0.0:
+        return 2.0 * math.pi * 2.0 * math.sqrt(2.0 / math.pi)
+    return 2.0 * math.pi * ((speed + 1.0 / speed) * math.erf(speed / math.sqrt(2.0))
+                            + math.sqrt(2.0 / math.pi) * math.exp(-0.5 * speed * speed))
+
+
 class TestCutoffLossRate:
+    def test_gaussian_rates_match_the_erf_closed_form(self):
+        for speed in np.linspace(0.0, 5.0, 20):
+            rate = K.cutoff_loss_rate(GAUSS3, speed * GOLDEN_DIRECTION, CUTOFF3)
+            assert rate == pytest.approx(erf_loss_rate(speed), rel=1e-12)
+
     def test_gamma_zero_is_constant_in_v(self):
         spec = K.KernelSpec(gamma=0.0, d=3, h=lambda t: 1.0, model="mixture")
         vals = [K.cutoff_loss_rate(GAUSS3, np.array([s, 0.0, 0.0]), spec)
