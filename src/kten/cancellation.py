@@ -56,10 +56,11 @@ def _angle_equation(a, lam):
 def solve_angle(w, lam):
     """Unique a in (0, w) with a + arcsin(lambda sin a) = w.
 
-    The map is strictly increasing for lambda in (0, 1), so bisection on
-    (max(0, w - pi/2), w) always converges; a couple of Newton steps polish
-    the root to ~1e-15 residual. A residual above 1e-13 max(1, w) raises
-    ConvergenceFailure.
+    sin(w - a) = lambda sin a gives tan a = sin w / (lambda + cos w), so
+    a = atan2(sin w, lambda + cos w) in closed form for lambda in (0, 1); the
+    denominator is taken as (lambda - 1) + 2 cos^2(w/2), which keeps its
+    accuracy where lambda + cos w cancels (lambda near 1, w near pi). A
+    residual above 1e-13 max(1, w) raises ConvergenceFailure.
     """
     if not 0.0 < w <= math.pi:
         raise ValueError("w must lie in (0, pi]")
@@ -72,24 +73,13 @@ def solve_angle(w, lam):
 
 def _solve_angle_vec(w, lam):
     w = np.asarray(w, dtype=float)
-    lo = np.maximum(0.0, w - math.pi / 2.0)
-    hi = w.copy()
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        high = _angle_equation(mid, lam) > w
-        hi = np.where(high, mid, hi)
-        lo = np.where(high, lo, mid)
-    a = 0.5 * (lo + hi)
-    for _ in range(3):
-        s = lam * np.sin(a)
-        deriv = 1.0 + lam * np.cos(a) / np.sqrt(np.maximum(1.0 - s * s, 1e-300))
-        a = a - (_angle_equation(a, lam) - w) / deriv
-        a = np.clip(a, lo, hi)
+    a = np.arctan2(np.sin(w), (lam - 1.0) + 2.0 * np.cos(0.5 * w) ** 2)
     res = np.abs(_angle_equation(a, lam) - w)
     if np.any(res > 1e-13 * np.maximum(1.0, w)):
+        worst = np.argmax(res)
         raise ConvergenceFailure(
-            f"angle solve residual {res.max():.2e} on bracket "
-            f"[{lo[np.argmax(res)]:.6f}, {hi[np.argmax(res)]:.6f}]")
+            f"angle solve residual {res.max():.2e} at w = {w.flat[worst]:.6f}, "
+            f"lambda = {lam}")
     return a
 
 

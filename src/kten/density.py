@@ -214,7 +214,8 @@ class DensityField:
         # gamma < 0; a refined band around rho = |v - center| resolves the
         # bulk of f when v sits far from it
         a0 = min(0.5 * self.scale, 0.01 * reach)
-        edges = [utils.log_edges(reach * 1e-9, a0, 8)]
+        inner = reach * 1e-9
+        edges = [utils.log_edges(inner, a0, 8)]
         lo = max(a0, offset - (TRUNCATION_SIGMAS - 2.0) * self.scale)
         hi = min(reach, offset + (TRUNCATION_SIGMAS - 2.0) * self.scale)
         if lo > a0:
@@ -228,7 +229,12 @@ class DensityField:
         vals = self.evaluator(self._shell_points(v, rho))
         _, w_ang = self.sphere_rule()
         radial_w = w_rho * rho ** (gamma + self.d - 1)
-        return float(np.einsum("i,j,ij->", radial_w, w_ang, vals))
+        total = float(np.einsum("i,j,ij->", radial_w, w_ang, vals))
+        if gamma > -self.d:
+            # the ball rho < inner, where f is f(v): |S^{d-1}| f(v) inner^(gamma+d)/(gamma+d)
+            total += float(self.evaluator(v[None, :])[0]) * utils.sphere_area(self.d) \
+                * inner ** (gamma + self.d) / (gamma + self.d)
+        return total
 
 
 def _spot_check_nonnegative(f: DensityField):

@@ -196,6 +196,15 @@ def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
     hyperplane: a (d-1)-disk of radius sqrt(R^2 - dist^2) where dist is the
     plane's distance from the origin. Returns (estimate, standard error).
 
+    With v = c * axis, c = rho (1-eps) R, the partner plane passes through
+    pt = v/beta - (1/beta - 1) u with normal u - v, so a sample enters only
+    through the two scalars u.axis and |u|^2:
+        <pt, u - v> = c (2/beta - 1) u.axis - c^2/beta - (1/beta - 1) |u|^2,
+        |u - v|^2   = |u|^2 - 2 c u.axis + c^2.
+    Each chunk of draws is reduced to these two vectors once, and every eps
+    costs a few length-n operations on them. A plane through v (|u - v|^2
+    rounds to 0 or below) counts as passing through the origin.
+
     eps may also be a 1-d grid; then the result is a list with one
     (estimate, standard error) pair per eps, each equal to the scalar call.
     The samples do not depend on eps, so a grid shares one draw per chunk
@@ -235,7 +244,8 @@ def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
     else:
         axis = np.asarray(axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
-    probes = [rho * (1.0 - e) * R * axis for e in eps_grid.ravel()]
+    # the probe v = c * axis at each eps
+    cs = [rho * (1.0 - e) * R for e in eps_grid.ravel()]
 
     n_chunks = (samples + _REGION_CHUNK - 1) // _REGION_CHUNK
     sizes = [min(_REGION_CHUNK, samples - i * _REGION_CHUNK) for i in range(n_chunks)]
@@ -243,26 +253,42 @@ def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
     def one_chunk(idx):
         rng = utils.substream(seed, idx)
         n = sizes[idx]
-        # column-major draws: every array derived from them below keeps the
-        # layout, so the row sums read contiguous columns
-        g = np.asfortranarray(rng.normal(size=(n, d)))
-        g /= np.sqrt(utils.row_dot(g, g))[:, None]
+        g = rng.normal(size=(n, d))
         radius = R * rng.random(n) ** (1.0 / d)
-        u = g * radius[:, None]
-        shift = (1.0 / beta - 1.0) * u
+        # u = radius * g / |g| enters only through u.a and |u|^2
+        ua = utils.row_dot(g, axis)
+        ua /= np.sqrt(utils.row_dot(g, g))
+        ua *= radius
+        uu = radius * radius
+        soft_uu = (1.0 / beta - 1.0) * uu
+        # two scratch buffers per chunk: threads run chunks side by side
+        nn = np.empty(n)
+        sect = np.empty(n)
         sums = []
-        for v in probes:
-            pt = (1.0 / beta) * v[None, :] - shift
-            nvec = u - v[None, :]
-            nn = np.sqrt(utils.row_dot(nvec, nvec))
-            nn[nn == 0.0] = np.inf
-            dist = np.abs(utils.row_dot(pt, nvec)) / nn
-            sect = np.maximum(R * R - dist * dist, 0.0)
+        for c in cs:
+            # |u - v|^2 = |u|^2 - 2c u.a + c^2
+            np.multiply(ua, -2.0 * c, out=nn)
+            nn += uu
+            nn += c * c
+            # <pt, u - v> with pt = v / beta - (1/beta - 1) u
+            np.multiply(ua, c * (2.0 / beta - 1.0), out=sect)
+            sect -= c * c / beta
+            sect -= soft_uu
+            sect *= sect
+            if not nn.min() > 0.0:
+                # a plane through v: its distance from the origin counts as 0
+                np.copyto(nn, np.inf, where=nn <= 0.0)
+            # R^2 - dist^2, the squared radius of the plane's section of B_R
+            sect /= nn
+            np.subtract(R * R, sect, out=sect)
+            np.maximum(sect, 0.0, out=sect)
             if d == 3:
-                area = math.pi * sect
+                sect *= math.pi
             else:
-                area = 2.0 * np.sqrt(sect)
-            sums.append((float(np.sum(area)), float(np.sum(area * area))))
+                np.sqrt(sect, out=sect)
+                sect *= 2.0
+            np.multiply(sect, sect, out=nn)
+            sums.append((float(np.sum(sect)), float(np.sum(nn))))
         return sums, n
 
     if threads > 1 and n_chunks > 1:
@@ -273,7 +299,7 @@ def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
     n = sum(p[1] for p in parts)
     vol = utils.ball_volume(d, R)
     results = []
-    for k in range(len(probes)):
+    for k in range(len(cs)):
         # fixed chunk-order reduction keeps the float result thread-count independent
         total = sum(p[0][k][0] for p in parts)
         total_sq = sum(p[0][k][1] for p in parts)

@@ -7,7 +7,7 @@ from scipy.optimize import brentq
 
 from kten import cancellation as C
 from kten.density import DensityField
-from kten.errors import DivergentIntegral
+from kten.errors import ConvergenceFailure, DivergentIntegral
 from kten.kernels import KernelSpec
 
 
@@ -47,6 +47,33 @@ class TestSolveAngle:
         w = np.linspace(1e-3, math.pi - 1e-3, 1000)
         a = C._solve_angle_vec(w, 0.62)
         assert np.all(np.diff(a) > 0)
+
+    @pytest.mark.parametrize("lam", [1e-3, 0.2, 1.0 / 3.0, 0.62, 0.905, 0.999])
+    def test_closed_form_matches_a_scalar_bisection(self, lam):
+        def bisect(w):
+            # a + arcsin(lam sin a) - w is increasing on (max(0, w - pi/2), w)
+            lo, hi = max(0.0, w - math.pi / 2), w
+            while True:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):
+                    return mid
+                if mid + math.asin(lam * math.sin(mid)) > w:
+                    hi = mid
+                else:
+                    lo = mid
+
+        w = np.concatenate([np.geomspace(1e-9, math.pi, 60),
+                            math.pi - np.geomspace(1e-9, 0.1, 10)])
+        a = C._solve_angle_vec(w, lam)
+        expected = np.array([bisect(x) for x in w])
+        np.testing.assert_allclose(a, expected, rtol=1e-12, atol=0.0)
+
+    def test_residual_failure_names_the_angle(self, monkeypatch):
+        monkeypatch.setattr(C, "_angle_equation", lambda a, lam: a + 1e-6)
+        with pytest.raises(ConvergenceFailure, match="residual") as err:
+            C.solve_angle(1.0, 0.5)
+        assert "w = 1.000000" in str(err.value)
+        assert "bracket" not in str(err.value)
 
     def test_frame_invariants_validated(self):
         with pytest.raises(ValueError):

@@ -436,7 +436,10 @@ def test_simulate_golden_digests(tmp_path, name):
 # sha256 of one output of each lower-bound sweep, recorded before the sweeps
 # shared their quadrature rules, tangent bases and Monte Carlo draws
 # (x86-64, numpy 2.4); kernel-scaling re-recorded when Gaussian ring sums
-# became closed forms (scipy 1.17). A change here is a change of computed numbers.
+# became closed forms (scipy 1.17); region and cancellation-inelastic re-recorded
+# when the region Monte Carlo moved onto u.a and |u|^2 and the cancellation
+# angle onto its atan2 closed form (rounding only: at most 7.7e-15 and 2.6e-16
+# relative). A change here is a change of computed numbers.
 LOWERBOUND_RUNS = {
     "region": (["region", "--beta", "0.8", "--eps-grid", "0.01:0.2:4",
                 "--samples", "200000", "--seed", "13"], "region.csv"),
@@ -448,8 +451,8 @@ LOWERBOUND_RUNS = {
     "verify-geometry": (["verify-geometry", "--seed", "13"], "geometry_report.json"),
 }
 LOWERBOUND_DIGESTS = {
-    "region": "119f47b54be6f4bd723ac82e7121970edeb29a96179a93120ba49790f97e62ee",
-    "cancellation-inelastic": "cad04d62dbe234946f3174d824064025c4cfc6b3e1dd8f3453d8cbcccc1043c9",
+    "region": "3e864b5cb499065cc05b7eabbb2e988d8d082ef26b3a9b97bc429abfd185bd3f",
+    "cancellation-inelastic": "5afe6e7f480b169374baea747e9de14896febb9bcca99cbcc72a6cc833eb7642",
     "cancellation-mixture-light": "7cf79cd4cf6415d6a7b0c1de759805cf2ea619feb481c524407fef80d4f792ad",
     "kernel-scaling": "c938027841dabef86d34a5cd5c2e6d3e0db365433c425a198d3ff6424e57b84d",
     "verify-geometry": "ea38e8515c83f8c267ea8c6731a8553f693f8db6921a121c4e44ff38614f22b8",

@@ -201,6 +201,101 @@ class TestRegionEstimate:
             S.region_estimate_mc(1.0, [[0.1]], 0.8, 3, 1000)
 
 
+def region_reference(R, eps_grid, beta, d, samples, seed, axis=None):
+    """The region estimate on full vectors: for each eps, the partner plane
+    through pt = v/beta - (1/beta - 1) u with normal u - v, built from the
+    same draws (normal g normalised, radius R U^(1/d)) chunk by chunk."""
+    if axis is None:
+        axis = np.eye(d)[0]
+    axis = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    rho = math.sqrt(1.0 + beta * beta)
+    totals = np.zeros((len(eps_grid), 2))
+    for idx in range(-(-samples // S._REGION_CHUNK)):
+        rng = S.utils.substream(seed, idx)
+        n = min(S._REGION_CHUNK, samples - idx * S._REGION_CHUNK)
+        g = rng.normal(size=(n, d))
+        g /= np.sqrt(np.sum(g * g, axis=1))[:, None]
+        u = g * (R * rng.random(n) ** (1.0 / d))[:, None]
+        for k, e in enumerate(eps_grid):
+            v = rho * (1.0 - e) * R * axis
+            pt = v / beta - (1.0 / beta - 1.0) * u
+            nvec = u - v
+            nn = np.sqrt(np.sum(nvec * nvec, axis=1))
+            nn[nn == 0.0] = np.inf
+            dist = np.abs(np.sum(pt * nvec, axis=1)) / nn
+            sect = np.maximum(R * R - dist * dist, 0.0)
+            area = math.pi * sect if d == 3 else 2.0 * np.sqrt(sect)
+            totals[k] += np.sum(area), np.sum(area * area)
+    vol = S.utils.ball_volume(d, R)
+    mean = totals[:, 0] / samples
+    var = np.maximum(totals[:, 1] / samples - mean * mean, 0.0)
+    return vol * mean, vol * np.sqrt(var / samples)
+
+
+class FakeDraws:
+    """Every sample at u = R * axis (axis = first unit vector)."""
+
+    def __init__(self, *args):
+        pass
+
+    def normal(self, size):
+        g = np.zeros(size)
+        g[:, 0] = 2.5
+        return g
+
+    def random(self, n):
+        return np.ones(n)
+
+
+class TestRegionOnTwoScalars:
+    # the CLI grid and both ends of the eps range at beta = 0.8
+    GRIDS = {"cli": np.geomspace(0.01, 0.2, 8),
+             "ends": np.array([-0.005, 0.0, 0.21, 0.2185, 0.21895])}
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    @pytest.mark.parametrize("axis", [None, (1.0, -2.0, 0.5)])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_the_vector_formula(self, d, axis, grid):
+        eps = self.GRIDS[grid]
+        ax = None if axis is None else axis[:d]
+        got = np.array(S.region_estimate_mc(1.0, eps, 0.8, d, 200000, seed=31, axis=ax))
+        est, se = region_reference(1.0, eps, 0.8, d, 200000, 31, axis=ax)
+        assert np.all(est > 0.0)
+        np.testing.assert_allclose(got[:, 0], est, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got[:, 1], se, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_sample_at_the_probe_counts_as_a_plane_through_the_origin(self, d, monkeypatch):
+        # the largest eps below 1 - 1/rho puts v at exactly R * axis, on the
+        # samples: u - v = 0, so the distance counts as 0 and the section is
+        # the whole disk, with no RuntimeWarning
+        monkeypatch.setattr(S.utils, "substream", FakeDraws)
+        rho = math.sqrt(1.0 + 0.8 ** 2)
+        eps = float(np.nextafter(1.0 - 1.0 / rho, 0.0))
+        assert rho * (1.0 - eps) == 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = S.region_estimate_mc(1.0, eps, 0.8, d, 1000)
+        est, _ = region_reference(1.0, [eps], 0.8, d, 1000, 0)
+        disk = math.pi if d == 3 else 2.0
+        assert got[0] == pytest.approx(S.utils.ball_volume(d) * disk, rel=1e-12)
+        assert got[0] == pytest.approx(est[0], rel=1e-12)
+
+    def test_squared_distance_rounding_below_zero_gives_the_whole_disk(self, monkeypatch):
+        # at R = 3, |u|^2 - 2c u.a + c^2 rounds below 0 for u = R * axis and
+        # c one ulp above R; the sample must count as the whole disk R^2
+        monkeypatch.setattr(S.utils, "substream", FakeDraws)
+        rho = math.sqrt(1.0 + 0.8 ** 2)
+        eps = 1.0 - 1.0 / rho
+        for _ in range(3):
+            eps = float(np.nextafter(eps, 0.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = S.region_estimate_mc(3.0, eps, 0.8, 3, 1000)
+        assert got[0] == pytest.approx(S.utils.ball_volume(3, 3.0) * math.pi * 9.0,
+                                       rel=1e-12)
+
+
 class TestEnvelopeEval:
     def test_at_origin(self):
         env = S.Envelope(a=0.3, b=1.0, p=2.0)
