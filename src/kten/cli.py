@@ -33,7 +33,7 @@ from . import __version__, utils
 from . import cancellation as canc
 from . import geometry, kernels, simulator, spreading, tails
 from .density import DensityField
-from .errors import InsufficientData, NumericalError, UnknownSubcommand, ValidationError
+from .errors import NumericalError, UnknownSubcommand, ValidationError
 from .geometry import RestitutionParams
 from .utils import DEFAULT_SEED, format_float
 
@@ -359,9 +359,6 @@ def parse_config_file(path):
     return cfg
 
 
-_CUTOFF_WORDS = ("iso", "h", "cutoff")
-
-
 def _ints(text):
     return tuple(int(x) for x in text.split(","))
 
@@ -371,18 +368,20 @@ def _floats(text):
 
 
 def _s_or_h(text):
-    return text if text in _CUTOFF_WORDS else float(text)
+    return text if text == "iso" else float(text)
 
 
 _REQUIRED = object()
 _AT_LEAST_0 = (lambda x: x >= 0, ">= 0")
 _AT_LEAST_1 = (lambda x: x >= 1, ">= 1")
 _POSITIVE = (lambda x: x > 0, "> 0")
+_MODEL = (lambda x: x in simulator.MODELS, f"one of {', '.join(simulator.MODELS)}")
+_INIT = (lambda x: x in simulator.INITS, f"one of {', '.join(simulator.INITS)}")
 # key: (parse, default, check); a check holds for each value of a comma
 # separated list. output_dir is read by _run_simulate, the others by
 # build_sim_config. theta_min and init default to SimConfig's values.
 _SIM_SCHEMA = {
-    "model": (str, _REQUIRED, None),
+    "model": (str, _REQUIRED, _MODEL),
     "d": (int, _REQUIRED, None),
     "gamma": (float, _REQUIRED, None),
     "s_or_h": (_s_or_h, _REQUIRED, None),
@@ -393,7 +392,7 @@ _SIM_SCHEMA = {
     "alpha": (float, None, None),
     "masses": (_floats, None, None),
     "seed": (int, None, None),
-    "init": (str, None, None),
+    "init": (str, None, _INIT),
     "moments_every": (int, 1, _AT_LEAST_1),
     "snapshot_every": (int, 0, _AT_LEAST_0),
     "tail_bins": (int, 50, _AT_LEAST_1),
@@ -437,11 +436,10 @@ def build_sim_config(cfg_map, seed=None):
     """
     c = _read_sim_keys(cfg_map)
     model, d, gamma, s_or_h = c["model"], c["d"], c["gamma"], c["s_or_h"]
-    kmodel = "inelastic" if model == "inelastic" else "mixture"
-    if s_or_h in _CUTOFF_WORDS:
-        spec = kernels.KernelSpec(gamma=gamma, d=d, h=lambda t: 1.0, model=kmodel)
+    if s_or_h == "iso":
+        spec = kernels.KernelSpec(gamma=gamma, d=d, h=lambda t: 1.0, model=model)
     else:
-        spec = kernels.KernelSpec(gamma=gamma, d=d, s=s_or_h, model=kmodel,
+        spec = kernels.KernelSpec(gamma=gamma, d=d, s=s_or_h, model=model,
                                   moderately_soft=(gamma < 0.0))
     set_in_file = {k: c[k] for k in ("theta_min", "init") if c[k] is not None}
     cfg = simulator.SimConfig(
@@ -454,59 +452,45 @@ def build_sim_config(cfg_map, seed=None):
 
 
 def run_simulation_to_dir(cfg, outdir, extras, quiet=True):
-    """Drive the DSMC loop, writing moments.csv, snapshots and tail CSVs."""
+    """Drive the DSMC loop, writing moments.csv, snapshots and tail CSVs.
+
+    State 0 is the initial ensemble and state k one step after state k - 1.
+    State k records a moments row when k % moments_every == 0 or k is the
+    last step; when snapshot_every is set, the same rule on snapshot_every
+    writes one snapshot per species and a tails CSV.
+    """
     outdir = Path(outdir)
-    ens = simulator.build_ensemble(cfg)
-    moments_rows = []
-    snapshot_index = []
-    outputs = []
-
-    def record_moments(e):
-        mom = simulator.moments(e)
-        row = [e.time] + [float(x) for x in mom["mass"]]
-        row += [float(x) for x in mom["momentum"]]
-        row += [0.0] * (3 - len(mom["momentum"]))
-        row += [mom["energy"], mom["entropy_estimate"]]
-        moments_rows.append(row)
-
-    def record_snapshot(e, idx):
-        files = []
-        for k, s in enumerate(e.species):
-            p = outdir / f"snapshot_{idx:04d}_species{k}.kten"
-            simulator.write_snapshot(p, s.velocities)
-            files.append(p)
-            outputs.append(p)
-            snapshot_index.append({"file": p.name, "t": e.time, "species": k,
-                                   "mass": s.mass, "weight": s.weight})
-        rows = []
-        for k, s in enumerate(e.species):
-            h = tails.tail_histogram(s.velocities, s.weight,
-                                     n_bins=extras["tail_bins"])
-            for lo, hi, c, dens in zip(h.bin_edges[:-1], h.bin_edges[1:],
-                                       h.counts, h.densities):
-                rows.append((k, float(lo), float(hi), int(c), float(dens)))
-        p = outdir / f"tails_{idx:04d}.csv"
-        _write_csv(p, ["species", "r_lo", "r_hi", "count", "density"], rows)
-        outputs.append(p)
-
-    record_moments(ens)
     snap_every = extras["snapshot_every"]
-    n_snap = 0
-    if snap_every:
-        record_snapshot(ens, n_snap)
-        n_snap += 1
-    for k in range(cfg.steps):
-        ens = simulator.step(ens, cfg)
-        if (k + 1) % extras["moments_every"] == 0 or k + 1 == cfg.steps:
-            record_moments(ens)
-        if snap_every and ((k + 1) % snap_every == 0 or k + 1 == cfg.steps):
-            record_snapshot(ens, n_snap)
-            n_snap += 1
-        if not quiet and (k + 1) % max(1, cfg.steps // 10) == 0:
-            print(f"step {k + 1}/{cfg.steps}  t={ens.time:.4g}")
-    d = ens.d
+    moments_rows, snapshot_index, outputs = [], [], []
+    for k in range(cfg.steps + 1):
+        ens = simulator.build_ensemble(cfg) if k == 0 else simulator.step(ens, cfg)
+        last = k == cfg.steps
+        if k % extras["moments_every"] == 0 or last:
+            mom = simulator.moments(ens)
+            momentum = np.pad(mom["momentum"], (0, 3 - ens.d))      # pz = 0 at d = 2
+            moments_rows.append([ens.time, *mom["mass"], *momentum,
+                                 mom["energy"], mom["entropy_estimate"]])
+        if snap_every and (k % snap_every == 0 or last):
+            idx = math.ceil(k / snap_every)     # a last step off the grid is one more
+            rows = []
+            for sp, s in enumerate(ens.species):
+                p = outdir / f"snapshot_{idx:04d}_species{sp}.kten"
+                simulator.write_snapshot(p, s.velocities)
+                outputs.append(p)
+                snapshot_index.append({"file": p.name, "t": ens.time, "species": sp,
+                                       "mass": s.mass, "weight": s.weight})
+                h = tails.tail_histogram(s.velocities, s.weight,
+                                         n_bins=extras["tail_bins"])
+                rows += [(sp, float(lo), float(hi), int(c), float(dens))
+                         for lo, hi, c, dens in zip(h.bin_edges[:-1], h.bin_edges[1:],
+                                                    h.counts, h.densities)]
+            p = outdir / f"tails_{idx:04d}.csv"
+            _write_csv(p, ["species", "r_lo", "r_hi", "count", "density"], rows)
+            outputs.append(p)
+        if not quiet and k > 0 and k % max(1, cfg.steps // 10) == 0:
+            print(f"step {k}/{cfg.steps}  t={ens.time:.4g}")
     header = (["t"] + [f"mass_{i}" for i in range(len(ens.species))]
-              + ["px", "py", "pz"][:d] + ["pz"] * (3 - d) + ["energy", "entropy"])
+              + ["px", "py", "pz", "energy", "entropy"])
     mout = outdir / "moments.csv"
     _write_csv(mout, header, moments_rows)
     outputs.insert(0, mout)
@@ -526,38 +510,11 @@ def _run_tails(args):
     env_map = json.loads(Path(args.envelope).read_text())
     env = spreading.Envelope(a=float(env_map["a"]), b=float(env_map["b"]),
                              p=float(env_map["p"]))
-    by_species = {}
-    for item in index:
-        by_species.setdefault(item["species"], []).append(item)
-    report = {"t0": args.t0, "envelope": env_map, "species": [],
-              "note": "domination is tested on the resolved speed range only"}
-    for sp, items in sorted(by_species.items()):
-        series = []
-        entries = []
-        for item in sorted(items, key=lambda x: x["t"]):
-            v = simulator.read_snapshot(snapdir / item["file"])
-            h = tails.tail_histogram(v, item["weight"])
-            series.append((item["t"], h))
-            try:
-                fit = tails.fit_tail_exponent(h, tails.default_fit_window(v))
-                fit_map = {"p_hat": fit.p_hat, "b_hat": fit.b_hat,
-                           "a_hat": fit.a_hat, "r_squared": fit.r_squared}
-            except InsufficientData as exc:
-                fit_map = {"error": str(exc)}
-            entries.append({"t": item["t"], "fit": fit_map})
-        scan = tails.uniformity_scan(series, env, args.t0)
-        by_time = dict(zip(scan.times, scan.reports))
-        for entry in entries:
-            rep = by_time.get(entry["t"])
-            if rep is None:
-                continue            # snapshot at or before t0, not scanned
-            entry["violations"] = rep.violations
-            entry["unresolved_bins"] = len(rep.unresolved)
-            entry["resolved_range"] = list(rep.resolved_range)
-        report["species"].append({
-            "species": sp, "uniform": scan.uniform,
-            "first_failing_t": scan.first_failing_t, "times": entries,
-        })
+    # a generator: one snapshot is in memory at a time
+    snapshots = ((item["species"], item["t"], item["weight"],
+                  simulator.read_snapshot(snapdir / item["file"])) for item in index)
+    report = tails.report(snapshots, env, args.t0)
+    report["envelope"] = env_map
     out = args.output_dir / "tails_report.json"
     _write_json(out, report)
     if not args.quiet:

@@ -16,7 +16,7 @@ import numpy as np
 from . import utils
 
 TRUNCATION_SIGMAS = 12.0  # quadrature reach in units of the support scale
-_SHELL_NODES = 8          # Gauss-Legendre nodes per radial panel of radial_moment
+_SHELL_NODES = 16         # Gauss-Legendre nodes per radial panel of radial_moment
 
 
 @dataclass

@@ -39,6 +39,8 @@ SNAPSHOT_MAGIC = b"KTEN"
 SNAPSHOT_VERSION = 1
 _ANGLE_TABLE = 4096        # grid points of the angular sampler's inverse-CDF table
 _ENTROPY_BINS = 24         # histogram bins per axis of the entropy estimate
+MODELS = ("inelastic", "mixture")
+INITS = ("gaussian", "two_bump", "shell")     # the initializers of _init_velocities
 
 
 @dataclass
@@ -100,7 +102,7 @@ class SimConfig:
     majorant_refresh: int = 100
 
     def __post_init__(self):
-        if self.model not in ("inelastic", "mixture"):
+        if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.model == "inelastic":
             if self.alpha is None or not 0.0 < self.alpha < 1.0:

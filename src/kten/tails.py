@@ -197,6 +197,40 @@ def uniformity_scan(hist_series, env: Envelope, t0):
                             first_failing_t=first_failing)
 
 
+def report(snapshots, env: Envelope, t0):
+    """Tail fit of every snapshot and one uniformity scan per species.
+
+    `snapshots` yields (species, t, weight, velocities) and is read once, so
+    only histograms outlive a snapshot. Each species lists its times in
+    order, every one with its fit or the InsufficientData message; those
+    after t0 add the violations, unresolved bin count and resolved range
+    of the scan.
+    """
+    series, entries = {}, {}
+    for sp, t, weight, v in snapshots:
+        h = tail_histogram(v, weight)
+        try:
+            fit = fit_tail_exponent(h, default_fit_window(v))
+            fit_map = {"p_hat": fit.p_hat, "b_hat": fit.b_hat,
+                       "a_hat": fit.a_hat, "r_squared": fit.r_squared}
+        except InsufficientData as exc:
+            fit_map = {"error": str(exc)}
+        series.setdefault(sp, []).append((t, h))
+        entries.setdefault(sp, []).append({"t": t, "fit": fit_map})
+    species = []
+    for sp in sorted(series):
+        scan = uniformity_scan(series[sp], env, t0)
+        times = sorted(entries[sp], key=lambda e: e["t"])
+        # the scan keeps t > t0 in time order, so its reports pair by position
+        for entry, rep in zip([e for e in times if e["t"] > t0], scan.reports):
+            entry.update(violations=rep.violations, unresolved_bins=len(rep.unresolved),
+                         resolved_range=list(rep.resolved_range))
+        species.append({"species": sp, "uniform": scan.uniform,
+                        "first_failing_t": scan.first_failing_t, "times": times})
+    return {"t0": t0, "species": species,
+            "note": "domination is tested on the resolved speed range only"}
+
+
 def sample_stretched_exponential(n, p, b, d, rng):
     """Exact sampler of the velocity density proportional to exp(-b |v|^p).
 

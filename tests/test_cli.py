@@ -57,6 +57,17 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_benchmark_tracer_finds_every_wrapped_name():
+    # perfbench/tracer.py wraps kten functions by module and name; a rename
+    # or a move breaks every traced benchmark run
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys; sys.path[:0] = ['perfbench', 'src']; "
+         "import tracer; tracer.install(tracer.Tracer())"],
+        cwd=root, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
 def test_manifest_records_the_environment(tmp_path):
     # run in a fresh process: reading the scipy version must not load scipy
     subprocess.run(
@@ -308,7 +319,8 @@ class TestSimulateAndTails:
     @pytest.mark.parametrize("key, value", [
         ("d", "three"), ("moments_every", "0"), ("snapshot_every", "-1"),
         ("steps", "0"), ("particles", "5000,0"), ("particles", "5e3"), ("dt", "0"),
-        ("dt", "nan"), ("tail_bins", "0"), ("s_or_h", "half"), ("masses", "1,x")])
+        ("dt", "nan"), ("tail_bins", "0"), ("s_or_h", "half"), ("s_or_h", "cutoff"),
+        ("masses", "1,x"), ("model", "inelstic"), ("init", "foo")])
     def test_bad_config_value_is_validation_error_naming_key(self, tmp_path, capsys,
                                                              key, value):
         outdir = tmp_path / "sim"
@@ -421,16 +433,40 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
-def test_simulate_golden_digests(tmp_path, name):
+def simulate_golden(tmp_path, name):
+    """Run GOLDEN_CONFIGS[name] into tmp_path/sim and return that directory."""
     outdir = tmp_path / "sim"
     cfg = tmp_path / "run.cfg"
     cfg.write_text("\n".join(GOLDEN_CONFIGS[name]
                              + [f"output_dir = {outdir}"]) + "\n")
     run_ok(["simulate", "--config", cfg, "--quiet"])
+    return outdir
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+def test_simulate_golden_digests(tmp_path, name):
+    outdir = simulate_golden(tmp_path, name)
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(outdir.iterdir()) if p.name != "manifest.json"}
     assert digests == GOLDEN_DIGESTS[name]
+
+
+# sha256 of `tails_report.json` for the two-species mixture_d3_cutoff run,
+# recorded while the tails analysis still lived in the CLI (x86-64, numpy
+# 2.4). t0 falls between the snapshots at t = 0 and 0.5, so the t = 0
+# entries carry a fit but no scan keys; species 0 first fails at t = 1,
+# species 1 at t = 0.5, and every fit is an InsufficientData error.
+TAILS_REPORT_DIGEST = "25615e54f14f574c0a44a53ec978ebefb0c67ec65e1f634bf63f0b4e6fb81140"
+
+
+def test_tails_report_golden_digest(tmp_path):
+    outdir = simulate_golden(tmp_path, "mixture_d3_cutoff")
+    env = tmp_path / "env.json"
+    env.write_text('{"a": 0.03, "b": 0.5, "p": 2.0}\n')
+    run_ok(["tails", "--snapshots", outdir, "--envelope", env, "--t0", "0.25",
+            "--output-dir", tmp_path / "tails", "--quiet"])
+    report = (tmp_path / "tails" / "tails_report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == TAILS_REPORT_DIGEST
 
 
 # sha256 of one output of each lower-bound sweep, recorded before the sweeps

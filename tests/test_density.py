@@ -79,8 +79,8 @@ class TestFromCallable:
         assert f.energy == pytest.approx(1.5, rel=1e-8)
 
     @pytest.mark.parametrize("d, gamma, rtol", [
-        (3, -1.0, 1e-12), (3, 0.5, 1e-12), (3, 1.0, 1e-12), (2, 1.0, 1e-12), (2, 0.5, 1e-10),
-        (2, -1.0, 1e-12)])
+        (3, -1.0, 1e-12), (3, 0.5, 1e-12), (3, 1.0, 1e-12), (2, 1.0, 1e-12), (2, 0.5, 1e-12),
+        (2, -1.0, 1e-12), (2, -1.5, 1e-11), (3, -2.5, 1e-11)])
     def test_shell_moments_match_the_kummer_form(self, d, gamma, rtol):
         # the unit Gaussian on the quadrature path: shells centered at v,
         # however far v sits from the density center
