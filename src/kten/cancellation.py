@@ -9,9 +9,8 @@ g(v) * integral f(v*) S(|v - v*|) dv*, with
 where w = a + A, sin A = lambda sin a, and a single asymmetry parameter
 lambda in (0, 1] covers every model:
 
-    inelastic            lambda = beta/(2-beta)
-    light on heavy       lambda = m_i/m_j   (m_i < m_j)
-    heavy on light       lambda = m_j/m_i   (m_i > m_j)
+    inelastic            lambda = beta/(2-beta)          (inelastic_lam)
+    two masses           lambda = lighter/heavier mass   (mixture_lam)
     elastic              lambda = 1  (a = A = w/2)
 
 with convex weights c_a = lambda/(1+lambda), c_A = 1/(1+lambda). The bracket
@@ -30,23 +29,15 @@ from . import utils
 from .density import DensityField
 from .errors import ConvergenceFailure, DivergentIntegral
 
-_MODELS = ("inelastic", "mixture_light_on_heavy", "mixture_heavy_on_light", "elastic")
+
+def inelastic_lam(beta):
+    """The asymmetry of the inelastic model, beta in (1/2, 1)."""
+    return beta / (2.0 - beta)
 
 
-@dataclass(frozen=True)
-class AngleFrame:
-    """Solved angle triple w = a + A with sin A = lambda sin a."""
-
-    w: float
-    a: float
-    A: float
-    lam: float
-
-    def __post_init__(self):
-        if abs(self.w - (self.a + self.A)) > 1e-12:
-            raise ValueError("w must equal a + A")
-        if abs(math.sin(self.A) - self.lam * math.sin(self.a)) > 1e-12:
-            raise ValueError("sin A must equal lambda sin a")
+def mixture_lam(m_i, m_j):
+    """The asymmetry of a two-mass collision: the lighter mass over the heavier."""
+    return min(m_i, m_j) / max(m_i, m_j)
 
 
 def _angle_equation(a, lam):
@@ -54,25 +45,20 @@ def _angle_equation(a, lam):
 
 
 def solve_angle(w, lam):
-    """Unique a in (0, w) with a + arcsin(lambda sin a) = w.
+    """The unique a in (0, w) with a + arcsin(lambda sin a) = w, for each w.
 
     sin(w - a) = lambda sin a gives tan a = sin w / (lambda + cos w), so
     a = atan2(sin w, lambda + cos w) in closed form for lambda in (0, 1); the
     denominator is taken as (lambda - 1) + 2 cos^2(w/2), which keeps its
-    accuracy where lambda + cos w cancels (lambda near 1, w near pi). A
-    residual above 1e-13 max(1, w) raises ConvergenceFailure.
+    accuracy where lambda + cos w cancels (lambda near 1, w near pi). `w` is
+    a scalar (a float comes back) or an array. A residual above
+    1e-13 max(1, w) raises ConvergenceFailure.
     """
-    if not 0.0 < w <= math.pi:
+    w = np.asarray(w, dtype=float)
+    if not np.all((0.0 < w) & (w <= math.pi)):
         raise ValueError("w must lie in (0, pi]")
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie in (0, 1)")
-    a = _solve_angle_vec(np.array([w]), lam)[0]
-    A = w - a
-    return AngleFrame(w=w, a=float(a), A=float(A), lam=lam)
-
-
-def _solve_angle_vec(w, lam):
-    w = np.asarray(w, dtype=float)
     a = np.arctan2(np.sin(w), (lam - 1.0) + 2.0 * np.cos(0.5 * w) ** 2)
     res = np.abs(_angle_equation(a, lam) - w)
     if np.any(res > 1e-13 * np.maximum(1.0, w)):
@@ -80,7 +66,7 @@ def _solve_angle_vec(w, lam):
         raise ConvergenceFailure(
             f"angle solve residual {res.max():.2e} at w = {w.flat[worst]:.6f}, "
             f"lambda = {lam}")
-    return a
+    return float(a) if a.ndim == 0 else a
 
 
 @dataclass
@@ -88,59 +74,24 @@ class SFunctionSpec:
     """Parameters of one cancellation function S.
 
     `b` is the full angular kernel of cos(w); kernels.KernelSpec.assembled_b
-    builds one from a smooth noncutoff profile. The convex bracket weights
-    (c_a, c_A) are derived from the model and asymmetry and validated against
-    their defining expressions.
+    builds one from a smooth noncutoff profile. `lam` in (0, 1] is the
+    asymmetry of the collision (inelastic_lam, mixture_lam); lam = 1 is the
+    elastic split.
     """
 
-    model: str
     d: int
     gamma: float
     b: Callable
-    beta: float | None = None
-    masses: tuple | None = None
-    _s1: float | None = field(default=None, repr=False)
+    lam: float
+    _s1: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.model not in _MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if self.gamma <= -self.d:
             raise ValueError("gamma must exceed -d")
-        if self.model == "inelastic":
-            if self.beta is None or not 0.5 < self.beta < 1.0:
-                raise ValueError("inelastic model needs beta in (1/2, 1)")
-        elif self.model.startswith("mixture"):
-            if self.masses is None:
-                raise ValueError("mixture model needs masses=(m_i, m_j)")
-            m_i, m_j = self.masses
-            if m_i <= 0 or m_j <= 0:
-                raise ValueError("masses must be positive")
-            if self.model == "mixture_light_on_heavy" and not m_i < m_j:
-                raise ValueError("light-on-heavy requires m_i < m_j")
-            if self.model == "mixture_heavy_on_light" and not m_i > m_j:
-                raise ValueError("heavy-on-light requires m_i > m_j")
-
-    @property
-    def lam(self):
-        if self.model == "inelastic":
-            return self.beta / (2.0 - self.beta)
-        if self.model == "mixture_light_on_heavy":
-            return self.masses[0] / self.masses[1]
-        if self.model == "mixture_heavy_on_light":
-            return self.masses[1] / self.masses[0]
-        return 1.0
-
-    @property
-    def mixing_weight(self):
-        """(c_a, c_A); c_a + c_A = 1."""
-        lam = self.lam
-        c_a = lam / (1.0 + lam)
-        if self.model == "inelastic":
-            # beta/2 and 1 - beta/2 by construction
-            assert abs(c_a - self.beta / 2.0) < 1e-12
-        return c_a, 1.0 - c_a
+        if not 0.0 < self.lam <= 1.0:
+            raise ValueError(f"lambda must lie in (0, 1], got {self.lam}")
 
     @property
     def s1(self):
@@ -151,12 +102,14 @@ class SFunctionSpec:
 
 def _bracket(spec: SFunctionSpec, w):
     """(c_a cos a + c_A cos A)^{-d-gamma} - 1, evaluated stably near w = 0."""
-    c_a, c_A = spec.mixing_weight
     lam = spec.lam
-    if spec.model == "elastic":
-        a = A = 0.5 * np.asarray(w, dtype=float)
+    c_a = lam / (1.0 + lam)
+    c_A = 1.0 - c_a
+    w = np.asarray(w, dtype=float)
+    if lam == 1.0:
+        a = A = 0.5 * w
     else:
-        a = _solve_angle_vec(np.asarray(w, dtype=float), lam)
+        a = solve_angle(w, lam)
         A = w - a
     # base - 1 without cancellation: cos x - 1 = -2 sin^2(x/2)
     delta = -2.0 * (c_a * np.sin(0.5 * a) ** 2 + c_A * np.sin(0.5 * A) ** 2)
@@ -216,7 +169,3 @@ def Q_ns_apply(f: DensityField, g_at_v, v, spec: SFunctionSpec):
     moment = f.radial_moment(np.asarray(v, dtype=float), spec.gamma)
     return float(g_at_v * spec.s1 * moment)
 
-
-def elastic_reference(d, gamma, b):
-    """The elastic cancellation function spec (a = A = w/2 closed split)."""
-    return SFunctionSpec(model="elastic", d=d, gamma=gamma, b=b)

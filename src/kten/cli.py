@@ -33,12 +33,9 @@ from . import __version__, utils
 from . import cancellation as canc
 from . import geometry, kernels, simulator, spreading, tails
 from .density import DensityField
-from .errors import NumericalError, UnknownSubcommand, ValidationError
+from .errors import NumericalError, ValidationError
 from .geometry import RestitutionParams
 from .utils import DEFAULT_SEED, format_float
-
-SUBCOMMANDS = ("simulate", "kernel-scaling", "cancellation", "spreading",
-               "region", "tails", "verify-geometry")
 
 
 class _UsageError(Exception):
@@ -62,7 +59,7 @@ def _build_parser():
     common.add_argument("--output-dir", type=Path, default=Path("."),
                         help="directory for outputs and manifest.json")
     common.add_argument("--quiet", action="store_true")
-    sub = p.add_subparsers(dest="subcommand")
+    sub = p.add_subparsers(dest="subcommand", required=True)
 
     s = sub.add_parser("simulate", parents=[common], help="run a DSMC simulation")
     s.add_argument("--config", type=Path, required=True,
@@ -79,7 +76,9 @@ def _build_parser():
 
     s = sub.add_parser("cancellation", parents=[common])
     s.add_argument("--family", choices=["inelastic", "mixture-light", "mixture-heavy"],
-                   default="inelastic")
+                   default="inelastic",
+                   help="mixture-light and mixture-heavy write the same CSV: both "
+                        "take lambda = 1/x for a mass ratio x")
     s.add_argument("--d", type=int, default=3)
     s.add_argument("--gamma", type=float, default=-1.0)
     s.add_argument("--s", type=float, default=0.5)
@@ -124,13 +123,7 @@ def dispatch(argv):
     """Run one subcommand; returns the process exit code."""
     parser = _build_parser()
     try:
-        if not argv:
-            raise _UsageError("a subcommand is required")
-        if not argv[0].startswith("-") and argv[0] not in SUBCOMMANDS:
-            raise UnknownSubcommand(f"unknown subcommand {argv[0]!r}")
         args = parser.parse_args(argv)
-        if args.subcommand is None:
-            raise _UsageError("a subcommand is required")
         started = time.time()
         runner = _RUNNERS[args.subcommand]
         args.output_dir.mkdir(parents=True, exist_ok=True)
@@ -139,7 +132,7 @@ def dispatch(argv):
         _write_manifest(args.output_dir, args.subcommand, config, args.seed,
                         started, outputs)
         return 0
-    except (_UsageError, UnknownSubcommand) as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
@@ -296,20 +289,21 @@ def _run_cancellation(args):
         gamma=args.gamma, d=args.d, s=args.s,
         model="inelastic" if args.family == "inelastic" else "mixture",
         moderately_soft=args.gamma < 0 and 0 <= args.gamma + 2 * args.s <= 2)
+    # light on heavy (1, x) and heavy on light (x, 1) have the one lambda 1/x
+    if args.family == "inelastic":
+        lam, want = canc.inelastic_lam, "beta in (1/2, 1)"
+        valid = (0.5 < grid) & (grid < 1.0)
+    else:
+        lam, want = functools.partial(canc.mixture_lam, 1.0), "mass ratio > 1"
+        valid = grid > 1.0
+    if not np.all(valid):
+        raise ValidationError(f"--grid {args.grid!r}: every value must be a {want}")
     b = kspec.assembled_b
-    elastic = canc.elastic_reference(args.d, args.gamma, b)
+    elastic = canc.SFunctionSpec(d=args.d, gamma=args.gamma, b=b, lam=1.0)
     rows = []
     for x in grid:
         x = float(x)
-        if args.family == "inelastic":
-            spec = canc.SFunctionSpec(model="inelastic", d=args.d,
-                                      gamma=args.gamma, b=b, beta=x)
-        elif args.family == "mixture-light":
-            spec = canc.SFunctionSpec(model="mixture_light_on_heavy", d=args.d,
-                                      gamma=args.gamma, b=b, masses=(1.0, x))
-        else:
-            spec = canc.SFunctionSpec(model="mixture_heavy_on_light", d=args.d,
-                                      gamma=args.gamma, b=b, masses=(x, 1.0))
+        spec = canc.SFunctionSpec(d=args.d, gamma=args.gamma, b=b, lam=lam(x))
         rows.append((x, spec.s1, elastic.s1, spec.s1 / elastic.s1))
         if not args.quiet:
             print(f"param={x:.4f}  S1={spec.s1:.6g}  elastic={elastic.s1:.6g}")

@@ -29,7 +29,7 @@ class DensityField:
     scale: float                   # standard-deviation-like support scale
     particles: np.ndarray | None = None     # set for histogram fields
     weight: float | None = None
-    _sphere: tuple = field(default=None, repr=False)
+    _sphere: tuple = field(default=None, init=False, repr=False)
     # gaussian()'s closed forms by name, with the evaluator they integrate
     _closed_forms: dict = field(default=None, repr=False)
 

@@ -60,10 +60,6 @@ class EmptySeries(ValidationError):
     """Uniformity scan received no snapshots past t0."""
 
 
-class UnknownSubcommand(ValidationError):
-    """CLI dispatch got an unrecognized subcommand."""
-
-
 # -- numerical family ---------------------------------------------------------
 
 class ConvergenceFailure(NumericalError):

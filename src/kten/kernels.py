@@ -12,11 +12,11 @@ the mixture) is
 
     kappa^{2s} / l^{d+2s} * integral over the hyperplane through
     base = center - (1/kappa - 1)(other - center), normal (other - center),
-    of btilde(cos theta) * w(x)^{gamma+2s+1} * f(x),
+    of w(x)^{gamma+2s+1} * f(x),
 
-with l = |other - center|, cos theta = 1 - 2 l^2/(l^2 + kappa^2 k^2) at
-in-plane radius k, and weight distance w(x) = k for the plain kernel or
-|x - center| = sqrt(k^2 + (1/kappa - 1)^2 l^2) for the symmetrized one.
+with l = |other - center|, in-plane radius k, and weight distance w(x) = k
+for the plain kernel or |x - center| = sqrt(k^2 + (1/kappa - 1)^2 l^2) for
+the symmetrized one.
 The perpendicular foot of `center` on the plane is exactly `base`, which is
 why the plain weight never exceeds the symmetrized one.
 
@@ -43,9 +43,9 @@ from .errors import (CoincidentPoints, EqualMasses, HistoryGap, InsufficientGrid
                      NonFiniteResult, QuadratureTruncationWarning, SingularAtZeroSpeed)
 from .geometry import MassPair, RestitutionParams
 
-# The constant relating the assembled b(cos theta) to the smooth profile
-# btilde differs between the inelastic convention (2^{d-2}) and the
-# elastic/mixture one (2^{d-1}); both coexist here, keyed by model.
+# The constant of the assembled b(cos theta) differs between the inelastic
+# convention (2^{d-2}) and the elastic/mixture one (2^{d-1}); both coexist
+# here, keyed by model.
 _MODELS = ("inelastic", "mixture", "elastic")
 
 # radial x angular nodes of the plane rule in verify_Kf_scaling and Q_s_apply
@@ -56,26 +56,21 @@ def _b_norm_constant(model, d):
     return 2.0 ** (-(d - 2)) if model == "inelastic" else 2.0 ** (-(d - 1))
 
 
-def _const_profile(x):
-    return np.ones_like(np.asarray(x, dtype=float))
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel parameters: speed exponent, angular singularity, profile.
 
-    Noncutoff kernels carry a smooth profile btilde(cos theta) and the
-    singularity order s; cutoff kernels carry h(theta) on [0, pi/2] instead.
+    Noncutoff kernels carry the singularity order s (their smooth profile is
+    the constant 1); cutoff kernels carry h(theta) on [0, pi/2] instead.
     """
 
     gamma: float
     d: int = 3
     s: float | None = None
-    btilde: Callable = None
     h: Callable = None
     model: str = "elastic"
     moderately_soft: bool = False
-    _angular_mass: float = field(default=None, repr=False, compare=False)
+    _angular_mass: float = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d not in (2, 3):
@@ -83,12 +78,10 @@ class KernelSpec:
         if self.model not in _MODELS:
             raise ValueError(f"unknown model {self.model!r}")
         if self.h is not None and self.s is not None:
-            raise ValueError("give either a noncutoff s/btilde or a cutoff h, not both")
+            raise ValueError("give either a noncutoff s or a cutoff h, not both")
         if self.h is None:
             if self.s is None or not 0.0 < self.s < 1.0:
                 raise ValueError("noncutoff spec needs s in (0, 1)")
-            if self.btilde is None:
-                object.__setattr__(self, "btilde", _const_profile)
             if self.moderately_soft:
                 if not (self.gamma < 0.0 and 0.0 <= self.gamma + 2.0 * self.s <= 2.0):
                     raise ValueError("moderately soft requires gamma < 0 and "
@@ -96,7 +89,7 @@ class KernelSpec:
         else:
             if not 0.0 <= self.gamma <= 1.0:
                 raise ValueError("cutoff spec requires hard potentials gamma in [0, 1]")
-        object.__setattr__(self, "_angular_mass", self._check_angular_integrable())
+            object.__setattr__(self, "_angular_mass", self._check_angular_integrable())
 
     @property
     def cutoff(self):
@@ -104,12 +97,7 @@ class KernelSpec:
 
     def _check_angular_integrable(self):
         from scipy.integrate import quad
-        if self.cutoff:
-            val, _ = quad(lambda t: self.h(t) * math.sin(t) ** (self.d - 2),
-                          0.0, math.pi / 2)
-        else:
-            val, _ = quad(lambda t: float(self.btilde(math.cos(t))) * math.sin(t) ** (self.d - 2),
-                          0.0, math.pi)
+        val, _ = quad(lambda t: self.h(t) * math.sin(t) ** (self.d - 2), 0.0, math.pi / 2)
         val *= utils.sphere_area(self.d - 1)
         if not np.isfinite(val):
             raise ValueError("angular profile is not integrable")
@@ -117,14 +105,14 @@ class KernelSpec:
 
     @property
     def angular_mass(self):
-        """Sphere integral of the smooth profile (btilde or h)."""
+        """Sphere integral of the cutoff profile h; None for a noncutoff spec."""
         return self._angular_mass
 
     @property
     def assembled_b(self):
-        """Full angular kernel b(cos theta) built from btilde.
+        """Full angular kernel b(cos theta) of a noncutoff spec.
 
-        2^c b = (sin t/2)^{-(d-1)-2s} (cos t/2)^{gamma+2s+1} btilde(cos t)
+        2^c b = (sin t/2)^{-(d-1)-2s} (cos t/2)^{gamma+2s+1}
         with c = d-2 for the inelastic convention and d-1 otherwise. The
         returned object is callable on cos(theta) and exposes `from_angle`
         for angles too small for cos(theta) to resolve.
@@ -138,24 +126,22 @@ class AssembledB:
     def __init__(self, spec):
         self.spec = spec
 
-    def _from_halves(self, sin_half, cos_half, cos_theta):
+    def _from_halves(self, sin_half, cos_half):
         s = self.spec
         expo = s.d - 1 + 2.0 * s.s
         scale = _b_norm_constant(s.model, s.d)
-        return scale * sin_half ** (-expo) * cos_half ** (s.gamma + 2.0 * s.s + 1.0) \
-            * s.btilde(cos_theta)
+        return scale * sin_half ** (-expo) * cos_half ** (s.gamma + 2.0 * s.s + 1.0)
 
     def __call__(self, cos_theta):
         c = np.asarray(cos_theta, dtype=float)
         sin_half = np.sqrt(np.maximum(0.5 * (1.0 - c), 0.0))
         cos_half = np.sqrt(np.maximum(0.5 * (1.0 + c), 0.0))
-        return self._from_halves(sin_half, cos_half, c)
+        return self._from_halves(sin_half, cos_half)
 
     def from_angle(self, theta):
         """Evaluate at the angle itself; stable down to theta ~ 1e-300."""
         t = np.asarray(theta, dtype=float)
-        sin_half, cos_half = np.sin(0.5 * t), np.cos(0.5 * t)
-        return self._from_halves(sin_half, cos_half, 1.0 - 2.0 * sin_half ** 2)
+        return self._from_halves(np.sin(0.5 * t), np.cos(0.5 * t))
 
 
 def eval_B(rel_speed, cos_theta, spec: KernelSpec):
@@ -314,14 +300,12 @@ def _kernel_profile(center, others, ls, f, spec, kappa, n_radial, n_angular):
     circle = utils.circle_rule(d, n_angular)
     _check_disk_volume(k, wk, circle[1], reach, d)
     ang_sum = f.ring_sums(bases, nhats, k, circle)                   # (L, nk)
-    cos_theta = 1.0 - 2.0 * ls[:, None] ** 2 / (ls[:, None] ** 2 + (kappa * k[None, :]) ** 2)
-    prof = spec.btilde(cos_theta)
     expo = gamma + 2.0 * s + 1.0
     w_plain = k ** expo
     w_sym = (k[None, :] ** 2 + offsets[:, None] ** 2) ** (0.5 * expo)
     radial = wk * k ** (d - 2)
-    rings_plain = radial[None, :] * prof * w_plain[None, :] * ang_sum
-    rings_sym = radial[None, :] * prof * w_sym * ang_sum
+    rings_plain = radial[None, :] * w_plain[None, :] * ang_sum
+    rings_sym = radial[None, :] * w_sym * ang_sum
     plane_plain = np.sum(rings_plain, axis=1)
     plane_sym = np.sum(rings_sym, axis=1)
     # the outermost ring, scaled to the whole radial range, must carry a

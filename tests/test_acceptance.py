@@ -90,19 +90,16 @@ def test_criterion_3_cancellation_elastic_limits():
     for d, gamma, s in ((3, -1.0, 0.5), (2, -0.5, 0.5)):
         b = kernels.KernelSpec(gamma=gamma, d=d, s=s, model="inelastic",
                                moderately_soft=True).assembled_b
-        elastic = canc.SFunctionSpec(model="elastic", d=d, gamma=gamma, b=b)
+        elastic = canc.SFunctionSpec(d=d, gamma=gamma, b=b, lam=1.0)
+        # light on heavy and heavy on light share one lambda
         cases = {
-            "inelastic": canc.SFunctionSpec(model="inelastic", d=d, gamma=gamma,
-                                            b=b, beta=1.0 - 1e-6),
-            "light": canc.SFunctionSpec(model="mixture_light_on_heavy", d=d,
-                                        gamma=gamma, b=b,
-                                        masses=(1.0, 1.0 + 1e-6)),
-            "heavy": canc.SFunctionSpec(model="mixture_heavy_on_light", d=d,
-                                        gamma=gamma, b=b,
-                                        masses=(1.0 + 1e-6, 1.0)),
+            "inelastic": canc.inelastic_lam(1.0 - 1e-6),
+            "light": canc.mixture_lam(1.0, 1.0 + 1e-6),
+            "heavy": canc.mixture_lam(1.0 + 1e-6, 1.0),
         }
         ok = ok and elastic.s1 > 0
-        for name, sp in cases.items():
+        for name, lam in cases.items():
+            sp = canc.SFunctionSpec(d=d, gamma=gamma, b=b, lam=lam)
             gap = abs(sp.s1 / elastic.s1 - 1.0)
             ok = ok and gap < 1e-3 and sp.s1 > 0
             details.append(f"{name}(d={d}):{gap:.1e}")

@@ -21,7 +21,7 @@ B3 = noncutoff_b(3, -1.0, 0.5)
 
 class TestSolveAngle:
     def test_bisection_oracle_lambda_half(self):
-        fr = C.solve_angle(math.pi / 2, 0.5)
+        a = C.solve_angle(math.pi / 2, 0.5)
         # plain bisection, written here independently
         lo, hi = 0.0, math.pi / 2
         for _ in range(80):
@@ -30,22 +30,21 @@ class TestSolveAngle:
                 hi = mid
             else:
                 lo = mid
-        assert fr.a == pytest.approx(0.5 * (lo + hi), abs=1e-12)
-        assert abs(fr.a + math.asin(0.5 * math.sin(fr.a)) - math.pi / 2) < 1e-13
+        assert a == pytest.approx(0.5 * (lo + hi), abs=1e-12)
+        assert abs(a + math.asin(0.5 * math.sin(a)) - math.pi / 2) < 1e-13
 
     def test_elastic_limit_is_half_split(self):
         for w in (0.3, 1.5, 2.8, 3.1):
-            fr = C.solve_angle(w, 1.0 - 1e-9)
-            assert fr.a == pytest.approx(w / 2.0, rel=1e-6)
+            assert C.solve_angle(w, 1.0 - 1e-9) == pytest.approx(w / 2.0, rel=1e-6)
 
     def test_endpoint_w_pi(self):
-        fr = C.solve_angle(math.pi, 0.7)
-        assert fr.a == pytest.approx(math.pi, abs=1e-9)
-        assert fr.A == pytest.approx(0.0, abs=1e-9)
+        a = C.solve_angle(math.pi, 0.7)
+        assert a == pytest.approx(math.pi, abs=1e-9)
+        assert math.pi - a == pytest.approx(0.0, abs=1e-9)
 
     def test_monotone_in_w(self):
         w = np.linspace(1e-3, math.pi - 1e-3, 1000)
-        a = C._solve_angle_vec(w, 0.62)
+        a = C.solve_angle(w, 0.62)
         assert np.all(np.diff(a) > 0)
 
     @pytest.mark.parametrize("lam", [1e-3, 0.2, 1.0 / 3.0, 0.62, 0.905, 0.999])
@@ -64,7 +63,7 @@ class TestSolveAngle:
 
         w = np.concatenate([np.geomspace(1e-9, math.pi, 60),
                             math.pi - np.geomspace(1e-9, 0.1, 10)])
-        a = C._solve_angle_vec(w, lam)
+        a = C.solve_angle(w, lam)
         expected = np.array([bisect(x) for x in w])
         np.testing.assert_allclose(a, expected, rtol=1e-12, atol=0.0)
 
@@ -75,14 +74,58 @@ class TestSolveAngle:
         assert "w = 1.000000" in str(err.value)
         assert "bracket" not in str(err.value)
 
-    def test_frame_invariants_validated(self):
-        with pytest.raises(ValueError):
-            C.AngleFrame(w=1.0, a=0.7, A=0.2, lam=0.5)   # w != a + A
+    def test_array_with_one_bad_angle_raises_before_solving(self, monkeypatch):
+        def never(a, lam):
+            raise AssertionError("solved")
+
+        monkeypatch.setattr(C, "_angle_equation", never)
+        for bad in (0.0, -0.1, math.pi + 1e-9, math.nan):
+            w = np.array([0.5, 1.0, bad, 2.0])
+            with pytest.raises(ValueError, match=r"w must lie in \(0, pi\]"):
+                C.solve_angle(w, 0.5)
+
+    def test_scalar_and_array_agree(self):
+        w = np.array([0.3, 1.5, 2.8])
+        assert [C.solve_angle(float(x), 0.4) for x in w] == list(C.solve_angle(w, 0.4))
+        assert isinstance(C.solve_angle(1.0, 0.4), float)
+
+
+class TestAsymmetry:
+    @pytest.mark.parametrize("beta", [0.5 + 1e-9, 0.55, 0.6, 0.8, 0.95, 1.0 - 1e-6])
+    def test_inelastic_lam_is_beta_over_two_minus_beta(self, beta):
+        assert C.inelastic_lam(beta) == beta / (2.0 - beta)
+
+    @pytest.mark.parametrize("x", [1.0 + 1e-6, 1.5, 2.0, 3.0, 4.0, 9.0])
+    def test_mixture_lam_is_one_over_the_mass_ratio_either_way(self, x):
+        assert C.mixture_lam(1.0, x) == 1.0 / x
+        assert C.mixture_lam(x, 1.0) == 1.0 / x
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5, 1.0 + 1e-12, 1.5, math.nan])
+    def test_lam_outside_the_unit_interval_is_rejected(self, lam):
+        with pytest.raises(ValueError, match=f"got {lam}"):
+            C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=lam)
+
+    def test_gamma_at_or_below_minus_d_is_rejected(self):
+        with pytest.raises(ValueError, match="gamma must exceed -d"):
+            C.SFunctionSpec(d=3, gamma=-3.5, b=B3, lam=1.0)
+
+
+@pytest.mark.parametrize("name,make", [
+    ("_s1", lambda: C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=0.5, _s1=1.0)),
+    ("_angular_mass", lambda: KernelSpec(gamma=1.0, d=3, h=lambda t: 1.0,
+                                         _angular_mass=5.0)),
+    ("_sphere", lambda: DensityField(d=3, evaluator=lambda v: np.zeros(v.shape[:-1]),
+                                     mass=0.0, energy=0.0, center=np.zeros(3),
+                                     scale=1.0, _sphere=None)),
+])
+def test_private_caches_are_not_constructor_arguments(name, make):
+    with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+        make()
 
 
 class TestSValue:
     def test_elastic_formula_against_quad_oracle(self):
-        el = C.SFunctionSpec(model="elastic", d=3, gamma=-1.0, b=B3)
+        el = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=1.0)
 
         def integrand(w):
             return float(B3.from_angle(w)) * math.sin(w) \
@@ -96,7 +139,7 @@ class TestSValue:
     def test_inelastic_against_independent_quad_oracle(self):
         beta = 0.6
         lam = beta / (2.0 - beta)
-        sp = C.SFunctionSpec(model="inelastic", d=3, gamma=-1.0, b=B3, beta=beta)
+        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=C.inelastic_lam(beta))
 
         def integrand(w):
             a = brentq(lambda x: x + math.asin(min(1.0, lam * math.sin(x))) - w,
@@ -111,30 +154,26 @@ class TestSValue:
         assert sp.s1 == pytest.approx(oracle, rel=1e-9)
 
     def test_elastic_limits_all_families(self):
-        el = C.SFunctionSpec(model="elastic", d=3, gamma=-1.0, b=B3)
-        for model, kw in (("inelastic", dict(beta=1.0 - 1e-6)),
-                          ("mixture_light_on_heavy", dict(masses=(1.0, 1.0 + 1e-6))),
-                          ("mixture_heavy_on_light", dict(masses=(1.0 + 1e-6, 1.0)))):
-            sp = C.SFunctionSpec(model=model, d=3, gamma=-1.0, b=B3, **kw)
+        el = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=1.0)
+        for lam in (C.inelastic_lam(1.0 - 1e-6), C.mixture_lam(1.0, 1.0 + 1e-6),
+                    C.mixture_lam(1.0 + 1e-6, 1.0)):
+            sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=lam)
             assert abs(sp.s1 / el.s1 - 1.0) < 1e-3
 
     def test_power_law_factorization(self):
-        sp = C.SFunctionSpec(model="inelastic", d=3, gamma=-1.0, b=B3, beta=0.8)
+        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=C.inelastic_lam(0.8))
         assert C.S_value(2.0, sp) == pytest.approx(0.5 * C.S_value(1.0, sp),
                                                    rel=1e-15)
 
     def test_positive_across_parameters(self):
         for beta in np.linspace(0.55, 0.95, 5):
-            sp = C.SFunctionSpec(model="inelastic", d=3, gamma=-1.0, b=B3,
-                                 beta=float(beta))
+            sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3,
+                                 lam=C.inelastic_lam(float(beta)))
             assert sp.s1 > 0.0
         b2 = noncutoff_b(2, -0.5, 0.5)
         for lam_m in (2.0, 5.0):
-            spl = C.SFunctionSpec(model="mixture_light_on_heavy", d=2,
-                                  gamma=-0.5, b=b2, masses=(1.0, lam_m))
-            sph = C.SFunctionSpec(model="mixture_heavy_on_light", d=2,
-                                  gamma=-0.5, b=b2, masses=(lam_m, 1.0))
-            assert spl.s1 > 0.0 and sph.s1 > 0.0
+            sp = C.SFunctionSpec(d=2, gamma=-0.5, b=b2, lam=C.mixture_lam(1.0, lam_m))
+            assert sp.s1 > 0.0
 
     def test_divergent_profile_detected(self):
         # an angular kernel with an s >= 1 equivalent singularity: b ~ w^{-d-2}
@@ -143,31 +182,31 @@ class TestSValue:
             with np.errstate(divide="ignore"):
                 return w ** (-5.0)
 
-        sp = C.SFunctionSpec(model="elastic", d=3, gamma=-1.0, b=bad_b)
+        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=bad_b, lam=1.0)
         with pytest.raises(DivergentIntegral):
             _ = sp.s1
 
     def test_rel_speed_must_be_positive(self):
-        sp = C.SFunctionSpec(model="elastic", d=3, gamma=-1.0, b=B3)
+        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=1.0)
         with pytest.raises(ValueError):
             C.S_value(0.0, sp)
 
 
 class TestBracketProperties:
-    @pytest.mark.parametrize("model,kw", [
-        ("inelastic", dict(beta=0.75)),
-        ("mixture_light_on_heavy", dict(masses=(1.0, 3.0))),
-        ("mixture_heavy_on_light", dict(masses=(3.0, 1.0))),
-        ("elastic", {}),
+    @pytest.mark.parametrize("case,kw", [
+        ("inelastic", dict(lam=C.inelastic_lam(0.75))),
+        ("mixture_light_on_heavy", dict(lam=C.mixture_lam(1.0, 3.0))),
+        ("mixture_heavy_on_light", dict(lam=C.mixture_lam(3.0, 1.0))),
+        ("elastic", dict(lam=1.0)),
     ])
-    def test_bracket_positive_on_dense_grid(self, model, kw):
-        sp = C.SFunctionSpec(model=model, d=3, gamma=-1.0, b=B3, **kw)
+    def test_bracket_positive_on_dense_grid(self, case, kw):
+        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, **kw)
         w = np.linspace(1e-6, math.pi - 1e-9, 2000)
         assert np.all(C._bracket(sp, w) > 0.0)
 
     def test_near_zero_quadratic_bound(self):
         # bracket / sin^2(w/2) stays bounded on (0, 0.1]
-        sp = C.SFunctionSpec(model="inelastic", d=3, gamma=-1.0, b=B3, beta=0.8)
+        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=C.inelastic_lam(0.8))
         w = np.linspace(1e-8, 0.1, 500)
         ratio = C._bracket(sp, w) / np.sin(0.5 * w) ** 2
         bound = 2.0 * max(1.0, 3.0 + (-1.0)) * 2.0
@@ -175,37 +214,24 @@ class TestBracketProperties:
         assert ratio.max() < bound
 
     def test_mixing_weights(self):
-        sp = C.SFunctionSpec(model="inelastic", d=3, gamma=-1.0, b=B3, beta=0.8)
-        c_a, c_A = sp.mixing_weight
-        assert c_a == pytest.approx(0.4)           # beta/2
-        assert c_a + c_A == pytest.approx(1.0)
-        spm = C.SFunctionSpec(model="mixture_light_on_heavy", d=3, gamma=-1.0,
-                              b=B3, masses=(1.0, 3.0))
-        c_a, c_A = spm.mixing_weight
-        assert c_a == pytest.approx(0.25)          # m_i/(m_i+m_j)
-        sph = C.SFunctionSpec(model="mixture_heavy_on_light", d=3, gamma=-1.0,
-                              b=B3, masses=(3.0, 1.0))
-        c_a, c_A = sph.mixing_weight
-        assert c_a == pytest.approx(0.25)          # m_j/(m_i+m_j), weights swapped
+        # _bracket weighs cos a by lam/(1 + lam): beta/2 for the inelastic
+        # model, the lighter mass's share m/(m_i + m_j) for two masses
+        def c_a(lam):
+            return lam / (1.0 + lam)
 
-    def test_model_mass_ordering_validated(self):
-        with pytest.raises(ValueError):
-            C.SFunctionSpec(model="mixture_light_on_heavy", d=3, gamma=-1.0,
-                            b=B3, masses=(3.0, 1.0))
-        with pytest.raises(ValueError):
-            C.SFunctionSpec(model="inelastic", d=3, gamma=-1.0, b=B3, beta=1.2)
-        with pytest.raises(ValueError):
-            C.SFunctionSpec(model="elastic", d=3, gamma=-3.5, b=B3)
+        assert c_a(C.inelastic_lam(0.8)) == pytest.approx(0.4)
+        assert c_a(C.mixture_lam(1.0, 3.0)) == pytest.approx(0.25)
+        assert c_a(C.mixture_lam(3.0, 1.0)) == pytest.approx(0.25)
 
 
 class TestQnsApply:
     def test_zero_level_gives_zero(self):
-        sp = C.SFunctionSpec(model="inelastic", d=3, gamma=-1.0, b=B3, beta=0.8)
+        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=C.inelastic_lam(0.8))
         f = DensityField.gaussian(3)
         assert C.Q_ns_apply(f, 0.0, np.zeros(3), sp) == 0.0
 
     def test_positive_and_finite_at_random_points(self):
-        sp = C.SFunctionSpec(model="inelastic", d=3, gamma=-1.0, b=B3, beta=0.8)
+        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=C.inelastic_lam(0.8))
         f = DensityField.gaussian(3)
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -216,7 +242,7 @@ class TestQnsApply:
     def test_value_against_coulomb_closed_form(self):
         # gamma = -1, unit Gaussian: the radial moment is erf(|v|/sqrt2)/|v|
         from scipy.special import erf
-        sp = C.SFunctionSpec(model="inelastic", d=3, gamma=-1.0, b=B3, beta=0.8)
+        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=C.inelastic_lam(0.8))
         f = DensityField.gaussian(3)
         v = np.array([1.3, 0.0, 0.0])
         expected = float(f(v)) * sp.s1 * erf(1.3 / math.sqrt(2.0)) / 1.3
@@ -224,7 +250,7 @@ class TestQnsApply:
         assert got == pytest.approx(expected, rel=1e-8)
 
     def test_translation_covariance(self):
-        sp = C.SFunctionSpec(model="inelastic", d=3, gamma=-1.0, b=B3, beta=0.8)
+        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=C.inelastic_lam(0.8))
         shift = np.array([0.7, -1.1, 0.4])
         f0 = DensityField.gaussian(3)
         f1 = DensityField.gaussian(3, center=shift)

@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import importlib.metadata
+import importlib.util
 import json
 import math
 import os
@@ -32,6 +34,10 @@ class TestDispatchBasics:
 
     def test_unknown_subcommand(self, capsys):
         assert dispatch(["frobnicate"]) == 1
+
+    def test_options_without_a_subcommand_are_a_usage_error(self, capsys):
+        assert dispatch(["--quiet"]) == 1
+        assert "usage" in capsys.readouterr().err
 
     def test_bad_beta_cites_range(self, tmp_path, capsys):
         code = dispatch(["spreading", "--beta", "1.2",
@@ -66,6 +72,17 @@ def test_benchmark_tracer_finds_every_wrapped_name():
          "import tracer; tracer.install(tracer.Tracer())"],
         cwd=root, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def test_parser_runners_and_benchmark_tracer_name_the_same_subcommands():
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("tracer", root / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert len(sub.choices) == 7
+    assert set(sub.choices) == set(cli._RUNNERS) == set(tracer.SUBCOMMANDS)
 
 
 def test_manifest_records_the_environment(tmp_path):
@@ -181,6 +198,19 @@ class TestCancellationCommand:
         for line in lines[1:]:
             _, s1, ref, ratio = (float(x) for x in line.split(","))
             assert s1 > 0 and ref > 0
+
+    @pytest.mark.parametrize("family,grid", [
+        ("inelastic", "0.6:1.0:3"), ("inelastic", "0.5:0.9:3"),
+        ("mixture-light", "1:3:3"), ("mixture-light", "0.5:3:3"),
+        ("mixture-heavy", "1:3:3"), ("mixture-heavy", "0.5:3:3"),
+    ])
+    def test_grid_value_outside_the_family_range_names_the_option(self, tmp_path, capsys,
+                                                                  family, grid):
+        code = dispatch(["cancellation", "--family", family, "--grid", grid,
+                         "--output-dir", str(tmp_path), "--quiet"])
+        assert code == 1
+        assert "--grid" in capsys.readouterr().err
+        assert not (tmp_path / "cancellation.csv").exists()
 
 
 class TestVerifyGeometryCommand:
@@ -475,12 +505,15 @@ def test_tails_report_golden_digest(tmp_path):
 # became closed forms (scipy 1.17); region and cancellation-inelastic re-recorded
 # when the region Monte Carlo moved onto u.a and |u|^2 and the cancellation
 # angle onto its atan2 closed form (rounding only: at most 7.7e-15 and 2.6e-16
-# relative). A change here is a change of computed numbers.
+# relative). A change here is a change of computed numbers. Both mixture
+# families take lambda = 1/x, so they write the same CSV.
 LOWERBOUND_RUNS = {
     "region": (["region", "--beta", "0.8", "--eps-grid", "0.01:0.2:4",
                 "--samples", "200000", "--seed", "13"], "region.csv"),
     "cancellation-inelastic": (["cancellation"], "cancellation.csv"),
     "cancellation-mixture-light": (["cancellation", "--family", "mixture-light",
+                                    "--grid", "1.5:4:6"], "cancellation.csv"),
+    "cancellation-mixture-heavy": (["cancellation", "--family", "mixture-heavy",
                                     "--grid", "1.5:4:6"], "cancellation.csv"),
     "kernel-scaling": (["kernel-scaling", "--points-per-decade", "2"],
                        "kernel_scaling.csv"),
@@ -490,6 +523,7 @@ LOWERBOUND_DIGESTS = {
     "region": "3e864b5cb499065cc05b7eabbb2e988d8d082ef26b3a9b97bc429abfd185bd3f",
     "cancellation-inelastic": "5afe6e7f480b169374baea747e9de14896febb9bcca99cbcc72a6cc833eb7642",
     "cancellation-mixture-light": "7cf79cd4cf6415d6a7b0c1de759805cf2ea619feb481c524407fef80d4f792ad",
+    "cancellation-mixture-heavy": "7cf79cd4cf6415d6a7b0c1de759805cf2ea619feb481c524407fef80d4f792ad",
     "kernel-scaling": "c938027841dabef86d34a5cd5c2e6d3e0db365433c425a198d3ff6424e57b84d",
     "verify-geometry": "ea38e8515c83f8c267ea8c6731a8553f693f8db6921a121c4e44ff38614f22b8",
 }

@@ -40,8 +40,7 @@ def brute_force_plane_integral(u, u_prime, f, spec, kappa, half_width=9.0, n=751
     X, Y = np.meshgrid(g, g, indexing="ij")
     pts = base + X[..., None] * t1 + Y[..., None] * t2
     k = np.sqrt(X ** 2 + Y ** 2)
-    cos_t = 1.0 - 2.0 * l * l / (l * l + (kappa * k) ** 2)
-    w = k ** (spec.gamma + 2.0 * spec.s + 1.0) * spec.btilde(cos_t)
+    w = k ** (spec.gamma + 2.0 * spec.s + 1.0)
     integrand = w * f(pts)
     plane = np.trapezoid(np.trapezoid(integrand, g, axis=1), g)
     return kappa ** (2.0 * spec.s) * l ** (-(3 + 2.0 * spec.s)) * plane
@@ -124,9 +123,7 @@ class TestCarlemanKernels:
         t = np.array([-nhat[1], nhat[0]])
         g = np.linspace(-10.0, 10.0, 200001)
         k = np.abs(g)
-        cos_t = 1.0 - 2.0 * l * l / (l * l + (beta * k) ** 2)
-        integ = k ** (spec2.gamma + 2.0 * spec2.s + 1.0) \
-            * spec2.btilde(cos_t) * f2(base + g[:, None] * t)
+        integ = k ** (spec2.gamma + 2.0 * spec2.s + 1.0) * f2(base + g[:, None] * t)
         oracle = beta ** (2 * spec2.s) * l ** (-(2 + 2 * spec2.s)) \
             * np.trapezoid(integ, g)
         val = K.K_f_inelastic(u, up, f2, spec2, BETA08)
