@@ -69,7 +69,7 @@ def solve_angle(w, lam):
     return float(a) if a.ndim == 0 else a
 
 
-@dataclass
+@dataclass(frozen=True)
 class SFunctionSpec:
     """Parameters of one cancellation function S.
 
@@ -83,7 +83,8 @@ class SFunctionSpec:
     gamma: float
     b: Callable
     lam: float
-    _s1: float | None = field(default=None, init=False, repr=False)
+    # the cache is no part of the value: equality and the hash ignore it
+    _s1: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 2:
@@ -95,8 +96,8 @@ class SFunctionSpec:
 
     @property
     def s1(self):
-        if self._s1 is None:
-            self._s1 = _angular_integral(self)
+        if self._s1 is None:        # frozen: the cache is the one field set later
+            object.__setattr__(self, "_s1", _angular_integral(self))
         return self._s1
 
 

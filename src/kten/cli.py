@@ -48,17 +48,30 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser():
-    p = _Parser(prog="kten", description=__doc__.splitlines()[0])
-    p.add_argument("--version", action="version", version=f"kten {__version__}")
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED,
+def _common_options(**defaults):
+    """The options every subcommand takes, before or after its name.
+
+    Only the top parser's copy has defaults; the subparsers' copies default
+    to argparse.SUPPRESS, since a subparser's default would overwrite a
+    value given before the subcommand.
+    """
+    common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=int,
                         help=f"RNG seed (default {DEFAULT_SEED}, never wall clock)")
-    common.add_argument("--threads", type=int, default=1,
+    common.add_argument("--threads", type=int,
                         help="worker threads, used by region only; results do not depend on it")
-    common.add_argument("--output-dir", type=Path, default=Path("."),
+    common.add_argument("--output-dir", type=Path,
                         help="directory for outputs and manifest.json")
     common.add_argument("--quiet", action="store_true")
+    common.set_defaults(**defaults)
+    return common
+
+
+def _build_parser():
+    p = _Parser(prog="kten", description=__doc__.splitlines()[0], parents=[
+        _common_options(seed=DEFAULT_SEED, threads=1, output_dir=Path("."), quiet=False)])
+    p.add_argument("--version", action="version", version=f"kten {__version__}")
+    common = _common_options()
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     s = sub.add_parser("simulate", parents=[common], help="run a DSMC simulation")

@@ -50,7 +50,9 @@ class Species:
     weight: float
 
     def __post_init__(self):
-        self.velocities = np.asarray(self.velocities, dtype=float)
+        # C order: moments' einsum column sums equal .sum(axis=0) bit for bit
+        # only on C-ordered rows
+        self.velocities = np.ascontiguousarray(self.velocities, dtype=float)
         if self.velocities.ndim != 2 or self.velocities.shape[0] == 0:
             raise ValueError("species needs a nonempty (N, d) velocity array")
         if self.mass <= 0 or self.weight <= 0:
@@ -403,8 +405,8 @@ def _predecessors(key_a, key_b):
 
 def _apply_wave(vi, vj, ia, ib, u_acc, u_theta, u_azim, majorant, gamma,
                 sampler, pair_params, d, w, stats):
-    va = vi[ia]
-    vb = vj[ib]
+    va = np.take(vi, ia, axis=0)
+    vb = np.take(vj, ib, axis=0)
     rel = va - vb
     rspeed = np.sqrt(utils.row_dot(rel, rel))
     live = rspeed > 0.0                     # zero-relative-speed pairs are no-ops
@@ -413,15 +415,15 @@ def _apply_wave(vi, vj, ia, ib, u_acc, u_theta, u_azim, majorant, gamma,
     over = factor > majorant
     if np.any(over):
         raise _Violation(float(np.max(factor)))
-    accept = live & (u_acc * majorant < factor)
-    if not np.any(accept):
+    keep = np.flatnonzero(live & (u_acc * majorant < factor))
+    if keep.size == 0:
         return
-    if not np.all(accept):      # all accepted at gamma 0 with majorant 1
-        ia, ib = ia[accept], ib[accept]
-        va, vb = va[accept], vb[accept]
-        rel, rspeed = rel[accept], rspeed[accept]
-        u_theta, u_azim = u_theta[accept], u_azim[accept]
+    if keep.size < rspeed.size:     # all accepted at gamma 0 with majorant 1
+        ia, ib, rspeed, u_theta, u_azim = (
+            np.take(a, keep) for a in (ia, ib, rspeed, u_theta, u_azim))
+        va, vb, rel = (np.take(a, keep, axis=0) for a in (va, vb, rel))
     theta = sampler.sample(u_theta)
+    cos_theta = np.cos(theta)
     azim = u_azim
     khat = rel / rspeed[:, None]
     e1, e2 = _orthonormal_frame(khat)
@@ -429,15 +431,15 @@ def _apply_wave(vi, vj, ia, ib, u_acc, u_theta, u_azim, majorant, gamma,
         tang = np.where((azim < math.pi)[:, None], e1, -e1)
     else:
         tang = np.cos(azim)[:, None] * e1 + np.sin(azim)[:, None] * e2
-    unit = np.cos(theta)[:, None] * khat + np.sin(theta)[:, None] * tang
+    unit = cos_theta[:, None] * khat + np.sin(theta)[:, None] * tang
     inelastic = isinstance(pair_params, RestitutionParams)
     if sampler.cutoff:
         # theta is the impact-normal angle on the half-sphere: unit is n
-        c = rspeed * np.cos(theta)          # <v - v*, n> >= 0 on the half-sphere
+        c = rspeed * cos_theta              # <v - v*, n> >= 0 on the half-sphere
         post = geometry.inelastic_post_n if inelastic else geometry.mixture_post_n
     else:
         # theta is the scattering angle: unit is sigma
-        c = rspeed * np.sqrt(0.5 * (1.0 - np.cos(theta)))   # = rspeed sin(theta/2)
+        c = rspeed * np.sqrt(0.5 * (1.0 - cos_theta))   # = rspeed sin(theta/2)
         post = geometry.inelastic_post_sigma if inelastic else geometry.mixture_post_sigma
     va_new, vb_new, _ = post(va, vb, unit, pair_params)
     vi[ia] = va_new
@@ -464,7 +466,9 @@ def moments(ens: Ensemble):
     energy = 0.0
     entropy = 0.0
     for s in ens.species:
-        momentum += s.weight * s.mass * s.velocities.sum(axis=0)
+        # einsum sums each column down the rows in the order .sum(axis=0)
+        # takes on C-ordered rows, at a fraction of its cost
+        momentum += s.weight * s.mass * np.einsum("ij->j", s.velocities)
         energy += s.weight * s.mass * float(np.sum(s.velocities ** 2))
         entropy += _entropy_estimate(s)
     return {"mass": mass, "momentum": momentum, "energy": float(energy),
@@ -474,7 +478,7 @@ def moments(ens: Ensemble):
 def _entropy_estimate(s: Species):
     v = s.velocities
     n, d = v.shape
-    lim = max(float(np.max(np.abs(v))) * 1.05, 1e-12)
+    lim = max(float(np.maximum(v.max(), -v.min())) * 1.05, 1e-12)
     counts = utils.grid_counts(v, np.linspace(-lim, lim, _ENTROPY_BINS + 1))
     cell = (2.0 * lim / _ENTROPY_BINS) ** d
     c = counts[counts > 0].ravel()

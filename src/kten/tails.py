@@ -61,7 +61,7 @@ def tail_histogram(velocities, weight, edges=None, n_bins=50):
     """
     v = np.asarray(velocities, dtype=float)
     d = v.shape[1]
-    speeds = np.linalg.norm(v, axis=1)
+    speeds = np.sqrt(utils.row_dot(v, v))
     if edges is None:
         sigma = math.sqrt(float(np.mean(speeds ** 2)) / d)
         edges = np.linspace(0.0, 5.0 * sigma, n_bins + 1)
@@ -75,7 +75,7 @@ def tail_histogram(velocities, weight, edges=None, n_bins=50):
 
 def speed_scale(velocities):
     v = np.asarray(velocities, dtype=float)
-    return math.sqrt(float(np.mean(np.sum(v ** 2, axis=1))) / v.shape[1])
+    return math.sqrt(float(np.mean(utils.row_dot(v, v))) / v.shape[1])
 
 
 def default_fit_window(velocities):

@@ -147,9 +147,10 @@ def grid_counts(x, edges):
     lo, hi = edges[0], edges[-1]
     if x.size and not (lo <= x.min() and x.max() <= hi):     # NaN fails too
         x = x[((x >= lo) & (x <= hi)).all(axis=1)]
-    flat = np.zeros(len(x), dtype=np.intp)
-    for k in range(d):
-        flat = flat * bins + grid_bin(x[:, k], edges)
+    flat = grid_bin(x[:, 0], edges)
+    for k in range(1, d):
+        flat *= bins
+        flat += grid_bin(x[:, k], edges)
     return np.bincount(flat, minlength=bins ** d).reshape((bins,) * d)
 
 
@@ -163,9 +164,11 @@ def grid_bin(col, edges):
     bins = len(edges) - 1
     idx = ((col - edges[0]) * (bins / (edges[-1] - edges[0]))).astype(np.intp)
     np.minimum(idx, bins - 1, out=idx)
-    # the arithmetic index can be one off within an ulp of an edge
+    # the arithmetic index can be one off within an ulp of an edge; the last
+    # bin's upper edge is +inf, so edges[-1] stays in it
     idx -= col < edges[idx]
-    idx += (col >= edges[idx + 1]) & (idx != bins - 1)
+    upper = np.append(edges[1:-1], np.inf)
+    idx += col >= upper[idx]
     return idx
 
 

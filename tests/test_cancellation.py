@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -108,6 +109,17 @@ class TestAsymmetry:
     def test_gamma_at_or_below_minus_d_is_rejected(self):
         with pytest.raises(ValueError, match="gamma must exceed -d"):
             C.SFunctionSpec(d=3, gamma=-3.5, b=B3, lam=1.0)
+
+
+def test_spec_is_frozen_so_s1_cannot_go_stale():
+    spec = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=0.5)
+    s1 = spec.s1
+    for name, value in (("lam", 0.9), ("lam", 7.0), ("gamma", 0.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spec, name, value)
+    assert spec.lam == 0.5
+    assert spec.s1 == s1 == C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=0.5).s1
+    assert spec.s1 != C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=0.9).s1
 
 
 @pytest.mark.parametrize("name,make", [

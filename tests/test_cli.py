@@ -39,6 +39,27 @@ class TestDispatchBasics:
         assert dispatch(["--quiet"]) == 1
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["cancellation", "--grid", "0.6:0.9:3"],
+        ["region", "--beta", "0.8", "--eps-grid", "0.01:0.2:3", "--samples", "20000"],
+    ])
+    def test_common_options_before_the_subcommand(self, tmp_path, argv):
+        common = ["--seed", "3", "--threads", "2", "--quiet"]
+        run_ok(common + ["--output-dir", tmp_path / "before"] + argv)
+        run_ok(argv + common + ["--output-dir", tmp_path / "after"])
+        before, after = (json.loads((tmp_path / k / "manifest.json").read_text())
+                         for k in ("before", "after"))
+        assert before["seed"] == after["seed"] == 3
+        assert before["config"] == after["config"]
+        assert [o["sha256"] for o in before["outputs"]] == \
+            [o["sha256"] for o in after["outputs"]]
+
+    @pytest.mark.parametrize("option,value", [("--seed", "x"), ("--threads", "1.5")])
+    def test_bad_common_option_before_the_subcommand_names_it(self, capsys,
+                                                              option, value):
+        assert dispatch([option, value, "cancellation"]) == 1
+        assert f"argument {option}: invalid int value: '{value}'" in capsys.readouterr().err
+
     def test_bad_beta_cites_range(self, tmp_path, capsys):
         code = dispatch(["spreading", "--beta", "1.2",
                          "--output-dir", str(tmp_path)])
@@ -376,7 +397,9 @@ class TestSimulateAndTails:
 # The two inelastic cutoff runs were recorded with the greedy-wave
 # candidate scheduler, the other three with the simulator's own copy of the
 # post-collision formulas (x86-64, numpy 2.4); the current code reproduces
-# them all. A change here is a change of computed numbers.
+# them all. The gamma = -1 run was recorded before `moments` and the
+# commit wave dropped their strided row reductions. A change here is a
+# change of computed numbers.
 GOLDEN_CONFIGS = {
     "inelastic_d3_gamma0": [
         "model = inelastic", "d = 3", "gamma = 0", "s_or_h = iso",
@@ -402,6 +425,12 @@ GOLDEN_CONFIGS = {
         "model = inelastic", "d = 3", "gamma = 1", "s_or_h = 0.5",
         "theta_min = 0.05", "alpha = 0.7", "particles = 3000", "dt = 0.0002",
         "steps = 20", "seed = 11", "init = shell", "moments_every = 1",
+        "snapshot_every = 10"],
+    # the moderately soft case; the majorant is inflated twice, so two steps re-run
+    "inelastic_d3_soft_noncutoff": [
+        "model = inelastic", "d = 3", "gamma = -1", "s_or_h = 0.5",
+        "theta_min = 0.05", "alpha = 0.7", "particles = 3000", "dt = 0.0005",
+        "steps = 20", "seed = 19", "init = gaussian", "moments_every = 1",
         "snapshot_every = 10"],
 }
 GOLDEN_DIGESTS = {
@@ -459,6 +488,16 @@ GOLDEN_DIGESTS = {
         "tails_0000.csv": "e0157a4fde85cea5f5e355f9c938a4d67a2a01578df68d6335940cc35c48f1c8",
         "tails_0001.csv": "3e7651a387d2ac96e10b2a45167efd84d4ef03f4d922bfe22195d4c2ea71eee3",
         "tails_0002.csv": "9a03ff4db7a9be2aa6db2c08b697504551af7fe7156f533d4a373c9437202620",
+    },
+    "inelastic_d3_soft_noncutoff": {
+        "moments.csv": "ad073318dce0fd4588a9038732691437079041a46f09df5d459c0892c074058d",
+        "snapshot_0000_species0.kten": "9bd9a9ddf3c6c627557b5c4e36383a8c11174a14da6c7e9591e2753b7925ba1b",
+        "snapshot_0001_species0.kten": "4be1b374b58c42689dfdad3b142f67562a6969712efe6015db47ddd659e1a91e",
+        "snapshot_0002_species0.kten": "cdedb0f45cb1604f5eaf27568e7d3ace05a680c9597dd9a7103ff7a7884a7eb9",
+        "snapshots.json": "09ebe7d42fde2683af93d2155af555ee032e6eb6af2d848e67ee43f3ba8821d8",
+        "tails_0000.csv": "831582a428f7853cc03572317e18866bb045e94d2240f73c0758223af1423d41",
+        "tails_0001.csv": "f0563831634df16c3f3120ee1f43a81f40a9dcfee646ec8309c65d41df5f651f",
+        "tails_0002.csv": "7f09ee9fea858ac697225f8fd21cac2f1b53c8517b7f4ae42f550c102db73102",
     },
 }
 

@@ -267,6 +267,51 @@ class TestMoments:
         assert h1 < h0
 
 
+def _moments_by_the_old_expressions(ens):
+    """moments() written with .sum(axis=0), np.max(np.abs(v)) and np.histogramdd."""
+    d = ens.d
+    momentum, energy, entropy = np.zeros(d), 0.0, 0.0
+    for s in ens.species:
+        v = s.velocities
+        momentum += s.weight * s.mass * v.sum(axis=0)
+        energy += s.weight * s.mass * float(np.sum(v ** 2))
+        lim = max(float(np.max(np.abs(v))) * 1.05, 1e-12)
+        edges = np.linspace(-lim, lim, sim._ENTROPY_BINS + 1)
+        counts = np.histogramdd(v, bins=[edges] * d)[0]
+        cell = (2.0 * lim / sim._ENTROPY_BINS) ** d
+        c = counts[counts > 0].ravel()
+        dens = s.weight * c / cell
+        entropy += (float(np.sum(dens * np.log(dens) * cell))
+                    - s.weight * (c.size - 1) / 2.0)
+    return {"mass": [s.weight * len(s.velocities) for s in ens.species],
+            "momentum": momentum, "energy": energy, "entropy_estimate": entropy}
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_moments_bit_for_bit_against_the_old_expressions(d):
+    cfg = sim.SimConfig(model="mixture", kernel=iso_cutoff(1.0, d=d), dt=0.005,
+                        steps=3, particles=(12345, 4321), masses=(1.0, 3.0),
+                        seed=40 + d, init="two_bump")
+    ens = sim.build_ensemble(cfg)
+    for k in range(cfg.steps + 1):
+        got, ref = sim.moments(ens), _moments_by_the_old_expressions(ens)
+        assert got["mass"] == ref["mass"]
+        assert got["momentum"].tobytes() == ref["momentum"].tobytes()
+        assert got["energy"] == ref["energy"]
+        assert got["entropy_estimate"] == ref["entropy_estimate"]
+        if k < cfg.steps:
+            ens = sim.step(ens, cfg)
+
+
+def test_species_stores_a_fortran_ordered_input_c_contiguous():
+    v = np.asfortranarray(np.random.default_rng(8).normal(size=(1000, 3)))
+    s = sim.Species(1.0, v, 0.5)
+    assert s.velocities.flags.c_contiguous
+    assert np.array_equal(s.velocities, v)
+    c_ordered = np.ascontiguousarray(v)
+    assert sim.Species(1.0, c_ordered, 0.5).velocities is c_ordered     # no copy
+
+
 class TestPositivityProbe:
     def test_point_mass_mostly_empty(self):
         v = np.zeros((5000, 3))
