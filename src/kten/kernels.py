@@ -32,7 +32,7 @@ negligible.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -58,10 +58,11 @@ def _b_norm_constant(model, d):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel parameters: speed exponent, angular singularity, profile.
+    """Kernel parameters: speed exponent and angular law.
 
     Noncutoff kernels carry the singularity order s (their smooth profile is
-    the constant 1); cutoff kernels carry h(theta) on [0, pi/2] instead.
+    the constant 1). A cutoff kernel is the uniform half-sphere law h == 1 on
+    [0, pi/2]; passing that profile as `h` marks one, any other raises.
     """
 
     gamma: float
@@ -70,7 +71,6 @@ class KernelSpec:
     h: Callable = None
     model: str = "elastic"
     moderately_soft: bool = False
-    _angular_mass: float = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d not in (2, 3):
@@ -89,24 +89,17 @@ class KernelSpec:
         else:
             if not 0.0 <= self.gamma <= 1.0:
                 raise ValueError("cutoff spec requires hard potentials gamma in [0, 1]")
-            object.__setattr__(self, "_angular_mass", self._check_angular_integrable())
+            if any(self.h(k * math.pi / 8.0) != 1.0 for k in range(5)):
+                raise ValueError("cutoff profile h must be h == 1 (the uniform half-sphere)")
 
     @property
     def cutoff(self):
         return self.h is not None
 
-    def _check_angular_integrable(self):
-        from scipy.integrate import quad
-        val, _ = quad(lambda t: self.h(t) * math.sin(t) ** (self.d - 2), 0.0, math.pi / 2)
-        val *= utils.sphere_area(self.d - 1)
-        if not np.isfinite(val):
-            raise ValueError("angular profile is not integrable")
-        return float(val)
-
     @property
     def angular_mass(self):
-        """Sphere integral of the cutoff profile h; None for a noncutoff spec."""
-        return self._angular_mass
+        """Measure of the half-sphere, the cutoff law's total mass; None if noncutoff."""
+        return 0.5 * utils.sphere_area(self.d) if self.cutoff else None
 
     @property
     def assembled_b(self):
@@ -145,18 +138,14 @@ class AssembledB:
 
 
 def eval_B(rel_speed, cos_theta, spec: KernelSpec):
-    """Kernel value B = rel_speed^gamma * b(cos theta).
+    """Kernel value B = rel_speed^gamma * b(cos theta), with b == 1 if cutoff.
 
     Raises SingularAtZeroSpeed for gamma < 0 at zero speed.
     """
     rel_speed = np.asarray(rel_speed, dtype=float)
     if np.any(rel_speed == 0.0) and spec.gamma < 0.0:
         raise SingularAtZeroSpeed("rel_speed = 0 with gamma < 0")
-    cos_theta = np.asarray(cos_theta, dtype=float)
-    if spec.cutoff:
-        ang = spec.h(np.arccos(np.clip(cos_theta, -1.0, 1.0)))
-    else:
-        ang = spec.assembled_b(cos_theta)
+    ang = np.ones_like(cos_theta, dtype=float) if spec.cutoff else spec.assembled_b(cos_theta)
     return rel_speed ** spec.gamma * ang
 
 
@@ -455,7 +444,7 @@ def _outer_reach(f, v, kappa, r_split):
 def cutoff_loss_rate(f_j: DensityField, v, spec: KernelSpec):
     """Loss rate L(f_j)(v) of the cutoff operator.
 
-    Equals the angular mass of h times the radial moment
+    Equals the half-sphere's measure (the angular mass) times the radial moment
     integral f_j(v*) |v - v*|^gamma dv*; bounded above by C (1 + |v|^gamma)
     with C depending on the mass and energy of f_j.
     """

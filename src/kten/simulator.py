@@ -2,13 +2,14 @@
 
 No-time-counter scheme: per species pair, a majorant of the pair collision
 rate fixes a candidate count for the step; candidates are accepted with
-probability (true speed factor)/(majorant speed factor) and the scattering
-angle is drawn from the configured angular law. Noncutoff kernels are
+probability (true speed factor)/(majorant speed factor) and the collision
+direction is drawn from the kernel's angular law. Noncutoff kernels are
 sampled through a hard angular truncation at theta_min; the momentum-transfer
 weight of the discarded grazing collisions is computed and logged (their raw
-count is infinite). Cutoff kernels sample the impact normal on the
-half-sphere directly. The post-collision velocities come from the rules in
-`geometry`: `*_post_n` for cutoff kernels, `*_post_sigma` for noncutoff ones.
+count is infinite). Cutoff kernels (the uniform half-sphere law) draw the
+impact normal uniform on the sphere, with no frame or table. The
+post-collision velocities come from the rules in `geometry`: `*_post_n` for
+cutoff kernels, `*_post_sigma` for noncutoff ones.
 
 Determinism: all randomness comes from counter-based streams keyed by
 (seed, step, species-pair block). Within a block, each candidate's level is
@@ -31,7 +32,7 @@ import numpy as np
 from . import geometry, utils
 from .errors import MajorantInflationWarning, MajorantViolation, ValidationError
 from .geometry import MassPair, RestitutionParams
-from .kernels import KernelSpec
+from .kernels import KernelSpec, _b_norm_constant
 
 logger = logging.getLogger(__name__)
 
@@ -116,10 +117,8 @@ class SimConfig:
                 raise ValueError("mixture model needs one mass per species")
         if self.dt <= 0 or self.steps < 0:
             raise ValueError("dt must be positive and steps nonnegative")
-        if not self.kernel.cutoff:
-            if self.kernel.s >= 0.5 and self.theta_min <= 0.0:
-                raise ValueError("noncutoff sampling with s >= 1/2 requires "
-                                 "theta_min > 0")
+        if not self.kernel.cutoff and self.theta_min <= 0.0:
+            raise ValueError("noncutoff sampling requires theta_min > 0")
 
     @property
     def d(self):
@@ -131,54 +130,41 @@ class SimConfig:
 
     @cached_property
     def sampler(self):
-        return AngularSampler(self.kernel, self.theta_min)
+        """The noncutoff angle sampler; None for a cutoff kernel."""
+        return None if self.kernel.cutoff else AngularSampler(self.kernel, self.theta_min)
 
 
 class AngularSampler:
-    """Inverse-CDF sampler for the per-collision scattering angle.
+    """Inverse-CDF sampler of the noncutoff scattering angle.
 
-    Noncutoff: theta in [theta_min, pi] with density b(cos theta)
-    sin^{d-2} theta; the discarded grazing mass below theta_min is computed
-    and logged once. Cutoff: the impact-normal angle in [0, pi/2] with
-    density h(theta) sin^{d-2} theta (h == 1 is the uniform half-sphere).
+    theta in [theta_min, pi] with density b(cos theta) sin^{d-2} theta. The
+    grazing count discarded below theta_min is infinite; its
+    momentum-transfer weight is computed in closed form and logged once.
+    Cutoff kernels need no sampler (a cutoff spec has no assembled b): the
+    commit wave draws their impact normal directly.
     """
 
     def __init__(self, spec: KernelSpec, theta_min):
-        self.spec = spec
-        self.cutoff = spec.cutoff
-        d = spec.d
-        if self.cutoff:
-            lo, hi = 0.0, math.pi / 2.0
-            grid = np.linspace(lo, hi, _ANGLE_TABLE)
-            dens = np.array([spec.h(t) for t in grid]) * np.sin(grid) ** (d - 2)
-            self.discarded_mass = 0.0
-        else:
-            if theta_min <= 0.0:
-                raise ValueError("noncutoff sampling needs theta_min > 0")
-            lo, hi = theta_min, math.pi
-            grid = np.concatenate([
-                np.geomspace(lo, min(0.5, hi / 2), _ANGLE_TABLE // 2),
-                np.linspace(min(0.5, hi / 2), hi, _ANGLE_TABLE // 2)[1:],
-            ])
-            b = spec.assembled_b
-            dens = b.from_angle(grid) * np.sin(grid) ** (d - 2)
-            area = utils.sphere_area(d - 1)
-            # the raw grazing count below theta_min is non-integrable for any
-            # s in (0,1); what is finite, and logged, is its momentum-transfer
-            # weight (1 - cos theta) b sin^{d-2} theta
-            self.discarded_mass = math.inf
-            from scipy.integrate import quad
-            transfer, _ = quad(lambda t: float(b.from_angle(t))
-                               * math.sin(t) ** (d - 2)
-                               * (1.0 - math.cos(t)),
-                               0.0, theta_min, points=[theta_min / 2])
-            self.discarded_transfer = float(transfer * area)
-            logger.info("angular truncation at %.3g discards infinite grazing "
-                        "count (momentum-transfer weight %.3e)",
-                        theta_min, self.discarded_transfer)
+        if theta_min <= 0.0:
+            raise ValueError("noncutoff sampling needs theta_min > 0")
+        d, gamma, s = spec.d, spec.gamma, spec.s
+        grid = np.concatenate([np.geomspace(theta_min, 0.5, _ANGLE_TABLE // 2),
+                               np.linspace(0.5, math.pi, _ANGLE_TABLE // 2)[1:]])
+        dens = spec.assembled_b.from_angle(grid) * np.sin(grid) ** (d - 2)
+        area = utils.sphere_area(d - 1)
+        # the grazing count below theta_min is infinite for any s in (0,1); its
+        # momentum-transfer weight, the integral of (1 - cos t) b sin^{d-2} t
+        # over [0, theta_min], is an incomplete beta function in sin^2(t/2)
+        self.discarded_mass = math.inf
+        self.discarded_transfer = 2.0 ** (d - 1) * _b_norm_constant(spec.model, d) \
+            * area * utils.incomplete_beta(math.sin(0.5 * theta_min) ** 2, 1.0 - s,
+                                           0.5 * (gamma + 2.0 * s + d))
+        logger.info("angular truncation at %.3g discards infinite grazing "
+                    "count (momentum-transfer weight %.3e)",
+                    theta_min, self.discarded_transfer)
         cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1])
                                                * np.diff(grid))])
-        self.angular_mass = float(cdf[-1] * utils.sphere_area(d - 1))
+        self.angular_mass = float(cdf[-1] * area)
         self.grid = grid
         self.cdf = cdf / cdf[-1]
 
@@ -309,7 +295,7 @@ def _attempt_step(ens: Ensemble, cfg: SimConfig):
     d = ens.d
     gamma = cfg.kernel.gamma
     w = ens.species[0].weight
-    maj_rate = ens.majorant * sampler.angular_mass
+    maj_rate = ens.majorant * (sampler or cfg.kernel).angular_mass   # truncated b, or h == 1
     stats = {"candidates": 0, "accepted": 0, "sum_c2": 0.0,
              "predicted_energy_loss": 0.0, "majorant": ens.majorant,
              "levels": 0}
@@ -422,23 +408,29 @@ def _apply_wave(vi, vj, ia, ib, u_acc, u_theta, u_azim, majorant, gamma,
         ia, ib, rspeed, u_theta, u_azim = (
             np.take(a, keep) for a in (ia, ib, rspeed, u_theta, u_azim))
         va, vb, rel = (np.take(a, keep, axis=0) for a in (va, vb, rel))
-    theta = sampler.sample(u_theta)
-    cos_theta = np.cos(theta)
-    azim = u_azim
-    khat = rel / rspeed[:, None]
-    e1, e2 = _orthonormal_frame(khat)
-    if d == 2:
-        tang = np.where((azim < math.pi)[:, None], e1, -e1)
-    else:
-        tang = np.cos(azim)[:, None] * e1 + np.sin(azim)[:, None] * e2
-    unit = cos_theta[:, None] * khat + np.sin(theta)[:, None] * tang
     inelastic = isinstance(pair_params, RestitutionParams)
-    if sampler.cutoff:
-        # theta is the impact-normal angle on the half-sphere: unit is n
-        c = rspeed * cos_theta              # <v - v*, n> >= 0 on the half-sphere
+    if sampler is None:
+        # cutoff: n uniform on the sphere; the post rules and c^2 are even in
+        # n, so this is the half-sphere law (c itself may come out negative)
+        if d == 3:
+            z = 1.0 - 2.0 * u_theta
+            r = np.sqrt(1.0 - z * z)
+            unit = np.stack([r * np.cos(u_azim), r * np.sin(u_azim), z], axis=1)
+        else:
+            unit = np.stack([np.cos(u_azim), np.sin(u_azim)], axis=1)
+        c = utils.row_dot(rel, unit)
         post = geometry.inelastic_post_n if inelastic else geometry.mixture_post_n
     else:
-        # theta is the scattering angle: unit is sigma
+        # noncutoff: theta is the scattering angle and unit is sigma
+        theta = sampler.sample(u_theta)
+        cos_theta = np.cos(theta)
+        khat = rel / rspeed[:, None]
+        e1, e2 = _orthonormal_frame(khat)
+        if d == 2:
+            tang = np.where((u_azim < math.pi)[:, None], e1, -e1)
+        else:
+            tang = np.cos(u_azim)[:, None] * e1 + np.sin(u_azim)[:, None] * e2
+        unit = cos_theta[:, None] * khat + np.sin(theta)[:, None] * tang
         c = rspeed * np.sqrt(0.5 * (1.0 - cos_theta))   # = rspeed sin(theta/2)
         post = geometry.inelastic_post_sigma if inelastic else geometry.mixture_post_sigma
     va_new, vb_new, _ = post(va, vb, unit, pair_params)
@@ -479,7 +471,9 @@ def _entropy_estimate(s: Species):
     v = s.velocities
     n, d = v.shape
     lim = max(float(np.maximum(v.max(), -v.min())) * 1.05, 1e-12)
-    counts = utils.grid_counts(v, np.linspace(-lim, lim, _ENTROPY_BINS + 1))
+    if not math.isfinite(lim):              # NaN or inf velocities have no histogram
+        return math.nan
+    counts = utils.grid_counts_in_range(v, np.linspace(-lim, lim, _ENTROPY_BINS + 1))
     cell = (2.0 * lim / _ENTROPY_BINS) ** d
     c = counts[counts > 0].ravel()
     dens = s.weight * c / cell

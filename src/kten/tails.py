@@ -144,24 +144,19 @@ def check_envelope(hist: TailHistogram, env: Envelope):
 
     A populated bin is a violation only when even its upper Poisson
     confidence bound at level _CONFIDENCE (0.99) falls below the envelope, so shot
-    noise cannot create spurious violations. Empty bins are unresolved.
+    noise cannot create spurious violations. Empty bins are unresolved. The
+    bound on a count c is gammaincinv(c + 1, 0.99) = 0.5 chi2.ppf(0.99, 2c + 2).
     """
-    from scipy.stats import chi2
+    from scipy.special import gammaincinv
     centers = hist.centers
-    env_vals = envelope_eval_speed(env, centers)
-    vols = hist.shell_volumes
-    violations, unresolved = [], []
-    for k, (c, vol) in enumerate(zip(hist.counts, vols)):
-        if c == 0:
-            unresolved.append(k)
-            continue
-        upper_count = 0.5 * chi2.ppf(_CONFIDENCE, 2 * (c + 1))
-        upper_density = hist.weight * upper_count / vol
-        if upper_density < env_vals[k]:
-            violations.append(k)
-    populated = centers[hist.counts > 0]
-    resolved = (float(populated.min()), float(populated.max())) if populated.size \
-        else (math.nan, math.nan)
+    populated = hist.counts > 0
+    upper_count = gammaincinv(hist.counts + 1, _CONFIDENCE)
+    upper_density = hist.weight * upper_count / hist.shell_volumes
+    below = upper_density < envelope_eval_speed(env, centers)
+    violations = np.flatnonzero(populated & below).tolist()
+    unresolved = np.flatnonzero(~populated).tolist()
+    resolved = (float(centers[populated].min()), float(centers[populated].max())) \
+        if populated.any() else (math.nan, math.nan)
     return DominationReport(violations=violations, unresolved=unresolved,
                             resolved_range=resolved, confidence=_CONFIDENCE,
                             n_bins=len(hist.counts))

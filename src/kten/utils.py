@@ -44,6 +44,22 @@ def ball_volume(d, radius=1.0):
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * radius ** d
 
 
+def incomplete_beta(x, a, b):
+    """B(x; a, b), the integral of y^{a-1} (1 - y)^{b-1} over [0, x], a > 0.
+
+    The series x^a sum_k (1 - b)_k x^k / (k! (a + k)): its terms shrink
+    like x^k for any real b, so it is short for small x.
+    """
+    if not 0.0 <= x < 1.0:
+        raise ValueError(f"incomplete_beta needs x in [0, 1), got {x}")
+    total, term, k = 0.0, 1.0, 0
+    while abs(term) > 1e-17 * abs(total) * (a + k):
+        total += term / (a + k)
+        term *= (k + 1.0 - b) / (k + 1.0) * x
+        k += 1
+    return x ** a * total
+
+
 @functools.lru_cache(maxsize=64)
 def legendre_rule(n):
     """Gauss-Legendre nodes/weights on [-1, 1], solved once per n; shared, so read-only."""
@@ -142,11 +158,16 @@ def grid_counts(x, edges):
     """
     x = np.asarray(x, dtype=float)
     edges = np.asarray(edges, dtype=float)
-    d = x.shape[1]
-    bins = len(edges) - 1
     lo, hi = edges[0], edges[-1]
     if x.size and not (lo <= x.min() and x.max() <= hi):     # NaN fails too
         x = x[((x >= lo) & (x <= hi)).all(axis=1)]
+    return grid_counts_in_range(x, edges)
+
+
+def grid_counts_in_range(x, edges):
+    """grid_counts of rows known to lie in [edges[0], edges[-1]]: no range scan."""
+    d = x.shape[1]
+    bins = len(edges) - 1
     flat = grid_bin(x[:, 0], edges)
     for k in range(1, d):
         flat *= bins

@@ -75,13 +75,51 @@ def _env_with_src():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is imported inside its three call sites, so subcommands that
-    # never reach one start without it
+    # kten imports no scipy module but scipy.special, and that only inside
+    # its three call sites (two Gaussian closed forms in density, the
+    # Poisson bound in tails), so subcommands that never reach one start
+    # without it
     out = subprocess.run(
         [sys.executable, "-c", "import sys, kten.cli; "
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=_env_with_src(), capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter holds after running `code`."""
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, json; " + code + "; print(json.dumps("
+         "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"],
+        env=_env_with_src(), capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _kten_in_fresh_process(argv):
+    return _scipy_modules_after("from kten.cli import dispatch; "
+                                f"assert dispatch({[str(a) for a in argv]!r}) == 0")
+
+
+@pytest.mark.parametrize("s_or_h", ["iso", "0.3"])
+def test_simulate_loads_no_scipy(tmp_path, s_or_h):
+    # the cutoff wave draws its normal without a table, and the noncutoff
+    # grazing weight is a series, so neither kernel needs scipy
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model = mixture\nd = 3\ngamma = 0\ns_or_h = {s_or_h}\n"
+                   "masses = 1,2\nparticles = 300,200\ndt = 0.001\nsteps = 3\n"
+                   f"snapshot_every = 1\noutput_dir = {tmp_path / 'sim'}\n")
+    assert _kten_in_fresh_process(["simulate", "--config", cfg, "--quiet"]) == []
+
+
+def test_tails_loads_only_scipy_special(tmp_path):
+    outdir = simulate_golden(tmp_path, "mixture_d3_cutoff")
+    env = tmp_path / "env.json"
+    env.write_text('{"a": 0.03, "b": 0.5, "p": 2.0}\n')
+    loaded = _kten_in_fresh_process(["tails", "--snapshots", outdir, "--envelope", env,
+                                     "--t0", "0.25",
+                                     "--output-dir", tmp_path / "tails", "--quiet"])
+    assert "scipy.special" in loaded
+    assert set(loaded) <= set(_scipy_modules_after("import scipy.special"))
 
 
 def test_benchmark_tracer_finds_every_wrapped_name():
@@ -394,12 +432,14 @@ class TestSimulateAndTails:
 
 # sha256 of every `simulate` output except manifest.json (which holds
 # times), for small runs of both collision rules, cutoff and noncutoff.
-# The two inelastic cutoff runs were recorded with the greedy-wave
-# candidate scheduler, the other three with the simulator's own copy of the
-# post-collision formulas (x86-64, numpy 2.4); the current code reproduces
-# them all. The gamma = -1 run was recorded before `moments` and the
-# commit wave dropped their strided row reductions. A change here is a
-# change of computed numbers.
+# The two noncutoff runs at gamma >= 0 were recorded with the simulator's
+# own copy of the post-collision formulas (x86-64, numpy 2.4), and the
+# gamma = -1 run before `moments` and the commit wave dropped their strided
+# row reductions; the current code reproduces them. The three cutoff runs
+# were re-recorded when the cutoff wave began to draw its impact normal
+# uniform on the sphere instead of through an angle table and a tangent
+# frame (the same law, new draws). A change here is a change of computed
+# numbers.
 GOLDEN_CONFIGS = {
     "inelastic_d3_gamma0": [
         "model = inelastic", "d = 3", "gamma = 0", "s_or_h = iso",
@@ -435,36 +475,37 @@ GOLDEN_CONFIGS = {
 }
 GOLDEN_DIGESTS = {
     "inelastic_d3_gamma0": {
-        "moments.csv": "55eb3f7b00b0114604ee97599897b7531f2681d351716e991b05a60d415bc7df",
+        "moments.csv": "83784e529edc5853176e299138811be9d2faae23b7255277b0507dcba286f07b",
         "snapshot_0000_species0.kten": "d2fc7122f127a704d479417636a46378a6884ffb5f87d0062b096dc130299e94",
-        "snapshot_0001_species0.kten": "cf0058e4a6c2db76901ae1d0e91b38ed7e9341d66240dc9d8465a4ec491cab76",
-        "snapshot_0002_species0.kten": "039c5476c432742d019ab61e5b8f1abec9aee729e91722c42d502ef3df8ea396",
+        "snapshot_0001_species0.kten": "8fa4fdb0eba484f00728b0e41d33725323c2fa1093d2b0fe4dc45f8250c15859",
+        "snapshot_0002_species0.kten": "ee12841e25588f0deb40c304ac88c90331b53ad144160374e095dfb5ad268835",
         "snapshots.json": "7d7ef3cc9e5bf03b42c78173fadcdae38f67ef1e7d58fb959f61604b2922042f",
         "tails_0000.csv": "51f503c42b251882f21d1075dd47dc87356506e5454f8ae4f2b5cc0bdd61359f",
-        "tails_0001.csv": "2568fa6b0fd33f00ccd384545203239eeac5089f113058df56cf3b883a6e9302",
-        "tails_0002.csv": "43d6e5b9a1b0a07ec773ad2ec6880c1d79a7a8b19be4ea83fc818abf2c5c18b9",
+        "tails_0001.csv": "c6d19cfb0ab61313736df7b4d0eb03d3d314434b27e94acaca7629adb8df8da6",
+        "tails_0002.csv": "b2aa988573cb6fb8929f9638b874e50adf5079c7bae664fcbb27e484eab1bcc3",
     },
     "inelastic_d2_gamma1": {
-        "moments.csv": "ffca2f0393437acc02480f394e0d73fec2ff53c9ec8575f03c146357a7cb078e",
+        "moments.csv": "b5bdcb514add8b5d6fa55c474035c34402c1eab1833813cb6f51c4a6cf6fb830",
         "snapshot_0000_species0.kten": "a87a022e71ce577f6ef71539c2fe0fd4b15c00725ea18ebacaf8f4e1abd143d3",
-        "snapshot_0001_species0.kten": "d8b0549ad81cea5d135e00434e03498e7e015bad127cde5cbbb4123e9f6220d7",
-        "snapshot_0002_species0.kten": "78cb8a2c55ba9e77617470121fc8e57e14ba8dc6fa5d9668707485fc8eaea9f6",
+        "snapshot_0001_species0.kten": "362bb89cc087c4aca69649f2b6c8d825272a7e5bb7af7d3bbb5a6a5fe1c2e81e",
+        "snapshot_0002_species0.kten": "416773a677b0061888e362eb15c76a7309897adc587fe1dae161570e590bc920",
         "snapshots.json": "1d9b0f59ff3e1893d80e0a30368a688693b95fa7964f015f7543ba601ac27679",
         "tails_0000.csv": "a6c9cafe72c4bf8cdf9c54f296a73bf4dbd6541d7886714f39d7d9002451a064",
-        "tails_0001.csv": "20f236b8e4ce818f3dbc3bd353c990ec90dbc5bb36b562ae1b6f81c27999b5dd",
-        "tails_0002.csv": "2be95d176ee0ff4c775c37af3142bfa5cdbeac6f9f7cc390832c89712f38efa2",
-    },    "mixture_d3_cutoff": {
-        "moments.csv": "832d437d8d236332ec96b6c2c8063a1e9de83a80afac0fe311706d9858ecf1ed",
+        "tails_0001.csv": "9b939be634637dcd82226c5513e642b2af689d6d922438bb7aa0983a51f15fbe",
+        "tails_0002.csv": "f428ce40e39478d6abc08accb3e81ae1a549c1c95c618c8d5bad0520b697245c",
+    },
+    "mixture_d3_cutoff": {
+        "moments.csv": "5d26b1728e3b9f6628b9dcb124d9256bd7d3ba44d2ed66c40cc81e838706283b",
         "snapshot_0000_species0.kten": "39d14764f4d642563ceae43697bb89384ab15172ca5f74f891d372e274c9407a",
         "snapshot_0000_species1.kten": "6d140b4e014398e0c0e8feba6ec41b2ea878d952cfa1898169390cf5d0383bee",
-        "snapshot_0001_species0.kten": "0546499984f4315aca6c2bda60e5c7f9a07cb2e2d26ab5d04532cadbb39dd06a",
-        "snapshot_0001_species1.kten": "3fb79918df486e0f2de75ff121fda119672b278771749270eaf72ba98626390f",
-        "snapshot_0002_species0.kten": "c68274280a2ab19c1ff0a95bdd3afaebefd848d50a8326d14742235833113e71",
-        "snapshot_0002_species1.kten": "577c4741bd231f42baaed9efc07ca07eec8f1bcb47f2920a4c91bc34e3bada29",
+        "snapshot_0001_species0.kten": "bd94a20998d26aaac479477f45932a1e134a9214116fdfbccb8da27187d5f81c",
+        "snapshot_0001_species1.kten": "5965ee1310944fffc49770fe18e294621719c938a3e90c7f337ff98c2fab0772",
+        "snapshot_0002_species0.kten": "f75b4d4fc3ce31133bd9db143e8e463693c19ebbc7912a4399352f09d94b4eef",
+        "snapshot_0002_species1.kten": "414ea96b768d51afae85bb255698a6fdb3a6decc8bb262b3dcd6f11288b523b5",
         "snapshots.json": "b5d5ec82495012e7ce5ebba6d1d0c6310d52dcc0380445ff67cb6453f688535b",
         "tails_0000.csv": "c2032fbb40a86a88d53c3d22b04cbdea1dbdc0e1e22596b7606dff3245082d19",
-        "tails_0001.csv": "b647beb7a17d1cf5d708a279dd93e53c00c049963111393a35b1a7483b76b222",
-        "tails_0002.csv": "078db19768180d8f635f06454c219d782c75533621294e0f632b683b107d9bf7",
+        "tails_0001.csv": "69e563bceb29faec9a029e81c0fb12c65d1413a4ae73d9bffe045582b16e8766",
+        "tails_0002.csv": "b25cc8edc5ccdcb2817015a6284bfe17422b1414170b6e4d424fba6fbc553b06",
     },
     "mixture_d2_noncutoff": {
         "moments.csv": "7c5b478c5d97f421456867c0689a58c9bdae847ca46874b5e26b05d6c3ee3337",
@@ -521,11 +562,11 @@ def test_simulate_golden_digests(tmp_path, name):
 
 
 # sha256 of `tails_report.json` for the two-species mixture_d3_cutoff run,
-# recorded while the tails analysis still lived in the CLI (x86-64, numpy
-# 2.4). t0 falls between the snapshots at t = 0 and 0.5, so the t = 0
-# entries carry a fit but no scan keys; species 0 first fails at t = 1,
-# species 1 at t = 0.5, and every fit is an InsufficientData error.
-TAILS_REPORT_DIGEST = "25615e54f14f574c0a44a53ec978ebefb0c67ec65e1f634bf63f0b4e6fb81140"
+# re-recorded with that run's golden digests (x86-64, numpy 2.4). t0 falls
+# between the snapshots at t = 0 and 0.5, so the t = 0 entries carry a fit
+# but no scan keys; species 0 is dominated at every scanned time, species 1
+# first fails at t = 0.5, and every fit is an InsufficientData error.
+TAILS_REPORT_DIGEST = "5c1136e79e58acf359f5729d720c01100d032e5fa38d29911993ff2e2e33b5e4"
 
 
 def test_tails_report_golden_digest(tmp_path):

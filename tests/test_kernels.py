@@ -90,6 +90,13 @@ class TestEvalB:
         spec = K.KernelSpec(gamma=1.0, d=3, h=lambda t: 1.0, model="mixture")
         assert spec.angular_mass == pytest.approx(2.0 * math.pi, rel=1e-9)
 
+    def test_cutoff_profile_must_be_uniform(self):
+        # cutoff means the uniform half-sphere; another profile would be
+        # silently ignored, so it is refused
+        with pytest.raises(ValueError, match="profile h must be h == 1"):
+            K.KernelSpec(gamma=1.0, d=3, h=math.cos, model="inelastic")
+        assert np.array_equal(K.eval_B([1.0, 2.0], [0.3, -0.9], CUTOFF3), [1.0, 2.0])
+
 
 class TestCarlemanKernels:
     def test_zero_density_gives_zero(self):
@@ -421,10 +428,12 @@ def _f8_digest(values):
 
 # sha256 of the benchmark's two library operations on fixed inputs, recorded
 # when Gaussian fields took their ring sums and radial moments in closed form
-# (x86-64, numpy 2.4, scipy 1.17). A change here is a change of computed numbers.
+# (x86-64, numpy 2.4, scipy 1.17); the loss rates re-recorded when the cutoff
+# angular mass became the closed form 2 pi (quadrature gave 1 ulp less). A
+# change here is a change of computed numbers.
 GOLDEN_DIRECTION = np.array([1.0, 2.0, 2.0]) / 3.0
 QS_APPLY_DIGEST = "996bcbcb00c5102ab9d9cf6812a62c64d3fa74d4fd9b3aa432ef726f2989258b"
-LOSS_RATES_DIGEST = "2b7711de53a7ab582761df79216f1a6d64e5d52507512d466a87b7f55883b3df"
+LOSS_RATES_DIGEST = "5423ed138ccb1536cc42f40c3d9ab449471012193e9ad021a50d4bff16dde6cd"
 
 
 def test_Q_s_apply_golden_digest():

@@ -374,15 +374,63 @@ class TestSnapshotIO:
             sim.read_snapshot(path)
 
 
+# relative-velocity directions: the law of <khat, n> over isotropic khat is
+# the same for every law of n, so the normals are checked against fixed axes
+AXES = {3: [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+            np.array([1.0, 2.0, 2.0]) / 3.0],
+        2: [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.6, 0.8])]}
+
+
+def _drawn_normals(khat, monkeypatch, m=20000, seed=29):
+    """|<khat, n>| for the impact normals one cutoff wave draws, v - v* along khat."""
+    seen = []
+    post_n = sim.geometry.mixture_post_n
+
+    def recording_post_n(v, v_star, n, pair):
+        seen.append((v - v_star, n))
+        return post_n(v, v_star, n, pair)
+
+    monkeypatch.setattr(sim.geometry, "mixture_post_n", recording_post_n)
+    rng = np.random.default_rng(seed)
+    d = len(khat)
+    v = np.zeros((2 * m, d))
+    v[:m] = rng.uniform(0.5, 2.0, size=(m, 1)) * khat
+    stats = {"accepted": 0}
+    # gamma 0 under majorant 1 accepts every candidate
+    sim._apply_wave(v, v, np.arange(m), np.arange(m, 2 * m), rng.random(m),
+                    rng.random(m), rng.random(m) * 2.0 * math.pi, 1.0, 0.0, None,
+                    MassPair(1.0, 2.0), d, 1.0 / m, stats)
+    assert stats["accepted"] == m and len(seen) == 1
+    rel, n = seen[0]
+    assert np.abs(np.linalg.norm(n, axis=1) - 1.0).max() < 1e-15
+    assert np.allclose(rel / np.linalg.norm(rel, axis=1)[:, None], khat, rtol=0, atol=1e-15)
+    return np.abs(n @ khat)
+
+
 class TestAngularSampler:
-    def test_cutoff_iso_matches_half_sphere_density(self):
-        spec = iso_cutoff()
-        s = sim.AngularSampler(spec, theta_min=0.0)
-        u = np.linspace(0.0, 1.0, 100001)[:-1]
-        th = s.sample(u)
-        # density sin(theta) on [0, pi/2]: cos(theta) uniform
-        assert np.mean(np.cos(th)) == pytest.approx(0.5, abs=1e-3)
-        assert s.angular_mass == pytest.approx(2.0 * math.pi, rel=1e-6)
+    def test_cutoff_iso_matches_half_sphere_density(self, monkeypatch):
+        # on the half-sphere facing v - v*, density sin(theta) on [0, pi/2]:
+        # cos(theta) = |<khat, n>| is uniform on [0, 1]
+        from scipy.stats import kstest
+        for khat in AXES[3]:
+            cos_theta = _drawn_normals(khat, monkeypatch)
+            assert kstest(cos_theta, "uniform").pvalue > 0.01
+            assert np.mean(cos_theta) == pytest.approx(0.5, abs=5e-3)
+        assert iso_cutoff().angular_mass == 2.0 * math.pi
+
+    def test_cutoff_d2_normal_angle_is_uniform(self, monkeypatch):
+        # at d = 2 the angle between n and +-khat is uniform on [0, pi/2]
+        from scipy.stats import kstest
+        for khat in AXES[2]:
+            theta = np.arccos(np.minimum(_drawn_normals(khat, monkeypatch), 1.0))
+            assert kstest(theta, "uniform", args=(0.0, 0.5 * math.pi)).pvalue > 0.01
+        assert iso_cutoff(d=2).angular_mass == math.pi
+
+    def test_cutoff_spec_has_no_sampler(self):
+        cfg = elastic_cfg()
+        assert cfg.sampler is None
+        with pytest.raises(ValueError, match="noncutoff specs"):
+            sim.AngularSampler(cfg.kernel, theta_min=0.01)
 
     def test_noncutoff_angle_density(self):
         # inverse-CDF sampling reproduces the truncated angular density
@@ -416,6 +464,28 @@ class TestAngularSampler:
         # a smaller truncation discards less transfer weight
         s2 = sim.AngularSampler(spec, theta_min=1e-3)
         assert s2.discarded_transfer < s.discarded_transfer
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("model", ["inelastic", "mixture"])
+    def test_grazing_transfer_is_the_angle_integral(self, d, model):
+        # the closed form against the integral of (1 - cos t) b sin^{d-2} t
+        # over [0, theta_min], where quadrature converges (s <= 1/2)
+        from scipy.integrate import quad
+        for gamma, s in ((-1.0, 0.5), (0.0, 0.2), (1.0, 0.2), (-0.5, 0.4)):
+            spec = KernelSpec(gamma=gamma, d=d, s=s, model=model)
+            b = spec.assembled_b
+            want, _ = quad(lambda t: float(b.from_angle(t)) * math.sin(t) ** (d - 2)
+                           * (1.0 - math.cos(t)), 0.0, 1e-2, points=[5e-3])
+            want *= 2.0 * math.pi if d == 3 else 2.0        # |S^{d-2}|
+            got = sim.AngularSampler(spec, theta_min=1e-2).discarded_transfer
+            assert got == pytest.approx(want, rel=1e-7)
+
+    def test_grazing_transfer_near_s_one(self):
+        # quadrature gives 111.1 here (25% low) and warns; the reference is
+        # mpmath's betainc at 30 digits
+        spec = KernelSpec(gamma=0.0, d=3, s=0.95, model="inelastic")
+        got = sim.AngularSampler(spec, theta_min=1e-2).discarded_transfer
+        assert got == pytest.approx(147.95714056222942, rel=1e-12)
 
 
 def _commit_one_at_a_time(vi, vj, idx_a, idx_b, u_acc, u_theta, u_azim,
@@ -568,7 +638,7 @@ class TestCommitKernels:
         # u_acc < 1/2; three extra rejected candidates on their own particles
         # send the same collisions through the masked path
         if case == "inelastic_cutoff_d3":
-            d, sampler = 3, sim.AngularSampler(iso_cutoff(model="inelastic"), 0.0)
+            d, sampler = 3, None
             params = RestitutionParams(0.5)
         else:
             d = 2

@@ -12,6 +12,14 @@ def gaussian_sample(n, sigma=1.0, seed=31):
     return T.sample_stretched_exponential(n, 2.0, 0.5 / sigma ** 2, 3, rng)
 
 
+def test_upper_bound_equals_the_chi2_quantile():
+    # check_envelope's Poisson bound, as the chi-square quantile it replaced
+    from scipy.special import gammaincinv
+    from scipy.stats import chi2
+    c = np.arange(200001)
+    assert np.array_equal(gammaincinv(c + 1, 0.99), 0.5 * chi2.ppf(0.99, 2 * (c + 1)))
+
+
 class TestHistogram:
     def test_mass_identity(self):
         v = gaussian_sample(50000)

@@ -110,6 +110,25 @@ def test_grid_counts_equal_histogramdd(d, form):
         assert counts.sum() < len(x)                          # rows were dropped
 
 
+@pytest.mark.parametrize("a,b", [(0.5, 1.5), (0.8, 2.0), (0.05, 1.6), (0.3, 0.2),
+                                 (1.0, 3.0)])
+def test_incomplete_beta_matches_scipy(a, b):
+    from scipy.special import beta, betainc
+    for x in (0.0, math.sin(0.005) ** 2, 0.3, 0.5, 0.7, 0.9):
+        want = betainc(a, b, x) * beta(a, b)
+        assert utils.incomplete_beta(x, a, b) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_incomplete_beta_with_nonpositive_b():
+    # betainc needs b > 0; the series does not
+    from scipy.integrate import quad
+    for a, b, x in ((0.5, -0.5, 0.01), (0.1, -2.0, 0.3), (0.9, 0.0, 0.6)):
+        want, _ = quad(lambda y: y ** (a - 1.0) * (1.0 - y) ** (b - 1.0), 0.0, x)
+        assert utils.incomplete_beta(x, a, b) == pytest.approx(want, rel=1e-9)
+    with pytest.raises(ValueError, match="x in"):
+        utils.incomplete_beta(1.0, 0.5, 1.5)
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_grid_counts_empty(d):
     edges = np.linspace(-1.0, 1.0, 5)
