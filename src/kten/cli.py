@@ -58,7 +58,7 @@ def _common_options(**defaults):
     common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--seed", type=int,
                         help=f"RNG seed (default {DEFAULT_SEED}, never wall clock)")
-    common.add_argument("--threads", type=int,
+    common.add_argument("--threads", type=_checked(int, _AT_LEAST_1),
                         help="worker threads, used by region only; results do not depend on it")
     common.add_argument("--output-dir", type=Path,
                         help="directory for outputs and manifest.json")
@@ -83,8 +83,8 @@ def _build_parser():
     s.add_argument("--gamma", type=float, default=-1.0)
     s.add_argument("--s", type=float, default=0.5)
     s.add_argument("--beta", type=float, default=1.0 - 1e-3)
-    s.add_argument("--r-min", type=float, default=1e-3)
-    s.add_argument("--r-max", type=float, default=100.0)
+    s.add_argument("--r-min", type=_checked(float, _POSITIVE), default=1e-3)
+    s.add_argument("--r-max", type=_checked(float, _POSITIVE), default=100.0)
     s.add_argument("--points-per-decade", type=int, default=4)
 
     s = sub.add_parser("cancellation", parents=[common])
@@ -95,7 +95,7 @@ def _build_parser():
     s.add_argument("--d", type=int, default=3)
     s.add_argument("--gamma", type=float, default=-1.0)
     s.add_argument("--s", type=float, default=0.5)
-    s.add_argument("--grid", type=str, default="0.55:0.95:9",
+    s.add_argument("--grid", type=_grid_spec(), default="0.55:0.95:9",
                    help="lo:hi:n sweep of beta (or mass ratio for mixtures)")
 
     s = sub.add_parser("spreading", parents=[common])
@@ -115,9 +115,9 @@ def _build_parser():
     s.add_argument("--beta", type=float, required=True)
     s.add_argument("--d", type=int, default=3)
     s.add_argument("--R", type=float, default=1.0)
-    s.add_argument("--eps-grid", type=str, default="0.01:0.2:8",
+    s.add_argument("--eps-grid", type=_grid_spec(geometric=True), default="0.01:0.2:8",
                    help="lo:hi:n geometric grid")
-    s.add_argument("--samples", type=int, default=10**6)
+    s.add_argument("--samples", type=_checked(int, _AT_LEAST_1), default=10**6)
 
     s = sub.add_parser("tails", parents=[common])
     s.add_argument("--snapshots", type=Path, required=True,
@@ -128,7 +128,7 @@ def _build_parser():
 
     s = sub.add_parser("verify-geometry", parents=[common])
     s.add_argument("--d", type=int, default=3)
-    s.add_argument("--samples", type=int, default=10**5)
+    s.add_argument("--samples", type=_checked(int, _AT_LEAST_1), default=10**5)
     return p
 
 
@@ -209,15 +209,45 @@ def _write_json(path, obj):
         fh.write("\n")
 
 
+def _checked(kind, check):
+    """argparse type: a `kind` value passing `check`, a (predicate, wanted) pair.
+
+    argparse names the option in the error, which dispatch turns into exit 1.
+    """
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not check[0](value):
+            raise argparse.ArgumentTypeError(f"must be {check[1]}, got {text!r}")
+        return value
+    return parse
+
+
 def _parse_grid(text, geometric=False):
+    """The lo:hi:n grid, n >= 1 points; a geometric one needs lo, hi > 0."""
     try:
         lo, hi, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
-    except ValueError as exc:
-        raise _UsageError(f"bad grid spec {text!r}, want lo:hi:n") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad grid spec {text!r}, want lo:hi:n") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"grid {text!r} needs n >= 1 points")
     if geometric:
+        if not (lo > 0 and hi > 0):
+            raise argparse.ArgumentTypeError(f"geometric grid {text!r} needs lo, hi > 0")
         return np.geomspace(lo, hi, n)
     return np.linspace(lo, hi, n)
+
+
+def _grid_spec(geometric=False):
+    """argparse type: a grid checked by _parse_grid, kept as text for the manifest."""
+    def parse(text):
+        _parse_grid(text, geometric)
+        return text
+    return parse
 
 
 # options the manifest records in fields of its own (subcommand, seed) or not at all
@@ -382,11 +412,15 @@ _REQUIRED = object()
 _AT_LEAST_0 = (lambda x: x >= 0, ">= 0")
 _AT_LEAST_1 = (lambda x: x >= 1, ">= 1")
 _POSITIVE = (lambda x: x > 0, "> 0")
+_RESTITUTION = (lambda x: 0 < x < 1, "in (0, 1)")
 _MODEL = (lambda x: x in simulator.MODELS, f"one of {', '.join(simulator.MODELS)}")
 _INIT = (lambda x: x in simulator.INITS, f"one of {', '.join(simulator.INITS)}")
 # key: (parse, default, check); a check holds for each value of a comma
 # separated list. output_dir is read by _run_simulate, the others by
 # build_sim_config. theta_min and init default to SimConfig's values.
+# alpha is read by the inelastic model only, masses by the mixture model
+# only, and theta_min by noncutoff kernels only; _check_sim_keys refuses them
+# elsewhere.
 _SIM_SCHEMA = {
     "model": (str, _REQUIRED, _MODEL),
     "d": (int, _REQUIRED, None),
@@ -395,9 +429,9 @@ _SIM_SCHEMA = {
     "particles": (_ints, _REQUIRED, _AT_LEAST_1),
     "dt": (float, _REQUIRED, _POSITIVE),
     "steps": (int, _REQUIRED, _AT_LEAST_1),
-    "theta_min": (float, None, None),
-    "alpha": (float, None, None),
-    "masses": (_floats, None, None),
+    "theta_min": (float, None, _POSITIVE),
+    "alpha": (float, None, _RESTITUTION),
+    "masses": (_floats, None, _POSITIVE),
     "seed": (int, None, None),
     "init": (str, None, _INIT),
     "moments_every": (int, 1, _AT_LEAST_1),
@@ -435,13 +469,37 @@ def _read_sim_keys(cfg_map):
     return values
 
 
+def _check_sim_keys(c):
+    """The keys that depend on the model and the kernel, against them."""
+    model = c["model"]
+    own, other = ("alpha", "masses") if model == "inelastic" else ("masses", "alpha")
+    if c[own] is None:
+        raise ValidationError(f"config key {own!r} is required by model = {model}")
+    if c[other] is not None:
+        raise ValidationError(f"config key {other!r} is not read by model = {model}")
+    if c["theta_min"] is not None and c["s_or_h"] == "iso":
+        raise ValidationError("config key 'theta_min' is not read by s_or_h = iso")
+    counts, masses = c["particles"], c["masses"]
+    if model == "inelastic" and len(counts) != 1:
+        raise ValidationError("config key 'particles' must hold one count: "
+                              "the inelastic model is mono-species")
+    if model == "mixture" and len(masses) != len(counts):
+        raise ValidationError(f"config key 'masses' must hold one mass per species, "
+                              f"{len(counts)} in 'particles'")
+    if model == "mixture" and any(b <= a for a, b in zip(masses, masses[1:])):
+        raise ValidationError(f"config key 'masses' must be strictly increasing, "
+                              f"got {','.join(map(str, masses))}")
+
+
 def build_sim_config(cfg_map, seed=None):
     """SimConfig from the flat config mapping; returns (config, extras).
 
-    A missing required key, a key outside _SIM_SCHEMA, or a value that does
-    not parse or fails its check raises ValidationError naming the key.
+    A missing required key, a key outside _SIM_SCHEMA, a value that does
+    not parse or fails its check, or a key that the model or the kernel
+    needs but lacks or would not read raises ValidationError naming the key.
     """
     c = _read_sim_keys(cfg_map)
+    _check_sim_keys(c)
     model, d, gamma, s_or_h = c["model"], c["d"], c["gamma"], c["s_or_h"]
     if s_or_h == "iso":
         spec = kernels.KernelSpec(gamma=gamma, d=d, h=lambda t: 1.0, model=model)
@@ -508,15 +566,34 @@ def run_simulation_to_dir(cfg, outdir, extras, quiet=True):
     return outputs
 
 
+def _read_json(path, what):
+    """A JSON object from path; a missing, unreadable or malformed file names itself."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} {path}: want a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 def _run_tails(args):
     snapdir = Path(args.snapshots)
     index_path = snapdir / "snapshots.json"
     if not index_path.exists():
         raise ValidationError(f"no snapshots.json in {snapdir}")
-    index = json.loads(index_path.read_text())["snapshots"]
-    env_map = json.loads(Path(args.envelope).read_text())
-    env = spreading.Envelope(a=float(env_map["a"]), b=float(env_map["b"]),
-                             p=float(env_map["p"]))
+    index = _read_json(index_path, "snapshot index")["snapshots"]
+    missing = [item["file"] for item in index if not (snapdir / item["file"]).is_file()]
+    if missing:
+        raise ValidationError(f"snapshot {snapdir / missing[0]}: listed in {index_path} "
+                              "but missing")
+    env_map = _read_json(args.envelope, "envelope")
+    try:
+        env = spreading.Envelope(**{k: float(env_map[k]) for k in ("a", "b", "p")})
+    except KeyError as exc:
+        raise ValidationError(f"envelope {args.envelope}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"envelope {args.envelope}: {exc}") from exc
     # a generator: one snapshot is in memory at a time
     snapshots = ((item["species"], item["t"], item["weight"],
                   simulator.read_snapshot(snapdir / item["file"])) for item in index)

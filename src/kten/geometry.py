@@ -4,7 +4,9 @@ Covers the inelastic mono-species rule (restitution coefficient alpha,
 beta = (1+alpha)/2) and the elastic two-mass mixture rule, in both the
 scattering-direction (sigma) and impact-normal (n) parameterizations,
 plus the auxiliary points and half-angle identities that the Carleman-form
-kernels are built on.
+kernels are built on. The simulator commits every collision through the n
+rules; the sigma rules are the reference that `verify_identities` and the
+tests check them against.
 
 All operations are pure and broadcast over leading axes: velocity arguments
 may be single vectors of shape (d,) or batches of shape (..., d). The

@@ -7,9 +7,9 @@ direction is drawn from the kernel's angular law. Noncutoff kernels are
 sampled through a hard angular truncation at theta_min; the momentum-transfer
 weight of the discarded grazing collisions is computed and logged (their raw
 count is infinite). Cutoff kernels (the uniform half-sphere law) draw the
-impact normal uniform on the sphere, with no frame or table. The
-post-collision velocities come from the rules in `geometry`: `*_post_n` for
-cutoff kernels, `*_post_sigma` for noncutoff ones.
+impact normal uniform on the sphere, with no frame or table; noncutoff
+kernels build it from the sampled angle in the `utils.tangent_basis` frame.
+Both commit through the impact-normal rules `geometry.*_post_n`.
 
 Determinism: all randomness comes from counter-based streams keyed by
 (seed, step, species-pair block). Within a block, each candidate's level is
@@ -221,29 +221,6 @@ def _pair_blocks(n_species):
     return [(i, j) for i in range(n_species) for j in range(i, n_species)]
 
 
-def _orthonormal_frame(khat):
-    """Vectorized tangent frame(s) for unit vectors khat of shape (m, d)."""
-    m, d = khat.shape
-    if d == 2:
-        e1 = np.stack([-khat[:, 1], khat[:, 0]], axis=1)
-        return e1, None
-    ref = np.zeros_like(khat)
-    smallest = np.argmin(np.abs(khat), axis=1)
-    ref[np.arange(m), smallest] = 1.0
-    e1 = _cross3(khat, ref)
-    e1 /= np.sqrt(utils.row_dot(e1, e1))[:, None]
-    e2 = _cross3(khat, e1)
-    return e1, e2
-
-
-def _cross3(a, b):
-    """Row-wise a x b for (m, 3) arrays, the products np.cross takes, in its order."""
-    a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
-    b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
-    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
-                    axis=1)
-
-
 class _Violation(Exception):
     def __init__(self, observed):
         self.observed = observed
@@ -408,7 +385,6 @@ def _apply_wave(vi, vj, ia, ib, u_acc, u_theta, u_azim, majorant, gamma,
         ia, ib, rspeed, u_theta, u_azim = (
             np.take(a, keep) for a in (ia, ib, rspeed, u_theta, u_azim))
         va, vb, rel = (np.take(a, keep, axis=0) for a in (va, vb, rel))
-    inelastic = isinstance(pair_params, RestitutionParams)
     if sampler is None:
         # cutoff: n uniform on the sphere; the post rules and c^2 are even in
         # n, so this is the half-sphere law (c itself may come out negative)
@@ -418,21 +394,20 @@ def _apply_wave(vi, vj, ia, ib, u_acc, u_theta, u_azim, majorant, gamma,
             unit = np.stack([r * np.cos(u_azim), r * np.sin(u_azim), z], axis=1)
         else:
             unit = np.stack([np.cos(u_azim), np.sin(u_azim)], axis=1)
-        c = utils.row_dot(rel, unit)
-        post = geometry.inelastic_post_n if inelastic else geometry.mixture_post_n
     else:
-        # noncutoff: theta is the scattering angle and unit is sigma
-        theta = sampler.sample(u_theta)
-        cos_theta = np.cos(theta)
+        # noncutoff: n = sin(theta/2) khat + cos(theta/2) t for the sampled
+        # scattering angle theta; sigma = khat - 2 <khat, n> n is theta from khat
+        half = 0.5 * sampler.sample(u_theta)
         khat = rel / rspeed[:, None]
-        e1, e2 = _orthonormal_frame(khat)
-        if d == 2:
-            tang = np.where((u_azim < math.pi)[:, None], e1, -e1)
+        if d == 3:
+            coef = np.stack([np.cos(u_azim), np.sin(u_azim)], axis=1)
         else:
-            tang = np.cos(u_azim)[:, None] * e1 + np.sin(u_azim)[:, None] * e2
-        unit = cos_theta[:, None] * khat + np.sin(theta)[:, None] * tang
-        c = rspeed * np.sqrt(0.5 * (1.0 - cos_theta))   # = rspeed sin(theta/2)
-        post = geometry.inelastic_post_sigma if inelastic else geometry.mixture_post_sigma
+            coef = np.where(u_azim < math.pi, 1.0, -1.0)[:, None]
+        tang = utils.tangent_vectors(khat, coef)
+        unit = np.sin(half)[:, None] * khat + np.cos(half)[:, None] * tang
+    c = utils.row_dot(rel, unit)
+    inelastic = isinstance(pair_params, RestitutionParams)
+    post = geometry.inelastic_post_n if inelastic else geometry.mixture_post_n
     va_new, vb_new, _ = post(va, vb, unit, pair_params)
     vi[ia] = va_new
     vj[ib] = vb_new

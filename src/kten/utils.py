@@ -200,27 +200,46 @@ def _row_norms(x):
     return np.sqrt(np.matmul(x[:, None, :], x[:, :, None])[:, 0, 0])
 
 
+def _reflectors(n):
+    """Unit Householder vectors v of the unit rows n: I - 2 v v^T maps e1 to -+n.
+
+    v is n + e1 where n[0] >= 0 and n - e1 elsewhere, so |n -+ e1| >= 1: no
+    cancellation, and the other rows of the reflection are orthogonal to n
+    to rounding for every n.
+    """
+    v = n.copy()
+    v[:, 0] = np.where(n[:, 0] >= 0.0, n[:, 0] + 1.0, n[:, 0] - 1.0)   # n +/- e1
+    return v / _row_norms(v)[:, None]
+
+
 def tangent_basis(normal):
     """Deterministic orthonormal basis of the hyperplane orthogonal to `normal`.
 
     Returns an array of shape (d-1, d) for a normal of shape (d,), and one
-    basis per row, shape (L, d-1, d), for normals of shape (L, d). Built from
-    a Householder reflection, so nearby normals give nearby bases.
+    basis per row, shape (L, d-1, d), for normals of shape (L, d). The basis
+    is rows 1..d-1 of a Householder reflection I - 2 v v^T, so nearby normals
+    give nearby bases.
     """
     n = np.asarray(normal, dtype=float)
     single = n.ndim == 1
     n = np.atleast_2d(n)
     d = n.shape[1]
-    n = n / _row_norms(n)[:, None]
-    v = n.copy()
-    v[:, 0] = np.where(n[:, 0] >= 0.0, n[:, 0] - 1.0, n[:, 0] + 1.0)   # n -/+ e1
-    nv = _row_norms(v)
-    flat = nv < 1e-14                    # n is +-e1: the reflection degenerates
-    v = v / np.where(flat, 1.0, nv)[:, None]
-    h = np.eye(d) - 2.0 * (v[:, :, None] * v[:, None, :])
-    h[flat] = np.eye(d)
-    basis = h[:, 1:]
+    v = _reflectors(n / _row_norms(n)[:, None])
+    basis = (np.eye(d) - 2.0 * (v[:, :, None] * v[:, None, :]))[:, 1:]
     return basis[0] if single else basis
+
+
+def tangent_vectors(unit_normals, coords):
+    """The vectors with coordinates coords (L, d-1) in tangent_basis(unit_normals).
+
+    unit_normals (L, d) must have unit rows. The basis is never built: with
+    c = (0, coords), the sum of coords[:, k] times basis row k is the
+    reflection c - 2 <v, c> v.
+    """
+    v = _reflectors(unit_normals)
+    c = np.zeros_like(v)
+    c[:, 1:] = coords
+    return c - 2.0 * row_dot(v, c)[:, None] * v
 
 
 def fit_linear(x, y):

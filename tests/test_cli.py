@@ -390,6 +390,49 @@ class TestSimulateAndTails:
         err = capsys.readouterr().err
         assert "validation error" in err and str(snap) in err
 
+    def test_tails_missing_envelope_names_file(self, tmp_path, capsys):
+        argv = self.short_run_tails_argv(tmp_path)
+        missing = tmp_path / "no_such_env.json"
+        argv[argv.index("--envelope") + 1] = str(missing)
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: cannot read envelope") and str(missing) in err
+        assert not (tmp_path / "tails_report.json").exists()
+
+    @pytest.mark.parametrize("key", ["a", "b", "p"])
+    def test_tails_envelope_without_key_names_file_and_key(self, tmp_path, capsys, key):
+        argv = self.short_run_tails_argv(tmp_path)
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({k: v for k, v in {"a": 1e-9, "b": 0.5, "p": 2.0}.items()
+                                   if k != key}) + "\n")
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: envelope {env}: missing key {key!r}")
+        assert not (tmp_path / "tails_report.json").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("a = 1e-9\n", "cannot read envelope {env}: Expecting value"),
+        ("[1e-9, 0.5, 2.0]\n", "envelope {env}: want a JSON object, got list"),
+    ], ids=["not-json", "not-an-object"])
+    def test_tails_malformed_envelope_names_file(self, tmp_path, capsys, text, message):
+        argv = self.short_run_tails_argv(tmp_path)
+        env = tmp_path / "env.json"
+        env.write_text(text)
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: " + message.format(env=env))
+        assert not (tmp_path / "tails_report.json").exists()
+
+    def test_tails_listed_snapshot_missing_names_file(self, tmp_path, capsys):
+        argv = self.short_run_tails_argv(tmp_path)
+        snap = sorted((tmp_path / "sim").glob("snapshot_*.kten"))[-1]
+        snap.unlink()
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: snapshot {snap}: listed in "
+                              f"{tmp_path / 'sim' / 'snapshots.json'} but missing")
+        assert not (tmp_path / "tails_report.json").exists()
+
     def test_missing_config_key_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("model = mixture\n")
@@ -422,6 +465,42 @@ class TestSimulateAndTails:
         assert err.startswith("validation error") and f"config key {key!r}" in err
         assert not (outdir / "moments.csv").exists()
 
+    # (the model's lines, two species unless they set particles; the
+    # message after "config key")
+    @pytest.mark.parametrize("lines, fragment", [
+        (["model = mixture", "masses = 4.0,1.0"], "'masses' must be strictly increasing"),
+        (["model = mixture", "masses = 1.0,1.0"], "'masses' must be strictly increasing"),
+        (["model = mixture", "masses = -1.0,1.0"], "'masses' must be > 0"),
+        (["model = mixture", "masses = 1.0"], "'masses' must hold one mass per species"),
+        (["model = mixture"], "'masses' is required by model = mixture"),
+        (["model = mixture", "masses = 1.0,2.0", "alpha = 0.5"],
+         "'alpha' is not read by model = mixture"),
+        (["model = inelastic", "alpha = 0.5", "masses = 1.0,2.0"],
+         "'masses' is not read by model = inelastic"),
+        (["model = inelastic", "alpha = 0.5"], "'particles' must hold one count"),
+        (["model = inelastic", "particles = 100"], "'alpha' is required by model = inelastic"),
+        (["model = inelastic", "particles = 100", "alpha = 1.5"], "'alpha' must be in (0, 1)"),
+        (["model = mixture", "masses = 1.0,2.0", "theta_min = 0.05"],
+         "'theta_min' is not read by s_or_h = iso"),
+        (["model = mixture", "masses = 1.0,2.0", "theta_min = -3"],
+         "'theta_min' must be > 0"),
+    ], ids=["masses-decreasing", "masses-equal", "masses-negative", "masses-count",
+            "masses-missing", "alpha-under-mixture", "masses-under-inelastic",
+            "inelastic-two-species", "alpha-missing", "alpha-range", "theta-min-under-iso",
+            "theta-min-negative"])
+    def test_model_and_kernel_keys_are_checked_naming_the_key(self, tmp_path, capsys,
+                                                              lines, fragment):
+        outdir = tmp_path / "sim"
+        if not any(ln.startswith("particles") for ln in lines):
+            lines = lines + ["particles = 100,100"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines + [
+            "d = 3", "gamma = 0", "s_or_h = iso", "dt = 0.01", "steps = 1",
+            f"output_dir = {outdir}"]) + "\n")
+        assert dispatch(["simulate", "--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(f"validation error: config key {fragment}")
+        assert not outdir.exists()
+
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("### Simulation config", 1)[1].split("```ini", 1)[1]
@@ -431,15 +510,14 @@ class TestSimulateAndTails:
 
 
 # sha256 of every `simulate` output except manifest.json (which holds
-# times), for small runs of both collision rules, cutoff and noncutoff.
-# The two noncutoff runs at gamma >= 0 were recorded with the simulator's
-# own copy of the post-collision formulas (x86-64, numpy 2.4), and the
-# gamma = -1 run before `moments` and the commit wave dropped their strided
-# row reductions; the current code reproduces them. The three cutoff runs
-# were re-recorded when the cutoff wave began to draw its impact normal
-# uniform on the sphere instead of through an angle table and a tangent
-# frame (the same law, new draws). A change here is a change of computed
-# numbers.
+# times), for small runs of both collision rules, cutoff and noncutoff
+# (x86-64, numpy 2.4). The three cutoff runs were re-recorded when the
+# cutoff wave began to draw its impact normal uniform on the sphere instead
+# of through an angle table and a tangent frame, and the three noncutoff
+# runs when the noncutoff wave began to commit through the impact normal,
+# built in the `utils.tangent_basis` frame, instead of through sigma on a
+# cross-product frame (the same laws, new draws). A change here is a change
+# of computed numbers.
 GOLDEN_CONFIGS = {
     "inelastic_d3_gamma0": [
         "model = inelastic", "d = 3", "gamma = 0", "s_or_h = iso",
@@ -466,7 +544,7 @@ GOLDEN_CONFIGS = {
         "theta_min = 0.05", "alpha = 0.7", "particles = 3000", "dt = 0.0002",
         "steps = 20", "seed = 11", "init = shell", "moments_every = 1",
         "snapshot_every = 10"],
-    # the moderately soft case; the majorant is inflated twice, so two steps re-run
+    # the moderately soft case; the majorant is inflated three times, so steps re-run
     "inelastic_d3_soft_noncutoff": [
         "model = inelastic", "d = 3", "gamma = -1", "s_or_h = 0.5",
         "theta_min = 0.05", "alpha = 0.7", "particles = 3000", "dt = 0.0005",
@@ -508,37 +586,37 @@ GOLDEN_DIGESTS = {
         "tails_0002.csv": "b25cc8edc5ccdcb2817015a6284bfe17422b1414170b6e4d424fba6fbc553b06",
     },
     "mixture_d2_noncutoff": {
-        "moments.csv": "7c5b478c5d97f421456867c0689a58c9bdae847ca46874b5e26b05d6c3ee3337",
+        "moments.csv": "fa6fc08fe65caf76bee245e725b6a73ec43a25cd2dced6fb2166086b24daf1e0",
         "snapshot_0000_species0.kten": "454b1d53057d74ac3153ee8003507271a7df2ee14c76edf8d50bdbd3b2a6fc3b",
         "snapshot_0000_species1.kten": "e0e018d2c3aa5b564b64ef8410831251cfd64f638e33cf017eb84e8f5acb186d",
-        "snapshot_0001_species0.kten": "31dce243496a74fa4f1422cd29060da9d5f279c7912c4f9c35ed07feb4cdb6a9",
-        "snapshot_0001_species1.kten": "6f6b08a46c80c75e8a59c3ef15847608c1d3217fe3e28d3a0a8d5be70542cfd8",
-        "snapshot_0002_species0.kten": "068c4a845e2f8eec2d4f441734cebaff828e2647159248b08a5a52b17be59997",
-        "snapshot_0002_species1.kten": "10c671b309cf2d8dd589b60c5520113cd9d748991f5d8688193d555c542b63a8",
+        "snapshot_0001_species0.kten": "b02ff652b81b4d43bd55110c71ee5a52476e331f012d6259126fe5a886f115f6",
+        "snapshot_0001_species1.kten": "a624931f9147aa3063cc76724455d66ee9cb291bc748c4f477f8a7c6d1ed716b",
+        "snapshot_0002_species0.kten": "81b5c34cbf816c4a97f378d42d96ef374bf4a9775e5b3318a194476202469498",
+        "snapshot_0002_species1.kten": "fc2a82778bed7a5b32fa564c9898700007a293c8919947e04ca2ba61199c8370",
         "snapshots.json": "4d24e11937fbfde3defe7075115cc2b3b6c541a373ab24dac8409b3b8acc7ecf",
         "tails_0000.csv": "82ed93d3336e4648b3be8f09997f5e658378a1a94c292e681f5169b8689aece5",
-        "tails_0001.csv": "ddfc2521e87e6873f06fa3226d475377fb76f7bb58474db1750e956546a8faba",
-        "tails_0002.csv": "969f75019dd068ca27de5945f8b86a8066435d6e8ec549ef670f954d7d866ce8",
+        "tails_0001.csv": "e4536c33ed6a2371d132b20d69145f3aead2dce8ce2b4b77762c423fc023a8e8",
+        "tails_0002.csv": "7df51d61842d938a2511d0dcab344c35f440584e1e74effa87f2fa83b68c3210",
     },
     "inelastic_d3_noncutoff": {
-        "moments.csv": "033b2c9bc64497ed8c2663c9bb4ee7e77965dc9f3cdeb1eee4543f0aea979f07",
+        "moments.csv": "4af2b315c2cd0e9af3c141e4abb7f483ed13506404522bbc78a2359fe98f6a7c",
         "snapshot_0000_species0.kten": "b2f40d2991345c9660a6a19202e5e5036877b67187812252b7e704cdb19c2ddf",
-        "snapshot_0001_species0.kten": "777fabfcac8cc8dd654223f56b1d319123b7bd50dd981e4de0eafe9117c9ab6e",
-        "snapshot_0002_species0.kten": "48d53c144db493572f492fed13eb2bc24b2a5d4ac1789ee4b1b921addc0df397",
+        "snapshot_0001_species0.kten": "ecac5c1a526ec5dca3207b1af90918a7b92c22d21023d3c5f5dbda101ecc8183",
+        "snapshot_0002_species0.kten": "b2f0d2abe6ac69c19ac59379b6355c409a2a44b8a7762750fff3b92b099d3459",
         "snapshots.json": "15f30a5d9d63d1b22b9493531ff39b9a248f6c118cadc9b4d4fb7ea094562504",
         "tails_0000.csv": "e0157a4fde85cea5f5e355f9c938a4d67a2a01578df68d6335940cc35c48f1c8",
-        "tails_0001.csv": "3e7651a387d2ac96e10b2a45167efd84d4ef03f4d922bfe22195d4c2ea71eee3",
-        "tails_0002.csv": "9a03ff4db7a9be2aa6db2c08b697504551af7fe7156f533d4a373c9437202620",
+        "tails_0001.csv": "4c00d405a83fce8f055a6ad15f82125ea766176b32edb648401ad6c2d7cfab2f",
+        "tails_0002.csv": "d6ce393298c82996c4f02f696a6b3c48ed5784e5db2a7362da6376fae5fae634",
     },
     "inelastic_d3_soft_noncutoff": {
-        "moments.csv": "ad073318dce0fd4588a9038732691437079041a46f09df5d459c0892c074058d",
+        "moments.csv": "608d6fb978f408f87c7c8178a1e3678c1a68ada7430079a58a541c7a5754c2bc",
         "snapshot_0000_species0.kten": "9bd9a9ddf3c6c627557b5c4e36383a8c11174a14da6c7e9591e2753b7925ba1b",
-        "snapshot_0001_species0.kten": "4be1b374b58c42689dfdad3b142f67562a6969712efe6015db47ddd659e1a91e",
-        "snapshot_0002_species0.kten": "cdedb0f45cb1604f5eaf27568e7d3ace05a680c9597dd9a7103ff7a7884a7eb9",
+        "snapshot_0001_species0.kten": "3e4caa0350c1b05274c3354f1f78f55b0febb04b567a16881fe146fd6a133416",
+        "snapshot_0002_species0.kten": "b47efb30a61c06d0e2b184a902cc9cfa5d00d36871517734b51aa0a5427a86c4",
         "snapshots.json": "09ebe7d42fde2683af93d2155af555ee032e6eb6af2d848e67ee43f3ba8821d8",
         "tails_0000.csv": "831582a428f7853cc03572317e18866bb045e94d2240f73c0758223af1423d41",
-        "tails_0001.csv": "f0563831634df16c3f3120ee1f43a81f40a9dcfee646ec8309c65d41df5f651f",
-        "tails_0002.csv": "7f09ee9fea858ac697225f8fd21cac2f1b53c8517b7f4ae42f550c102db73102",
+        "tails_0001.csv": "d03fcd055354e863f0714187fdf2e6658ac0d4eaa93ece5de51815a8ea54be6d",
+        "tails_0002.csv": "40b9bdfe034b2d3e178462f409b252f8891f41166e3986db23c00bf4ad3fc660",
     },
 }
 
@@ -616,6 +694,31 @@ def test_lowerbound_golden_digests(tmp_path):
         run_ok(argv + ["--quiet", "--output-dir", out])
         digests[name] = hashlib.sha256((out / output).read_bytes()).hexdigest()
     assert digests == LOWERBOUND_DIGESTS
+
+
+@pytest.mark.parametrize("argv, option, message", [
+    (["region", "--beta", "0.8", "--samples", "0"], "--samples", "must be >= 1, got '0'"),
+    (["region", "--beta", "0.8", "--samples", "-5"], "--samples", "must be >= 1, got '-5'"),
+    (["region", "--beta", "0.8", "--eps-grid", "0.01:0.2:0"], "--eps-grid",
+     "grid '0.01:0.2:0' needs n >= 1 points"),
+    (["region", "--beta", "0.8", "--eps-grid", "0:0.2:4"], "--eps-grid",
+     "geometric grid '0:0.2:4' needs lo, hi > 0"),
+    (["kernel-scaling", "--r-min", "0"], "--r-min", "must be > 0, got '0'"),
+    (["kernel-scaling", "--r-max", "-1"], "--r-max", "must be > 0, got '-1'"),
+    (["cancellation", "--grid", "0.6:0.9:0"], "--grid", "grid '0.6:0.9:0' needs n >= 1 points"),
+    (["verify-geometry", "--samples", "0"], "--samples", "must be >= 1, got '0'"),
+    (["cancellation", "--threads", "0"], "--threads", "must be >= 1, got '0'"),
+    (["--threads", "0", "cancellation"], "--threads", "must be >= 1, got '0'"),
+], ids=["region-samples-0", "region-samples-neg", "region-eps-grid-n0",
+        "region-eps-grid-lo0", "kernel-scaling-r-min", "kernel-scaling-r-max",
+        "cancellation-grid-n0", "verify-geometry-samples", "threads-after",
+        "threads-before"])
+def test_numeric_option_out_of_range_is_a_usage_error_naming_it(tmp_path, capsys,
+                                                                argv, option, message):
+    assert dispatch(argv + ["--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: argument {option}: {message}") and "usage" in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestKernelScalingCommand:

@@ -76,9 +76,14 @@ class TestStep:
             total += ens.last_step_stats["accepted"]
         assert total > 0
 
-    def test_inelastic_energy_monotone_and_bookkeeping(self):
-        spec = iso_cutoff(model="inelastic")
-        cfg = sim.SimConfig(model="inelastic", kernel=spec, dt=0.05, steps=0,
+    # (kernel, dt): each draws about 470 candidates a step for 3000 particles
+    @pytest.mark.parametrize("spec, dt", [
+        (iso_cutoff(model="inelastic"), 0.05),
+        (KernelSpec(gamma=0.0, d=2, s=0.2, model="inelastic"), 0.0043),
+        (KernelSpec(gamma=0.0, d=3, s=0.2, model="inelastic"), 0.0014),
+    ], ids=["cutoff_d3", "noncutoff_d2", "noncutoff_d3"])
+    def test_inelastic_energy_monotone_and_bookkeeping(self, spec, dt):
+        cfg = sim.SimConfig(model="inelastic", kernel=spec, dt=dt, steps=0,
                             particles=(3000,), alpha=0.5, seed=5)
         ens = sim.build_ensemble(cfg)
         energies = [sim.moments(ens)["energy"]]
@@ -381,30 +386,45 @@ AXES = {3: [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
         2: [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.6, 0.8])]}
 
 
-def _drawn_normals(khat, monkeypatch, m=20000, seed=29):
-    """|<khat, n>| for the impact normals one cutoff wave draws, v - v* along khat."""
+def _drawn_normals(khat, monkeypatch, sampler=None, pair=MassPair(1.0, 2.0),
+                   m=20000, seed=29):
+    """The impact normals one wave draws for v - v* along khat, and its commit.
+
+    Returns (n, theta, pre, post): the normals, the sampler's angles (None
+    for a cutoff wave), and the velocity pairs before and after.
+    """
     seen = []
-    post_n = sim.geometry.mixture_post_n
 
-    def recording_post_n(v, v_star, n, pair):
-        seen.append((v - v_star, n))
-        return post_n(v, v_star, n, pair)
+    def recording(rule):
+        def post_n(v, v_star, n, params):
+            out = rule(v, v_star, n, params)
+            seen.append(((v, v_star), n, out[:2]))
+            return out
+        return post_n
 
-    monkeypatch.setattr(sim.geometry, "mixture_post_n", recording_post_n)
+    for name in ("inelastic_post_n", "mixture_post_n"):
+        monkeypatch.setattr(sim.geometry, name, recording(getattr(sim.geometry, name)))
     rng = np.random.default_rng(seed)
     d = len(khat)
     v = np.zeros((2 * m, d))
     v[:m] = rng.uniform(0.5, 2.0, size=(m, 1)) * khat
-    stats = {"accepted": 0}
+    u_theta = rng.random(m)
+    stats = {"accepted": 0, "sum_c2": 0.0, "predicted_energy_loss": 0.0}
     # gamma 0 under majorant 1 accepts every candidate
     sim._apply_wave(v, v, np.arange(m), np.arange(m, 2 * m), rng.random(m),
-                    rng.random(m), rng.random(m) * 2.0 * math.pi, 1.0, 0.0, None,
-                    MassPair(1.0, 2.0), d, 1.0 / m, stats)
+                    u_theta, rng.random(m) * 2.0 * math.pi, 1.0, 0.0, sampler,
+                    pair, d, 1.0 / m, stats)
     assert stats["accepted"] == m and len(seen) == 1
-    rel, n = seen[0]
+    (va, vb), n, post = seen[0]
     assert np.abs(np.linalg.norm(n, axis=1) - 1.0).max() < 1e-15
+    rel = va - vb
     assert np.allclose(rel / np.linalg.norm(rel, axis=1)[:, None], khat, rtol=0, atol=1e-15)
-    return np.abs(n @ khat)
+    theta = None if sampler is None else sampler.sample(u_theta)
+    return n, theta, (va, vb), post
+
+
+def _noncutoff_sampler(d, model="mixture"):
+    return sim.AngularSampler(KernelSpec(gamma=0.0, d=d, s=0.2, model=model), 0.05)
 
 
 class TestAngularSampler:
@@ -413,7 +433,7 @@ class TestAngularSampler:
         # cos(theta) = |<khat, n>| is uniform on [0, 1]
         from scipy.stats import kstest
         for khat in AXES[3]:
-            cos_theta = _drawn_normals(khat, monkeypatch)
+            cos_theta = np.abs(_drawn_normals(khat, monkeypatch)[0] @ khat)
             assert kstest(cos_theta, "uniform").pvalue > 0.01
             assert np.mean(cos_theta) == pytest.approx(0.5, abs=5e-3)
         assert iso_cutoff().angular_mass == 2.0 * math.pi
@@ -422,9 +442,52 @@ class TestAngularSampler:
         # at d = 2 the angle between n and +-khat is uniform on [0, pi/2]
         from scipy.stats import kstest
         for khat in AXES[2]:
-            theta = np.arccos(np.minimum(_drawn_normals(khat, monkeypatch), 1.0))
+            cos_theta = np.abs(_drawn_normals(khat, monkeypatch)[0] @ khat)
+            theta = np.arccos(np.minimum(cos_theta, 1.0))
             assert kstest(theta, "uniform", args=(0.0, 0.5 * math.pi)).pvalue > 0.01
         assert iso_cutoff(d=2).angular_mass == math.pi
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_noncutoff_normal_carries_the_half_angle(self, monkeypatch, d):
+        # n = sin(theta/2) khat + cos(theta/2) t with t a unit tangent
+        for khat in AXES[d]:
+            n, theta, _, _ = _drawn_normals(khat, monkeypatch, _noncutoff_sampler(d))
+            assert np.abs(n @ khat - np.sin(0.5 * theta)).max() < 1e-12
+
+    def test_noncutoff_d3_tangent_azimuth_is_uniform(self, monkeypatch):
+        from scipy.stats import kstest
+        for khat in AXES[3]:
+            n, _, _, _ = _drawn_normals(khat, monkeypatch, _noncutoff_sampler(3))
+            # a right-handed frame of khat's plane, built apart from the simulator
+            e1 = np.cross(khat, [0.6, 0.0, 0.8])
+            e1 /= np.linalg.norm(e1)
+            e2 = np.cross(khat, e1)
+            azimuth = np.arctan2(n @ e2, n @ e1) % (2.0 * math.pi)
+            assert kstest(azimuth, "uniform", args=(0.0, 2.0 * math.pi)).pvalue > 0.01
+
+    def test_noncutoff_d2_draws_both_tangent_signs(self, monkeypatch):
+        for khat in AXES[2]:
+            n, _, _, _ = _drawn_normals(khat, monkeypatch, _noncutoff_sampler(2))
+            positive = np.mean(n @ np.array([-khat[1], khat[0]]) > 0.0)
+            assert 0.45 < positive < 0.55
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("model", ["inelastic", "mixture"])
+    def test_noncutoff_commit_equals_the_sigma_rule(self, monkeypatch, d, model):
+        # the impact-normal rule at n is the scattering rule at
+        # sigma = khat - 2 <khat, n> n
+        rule, pair = ((sim.geometry.inelastic_post_sigma, RestitutionParams(0.5))
+                      if model == "inelastic"
+                      else (sim.geometry.mixture_post_sigma, MassPair(1.0, 2.0)))
+        sampler = _noncutoff_sampler(d, model)
+        for khat in AXES[d]:
+            n, _, (va, vb), (va_new, vb_new) = _drawn_normals(khat, monkeypatch,
+                                                              sampler, pair)
+            sigma = khat - 2.0 * (n @ khat)[:, None] * n
+            ref_a, ref_b, _ = rule(va, vb, sigma, pair)
+            scale = np.abs(va).max()
+            assert np.abs(va_new - ref_a).max() < 1e-13 * scale
+            assert np.abs(vb_new - ref_b).max() < 1e-13 * scale
 
     def test_cutoff_spec_has_no_sampler(self):
         cfg = elastic_cfg()
@@ -612,26 +675,7 @@ class TestModuleState:
         assert state() == before
 
 
-def _np_cross_frame(khat):
-    """The tangent frame as built with np.cross and np.linalg.norm."""
-    ref = np.zeros_like(khat)
-    ref[np.arange(len(khat)), np.argmin(np.abs(khat), axis=1)] = 1.0
-    e1 = np.cross(khat, ref)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    return e1, np.cross(khat, e1)
-
-
 class TestCommitKernels:
-    def test_cross3_and_frame_match_numpy_bits(self):
-        rng = np.random.default_rng(17)
-        khat = rng.normal(size=(50000, 3))
-        khat /= np.linalg.norm(khat, axis=1, keepdims=True)
-        other = rng.normal(size=(50000, 3))
-        assert np.array_equal(sim._cross3(khat, other), np.cross(khat, other))
-        e1, e2 = sim._orthonormal_frame(khat)
-        ref1, ref2 = _np_cross_frame(khat)
-        assert np.array_equal(e1, ref1) and np.array_equal(e2, ref2)
-
     @pytest.mark.parametrize("case", ["inelastic_cutoff_d3", "noncutoff_mixture_d2"])
     def test_fully_accepted_level_equals_masked_path(self, case):
         # gamma 0 with majorant 2 accepts exactly the candidates with

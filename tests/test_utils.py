@@ -47,11 +47,8 @@ def _reference_tangent_basis(normal):
     n = normal / np.linalg.norm(normal)
     e = np.zeros(n.size)
     e[0] = 1.0
-    v = n - e if n[0] >= 0.0 else n + e
-    nv = np.linalg.norm(v)
-    if nv < 1e-14:
-        return np.eye(n.size)[1:]
-    v = v / nv
+    v = n + e if n[0] >= 0.0 else n - e
+    v = v / np.linalg.norm(v)
     return (np.eye(n.size) - 2.0 * np.outer(v, v))[1:]
 
 
@@ -66,13 +63,32 @@ def test_tangent_basis_batch_equals_single_normals(d):
     assert batch.shape == (4000, d - 1, d)
     assert np.array_equal(batch, singles)
     assert np.array_equal(singles, np.stack([_reference_tangent_basis(n) for n in normals]))
-    # +-e1 takes the degenerate branch: the other unit vectors
+    # +-e1 give the other unit vectors
     assert np.array_equal(batch[0], np.eye(d)[1:])
     assert np.array_equal(batch[1], np.eye(d)[1:])
     unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     assert np.max(np.abs(np.einsum("lkd,ld->lk", batch, unit))) < 1e-12
     gram = np.einsum("lkd,ljd->lkj", batch, batch)
     assert np.max(np.abs(gram - np.eye(d - 1))) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tangent_vectors_are_coordinates_in_the_tangent_basis(d):
+    rng = np.random.default_rng(10 + d)
+    normals = rng.normal(size=(4000, d))
+    normals[:2] = 0.0
+    normals[0, 0], normals[1, 0] = 1.0, -1.0
+    # within 1e-9 of +-e1, where a reflection onto n - e1 would cancel
+    normals[2:1000, 1:] *= 1e-9
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    coords = rng.normal(size=(4000, d - 1))
+    got = utils.tangent_vectors(normals, coords)
+    basis = utils.tangent_basis(normals)
+    want = np.einsum("lk,lkd->ld", coords, basis)
+    assert np.max(np.abs(got - want)) < 1e-14
+    assert np.array_equal(got[:2, 1:], coords[:2]) and np.all(got[:2, 0] == 0.0)
+    assert np.max(np.abs(utils.row_dot(got, normals))) < 1e-14
+    assert np.max(np.abs(np.einsum("lkd,ld->lk", basis, normals))) < 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3])
