@@ -412,6 +412,8 @@ _REQUIRED = object()
 _AT_LEAST_0 = (lambda x: x >= 0, ">= 0")
 _AT_LEAST_1 = (lambda x: x >= 1, ">= 1")
 _POSITIVE = (lambda x: x > 0, "> 0")
+# the angle table of simulator.AngularSampler turns linear at 0.5
+_ANGLE_CUT = (lambda x: 0 < x < 0.5, "> 0 and < 0.5")
 _RESTITUTION = (lambda x: 0 < x < 1, "in (0, 1)")
 _MODEL = (lambda x: x in simulator.MODELS, f"one of {', '.join(simulator.MODELS)}")
 _INIT = (lambda x: x in simulator.INITS, f"one of {', '.join(simulator.INITS)}")
@@ -429,7 +431,7 @@ _SIM_SCHEMA = {
     "particles": (_ints, _REQUIRED, _AT_LEAST_1),
     "dt": (float, _REQUIRED, _POSITIVE),
     "steps": (int, _REQUIRED, _AT_LEAST_1),
-    "theta_min": (float, None, _POSITIVE),
+    "theta_min": (float, None, _ANGLE_CUT),
     "alpha": (float, None, _RESTITUTION),
     "masses": (_floats, None, _POSITIVE),
     "seed": (int, None, None),
@@ -577,12 +579,40 @@ def _read_json(path, what):
     return obj
 
 
+# the keys _run_tails reads from each snapshots.json entry
+_SNAPSHOT_ENTRY_KEYS = ("file", "species", "t", "weight")
+
+
+def _read_snapshot_index(index_path):
+    """The entries of a snapshots.json; a malformed index names the file."""
+    index_map = _read_json(index_path, "snapshot index")
+    if "snapshots" not in index_map:
+        raise ValidationError(f"snapshot index {index_path}: missing key 'snapshots'")
+    index = index_map["snapshots"]
+    if not isinstance(index, list):
+        raise ValidationError(f"snapshot index {index_path}: 'snapshots' must be a list, "
+                              f"got {type(index).__name__}")
+    if not index:
+        raise ValidationError(f"snapshot index {index_path}: 'snapshots' lists no snapshot")
+    for k, item in enumerate(index):
+        if not isinstance(item, dict):
+            raise ValidationError(f"snapshot index {index_path}: entry {k} is not an object")
+        lacking = [key for key in _SNAPSHOT_ENTRY_KEYS if key not in item]
+        if lacking:
+            raise ValidationError(f"snapshot index {index_path}: entry {k} lacks "
+                                  f"{', '.join(map(repr, lacking))}")
+        if not isinstance(item["file"], str):
+            raise ValidationError(f"snapshot index {index_path}: entry {k} 'file' must "
+                                  f"be a string, got {item['file']!r}")
+    return index
+
+
 def _run_tails(args):
     snapdir = Path(args.snapshots)
     index_path = snapdir / "snapshots.json"
     if not index_path.exists():
         raise ValidationError(f"no snapshots.json in {snapdir}")
-    index = _read_json(index_path, "snapshot index")["snapshots"]
+    index = _read_snapshot_index(index_path)
     missing = [item["file"] for item in index if not (snapdir / item["file"]).is_file()]
     if missing:
         raise ValidationError(f"snapshot {snapdir / missing[0]}: listed in {index_path} "

@@ -39,6 +39,7 @@ logger = logging.getLogger(__name__)
 SNAPSHOT_MAGIC = b"KTEN"
 SNAPSHOT_VERSION = 1
 _ANGLE_TABLE = 4096        # grid points of the angular sampler's inverse-CDF table
+_ANGLE_SPLIT = 0.5         # the table is geometric below this angle, linear above
 _ENTROPY_BINS = 24         # histogram bins per axis of the entropy estimate
 MODELS = ("inelastic", "mixture")
 INITS = ("gaussian", "two_bump", "shell")     # the initializers of _init_velocities
@@ -117,8 +118,8 @@ class SimConfig:
                 raise ValueError("mixture model needs one mass per species")
         if self.dt <= 0 or self.steps < 0:
             raise ValueError("dt must be positive and steps nonnegative")
-        if not self.kernel.cutoff and self.theta_min <= 0.0:
-            raise ValueError("noncutoff sampling requires theta_min > 0")
+        if not self.kernel.cutoff:
+            _check_theta_min(self.theta_min)
 
     @property
     def d(self):
@@ -134,6 +135,13 @@ class SimConfig:
         return None if self.kernel.cutoff else AngularSampler(self.kernel, self.theta_min)
 
 
+def _check_theta_min(theta_min):
+    """The angle table starts at theta_min and turns linear at _ANGLE_SPLIT."""
+    if not 0.0 < theta_min < _ANGLE_SPLIT:
+        raise ValueError(f"noncutoff sampling needs theta_min in (0, {_ANGLE_SPLIT}), "
+                         f"got {theta_min}")
+
+
 class AngularSampler:
     """Inverse-CDF sampler of the noncutoff scattering angle.
 
@@ -145,11 +153,10 @@ class AngularSampler:
     """
 
     def __init__(self, spec: KernelSpec, theta_min):
-        if theta_min <= 0.0:
-            raise ValueError("noncutoff sampling needs theta_min > 0")
+        _check_theta_min(theta_min)
         d, gamma, s = spec.d, spec.gamma, spec.s
-        grid = np.concatenate([np.geomspace(theta_min, 0.5, _ANGLE_TABLE // 2),
-                               np.linspace(0.5, math.pi, _ANGLE_TABLE // 2)[1:]])
+        grid = np.concatenate([np.geomspace(theta_min, _ANGLE_SPLIT, _ANGLE_TABLE // 2),
+                               np.linspace(_ANGLE_SPLIT, math.pi, _ANGLE_TABLE // 2)[1:]])
         dens = spec.assembled_b.from_angle(grid) * np.sin(grid) ** (d - 2)
         area = utils.sphere_area(d - 1)
         # the grazing count below theta_min is infinite for any s in (0,1); its

@@ -211,6 +211,12 @@ def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
     (estimates at one seed always shared their samples); every eps is
     checked before anything is drawn.
 
+    Working set: each thread holds one chunk of up to _REGION_CHUNK samples
+    at a time. A chunk's (n, d) normals live only until they are reduced to
+    u.a; after that it holds six length-n float vectors (u.a, the radii,
+    |u|^2, its scaled copy and two scratch buffers), 6 MiB for a full chunk,
+    whatever the length of the eps grid.
+
     What the estimate I(R, eps) promises:
     - scaling in R: I(R, eps) = R^(2d-1) I(1, eps);
     - the spreading lemma's lower bound: I >= C eps^d for eps in
@@ -254,10 +260,12 @@ def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
         rng = utils.substream(seed, idx)
         n = sizes[idx]
         g = rng.normal(size=(n, d))
-        radius = R * rng.random(n) ** (1.0 / d)
-        # u = radius * g / |g| enters only through u.a and |u|^2
+        # u = radius * g / |g| enters only through u.a and |u|^2; g is reduced
+        # to u.a / radius and freed before radius is drawn
         ua = utils.row_dot(g, axis)
         ua /= np.sqrt(utils.row_dot(g, g))
+        del g
+        radius = R * rng.random(n) ** (1.0 / d)
         ua *= radius
         uu = radius * radius
         soft_uu = (1.0 / beta - 1.0) * uu

@@ -433,6 +433,31 @@ class TestSimulateAndTails:
                               f"{tmp_path / 'sim' / 'snapshots.json'} but missing")
         assert not (tmp_path / "tails_report.json").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda index: {}, "missing key 'snapshots'"),
+        (lambda index: {"snapshots": 5}, "'snapshots' must be a list, got int"),
+        (lambda index: {"snapshots": []}, "'snapshots' lists no snapshot"),
+        (lambda index: {"snapshots": index["snapshots"] + [7]}, "entry 2 is not an object"),
+        (lambda index: {"snapshots": [{**index["snapshots"][0], "file": 3}]},
+         "entry 0 'file' must be a string, got 3"),
+    ] + [
+        (lambda index, key=key: {"snapshots": [
+            {k: v for k, v in item.items() if not (i == 1 and k == key)}
+            for i, item in enumerate(index["snapshots"])]}, f"entry 1 lacks {key!r}")
+        for key in ("file", "species", "t", "weight")
+    ], ids=["no-snapshots-key", "snapshots-not-a-list", "no-snapshot", "entry-not-object",
+            "file-not-a-string",
+            "entry-without-file", "entry-without-species", "entry-without-t",
+            "entry-without-weight"])
+    def test_tails_malformed_index_names_file(self, tmp_path, capsys, edit, message):
+        argv = self.short_run_tails_argv(tmp_path)
+        index_path = tmp_path / "sim" / "snapshots.json"
+        index_path.write_text(json.dumps(edit(json.loads(index_path.read_text()))))
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: snapshot index {index_path}: {message}")
+        assert not (tmp_path / "tails_report.json").exists()
+
     def test_missing_config_key_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("model = mixture\n")
@@ -484,10 +509,14 @@ class TestSimulateAndTails:
          "'theta_min' is not read by s_or_h = iso"),
         (["model = mixture", "masses = 1.0,2.0", "theta_min = -3"],
          "'theta_min' must be > 0"),
+        (["model = mixture", "masses = 1.0,2.0", "theta_min = 1.0"],
+         "'theta_min' must be > 0 and < 0.5, got '1.0'"),
+        (["model = mixture", "masses = 1.0,2.0", "theta_min = 4.0"],
+         "'theta_min' must be > 0 and < 0.5, got '4.0'"),
     ], ids=["masses-decreasing", "masses-equal", "masses-negative", "masses-count",
             "masses-missing", "alpha-under-mixture", "masses-under-inelastic",
             "inelastic-two-species", "alpha-missing", "alpha-range", "theta-min-under-iso",
-            "theta-min-negative"])
+            "theta-min-negative", "theta-min-one", "theta-min-four"])
     def test_model_and_kernel_keys_are_checked_naming_the_key(self, tmp_path, capsys,
                                                               lines, fragment):
         outdir = tmp_path / "sim"

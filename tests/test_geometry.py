@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -363,6 +365,75 @@ class TestVerifyIdentities:
         assert rep["pass"] is False
         assert rep["mixture_energy_residual"] > 1e-6
         assert rep["momentum_residual"] < 1e-12
+
+
+# verify_identities(13, n, d) as the whole-array code reported it, before the
+# identities ran on row blocks: the momentum, restitution, sigma-n, relative
+# speed, mixture momentum and mixture energy values and the swap gap. n = 1
+# and n = 4095, 4096, 4097 around the 4096-row block
+_REPORT_KEYS = ("momentum_residual", "restitution_residual", "sigma_n_agreement",
+                "relative_speed_growth", "mixture_momentum_residual",
+                "mixture_energy_residual", "sigma_flip_swap_gap")
+_WHOLE_ARRAY_REPORTS = [
+    (1, 2, (0.0, 2.220446049250313e-16, 2.220446049250313e-16, -1.5172775742408013, 0.0,
+            0.0, 1.645819555688375)),
+    (4095, 2, (4.440892098500626e-16, 1.929567616798522e-13, 9.431344594190705e-14,
+               -3.3641902352776754e-07, 1.7763568394002505e-15, 1.7763568394002505e-14,
+               0.005034059891357168)),
+    (4096, 2, (4.440892098500626e-16, 3.4721114872127146e-12, 1.3296030942910875e-12,
+               -7.640602373015781e-09, 1.7763568394002505e-15, 1.4210854715202004e-14,
+               0.023591339613064668)),
+    (4097, 2, (4.440892098500626e-16, 1.284528039491306e-13, 4.8183679268731794e-14,
+               -1.656595514099024e-07, 1.7763568394002505e-15, 1.4210854715202004e-14,
+               0.014129710288854192)),
+    (100000, 2, (8.881784197001252e-16, 3.013836402665504e-11, 1.1779355268970448e-11,
+                 -3.818056981685913e-12, 1.7763568394002505e-15, 2.842170943040401e-14,
+                 0.000837680494367064)),
+    (1, 3, (1.1102230246251565e-16, 8.881784197001252e-16, 4.440892098500626e-16,
+            -1.0688791360516858, 2.220446049250313e-16, 5.329070518200751e-15,
+            1.8004874731738896)),
+    (4095, 3, (4.440892098500626e-16, 4.218847493575595e-14, 1.887379141862766e-14,
+               -0.00012614911016883834, 1.7763568394002505e-15, 1.4210854715202004e-14,
+               0.03288355931759558)),
+    (4096, 3, (4.440892098500626e-16, 2.8199664825478976e-14, 1.021405182655144e-14,
+               -0.00022194117602047925, 1.7763568394002505e-15, 1.7763568394002505e-14,
+               0.06265944582170056)),
+    (4097, 3, (4.440892098500626e-16, 1.3378187446733136e-14, 6.439293542825908e-15,
+               -0.00020945689577533955, 1.7763568394002505e-15, 1.7763568394002505e-14,
+               0.0804422000858667)),
+    (100000, 3, (8.881784197001252e-16, 6.445954880973659e-13, 2.566696855055284e-13,
+                 -1.3664660034606868e-06, 1.7763568394002505e-15, 2.842170943040401e-14,
+                 0.0256324165526352)),
+]
+
+
+class TestVerifyIdentitiesBlocks:
+    def test_pins_straddle_the_block(self):
+        assert geo._IDENTITY_BLOCK == 4096
+
+    @pytest.mark.parametrize("n, d, values", _WHOLE_ARRAY_REPORTS,
+                             ids=[f"n{n}-d{d}" for n, d, _ in _WHOLE_ARRAY_REPORTS])
+    def test_report_matches_whole_array_code(self, n, d, values):
+        rep = geo.verify_identities(13, n, d)
+        assert rep == {"samples": n, "d": d, **dict(zip(_REPORT_KEYS, values)),
+                       "pass": True}
+
+    @pytest.mark.parametrize("block", [7, 1000])
+    @pytest.mark.parametrize("n, d", [(4097, 2), (20000, 3)])
+    def test_report_does_not_depend_on_block_size(self, monkeypatch, n, d, block):
+        default = geo.verify_identities(13, n, d)
+        monkeypatch.setattr(geo, "_IDENTITY_BLOCK", block)
+        assert geo.verify_identities(13, n, d) == default
+
+    def test_working_set_is_bounded(self):
+        # the draws are 3 x 2.3 MiB; the whole-array code peaked at 37.6 MiB
+        tracemalloc.start()
+        try:
+            geo.verify_identities(13, 100000, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20
 
 
 class TestCollisionFrame:

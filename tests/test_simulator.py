@@ -495,6 +495,23 @@ class TestAngularSampler:
         with pytest.raises(ValueError, match="noncutoff specs"):
             sim.AngularSampler(cfg.kernel, theta_min=0.01)
 
+    @pytest.mark.parametrize("theta_min", [0.5, 1.0, 4.0])
+    def test_theta_min_past_the_geometric_table_is_refused(self, theta_min):
+        # the table is geometric on [theta_min, 0.5] and linear on [0.5, pi]:
+        # theta_min >= 0.5 gave a non-monotone grid, and >= pi NaN angles
+        spec = KernelSpec(gamma=0.0, d=3, s=0.2, model="mixture")
+        with pytest.raises(ValueError, match=r"theta_min in \(0, 0.5\)"):
+            sim.AngularSampler(spec, theta_min)
+        with pytest.raises(ValueError, match=r"theta_min in \(0, 0.5\)"):
+            sim.SimConfig(model="mixture", kernel=spec, dt=0.01, steps=1,
+                          particles=(10, 10), masses=(1.0, 2.0), theta_min=theta_min)
+
+    def test_theta_min_below_the_split_gives_an_increasing_grid(self):
+        spec = KernelSpec(gamma=0.0, d=3, s=0.2, model="mixture")
+        grid = sim.AngularSampler(spec, 0.49).grid
+        assert grid[0] == 0.49 and grid[-1] == math.pi
+        assert np.all(np.diff(grid) > 0.0)
+
     def test_noncutoff_angle_density(self):
         # inverse-CDF sampling reproduces the truncated angular density
         # b(cos t) sin^{d-2} t on [theta_min, pi]

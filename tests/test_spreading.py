@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -148,6 +149,19 @@ class TestRegionEstimate:
         b = S.region_estimate_mc(1.0, 0.1, 0.8, 3, 300000, seed=9, threads=4)
         c = S.region_estimate_mc(1.0, 0.1, 0.8, 3, 300000, seed=9, threads=8)
         assert a == b == c
+
+    def test_working_set_is_bounded(self):
+        # 1e6 samples in 131072-sample chunks, one chunk at a time: the
+        # normals are reduced and freed before the radii are drawn (9.0 MiB
+        # when a chunk held them beside the radii)
+        grid = np.geomspace(0.01, 0.2, 8)
+        tracemalloc.start()
+        try:
+            S.region_estimate_mc(1.0, grid, 0.8, 3, 10 ** 6, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 2 ** 20
 
     def test_r_scaling_exact_dilation(self):
         # I(R, eps) = R^{2d-1} I(1, eps): both sides by independent MC
