@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -141,7 +142,7 @@ def dispatch(argv):
         runner = _RUNNERS[args.subcommand]
         args.output_dir.mkdir(parents=True, exist_ok=True)
         config, outputs = runner(args)
-        # the simulate runner may redirect output_dir from its config file
+        # the simulate runner may take output_dir and seed from its config file
         _write_manifest(args.output_dir, args.subcommand, config, args.seed,
                         started, outputs)
         return 0
@@ -330,8 +331,7 @@ def _run_cancellation(args):
     grid = _parse_grid(args.grid)
     kspec = kernels.KernelSpec(
         gamma=args.gamma, d=args.d, s=args.s,
-        model="inelastic" if args.family == "inelastic" else "mixture",
-        moderately_soft=args.gamma < 0 and 0 <= args.gamma + 2 * args.s <= 2)
+        model="inelastic" if args.family == "inelastic" else "mixture")
     # light on heavy (1, x) and heavy on light (x, 1) have the one lambda 1/x
     if args.family == "inelastic":
         lam, want = canc.inelastic_lam, "beta in (1/2, 1)"
@@ -374,7 +374,7 @@ def _run_simulate(args):
     outdir = Path(cfg_map.get("output_dir", args.output_dir))
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = run_simulation_to_dir(cfg, outdir, extras, quiet=args.quiet)
-    args.output_dir = outdir
+    args.output_dir, args.seed = outdir, cfg.seed
     return dict(cfg_map), outputs
 
 
@@ -412,30 +412,22 @@ _REQUIRED = object()
 _AT_LEAST_0 = (lambda x: x >= 0, ">= 0")
 _AT_LEAST_1 = (lambda x: x >= 1, ">= 1")
 _POSITIVE = (lambda x: x > 0, "> 0")
-# the angle table of simulator.AngularSampler turns linear at 0.5
-_ANGLE_CUT = (lambda x: 0 < x < 0.5, "> 0 and < 0.5")
-_RESTITUTION = (lambda x: 0 < x < 1, "in (0, 1)")
-_MODEL = (lambda x: x in simulator.MODELS, f"one of {', '.join(simulator.MODELS)}")
-_INIT = (lambda x: x in simulator.INITS, f"one of {', '.join(simulator.INITS)}")
-# key: (parse, default, check); a check holds for each value of a comma
-# separated list. output_dir is read by _run_simulate, the others by
-# build_sim_config. theta_min and init default to SimConfig's values.
-# alpha is read by the inelastic model only, masses by the mixture model
-# only, and theta_min by noncutoff kernels only; _check_sim_keys refuses them
-# elsewhere.
+# key: (parse, default, check). SimConfig checks the values of the keys it
+# takes, so only the CLI's own keys carry a check here; output_dir is read
+# by _run_simulate, the others by build_sim_config.
 _SIM_SCHEMA = {
-    "model": (str, _REQUIRED, _MODEL),
+    "model": (str, _REQUIRED, None),
     "d": (int, _REQUIRED, None),
     "gamma": (float, _REQUIRED, None),
     "s_or_h": (_s_or_h, _REQUIRED, None),
-    "particles": (_ints, _REQUIRED, _AT_LEAST_1),
-    "dt": (float, _REQUIRED, _POSITIVE),
+    "particles": (_ints, _REQUIRED, None),
+    "dt": (float, _REQUIRED, None),
     "steps": (int, _REQUIRED, _AT_LEAST_1),
-    "theta_min": (float, None, _ANGLE_CUT),
-    "alpha": (float, None, _RESTITUTION),
-    "masses": (_floats, None, _POSITIVE),
+    "theta_min": (float, simulator.SimConfig.theta_min, None),
+    "alpha": (float, simulator.SimConfig.alpha, None),
+    "masses": (_floats, simulator.SimConfig.masses, None),
     "seed": (int, None, None),
-    "init": (str, None, _INIT),
+    "init": (str, simulator.SimConfig.init, None),
     "moments_every": (int, 1, _AT_LEAST_1),
     "snapshot_every": (int, 0, _AT_LEAST_0),
     "tail_bins": (int, 50, _AT_LEAST_1),
@@ -464,56 +456,39 @@ def _read_sim_keys(cfg_map):
         except ValueError as exc:
             raise ValidationError(
                 f"config key {key!r}: cannot read {raw!r} ({exc})") from exc
-        items = value if isinstance(value, tuple) else (value,)
-        if check is not None and not all(check[0](x) for x in items):
+        if check is not None and not check[0](value):
             raise ValidationError(f"config key {key!r} must be {check[1]}, got {raw!r}")
         values[key] = value
     return values
 
 
-def _check_sim_keys(c):
-    """The keys that depend on the model and the kernel, against them."""
-    model = c["model"]
-    own, other = ("alpha", "masses") if model == "inelastic" else ("masses", "alpha")
-    if c[own] is None:
-        raise ValidationError(f"config key {own!r} is required by model = {model}")
-    if c[other] is not None:
-        raise ValidationError(f"config key {other!r} is not read by model = {model}")
-    if c["theta_min"] is not None and c["s_or_h"] == "iso":
-        raise ValidationError("config key 'theta_min' is not read by s_or_h = iso")
-    counts, masses = c["particles"], c["masses"]
-    if model == "inelastic" and len(counts) != 1:
-        raise ValidationError("config key 'particles' must hold one count: "
-                              "the inelastic model is mono-species")
-    if model == "mixture" and len(masses) != len(counts):
-        raise ValidationError(f"config key 'masses' must hold one mass per species, "
-                              f"{len(counts)} in 'particles'")
-    if model == "mixture" and any(b <= a for a, b in zip(masses, masses[1:])):
-        raise ValidationError(f"config key 'masses' must be strictly increasing, "
-                              f"got {','.join(map(str, masses))}")
-
-
-def build_sim_config(cfg_map, seed=None):
+def build_sim_config(cfg_map, seed=simulator.SimConfig.seed):
     """SimConfig from the flat config mapping; returns (config, extras).
 
     A missing required key, a key outside _SIM_SCHEMA, a value that does
-    not parse or fails its check, or a key that the model or the kernel
-    needs but lacks or would not read raises ValidationError naming the key.
+    not parse, or a value that SimConfig or the CLI refuses raises
+    ValidationError naming the key; `seed` is the seed of a file without one.
     """
     c = _read_sim_keys(cfg_map)
-    _check_sim_keys(c)
-    model, d, gamma, s_or_h = c["model"], c["d"], c["gamma"], c["s_or_h"]
-    if s_or_h == "iso":
-        spec = kernels.KernelSpec(gamma=gamma, d=d, h=lambda t: 1.0, model=model)
+    if c["s_or_h"] == "iso":
+        angular = {"h": lambda t: 1.0}
     else:
-        spec = kernels.KernelSpec(gamma=gamma, d=d, s=s_or_h, model=model,
-                                  moderately_soft=(gamma < 0.0))
-    set_in_file = {k: c[k] for k in ("theta_min", "init") if c[k] is not None}
-    cfg = simulator.SimConfig(
-        model=model, kernel=spec, dt=c["dt"], steps=c["steps"],
-        particles=c["particles"], alpha=c["alpha"], masses=c["masses"],
-        seed=c["seed"] if c["seed"] is not None else
-        (seed if seed is not None else DEFAULT_SEED), **set_in_file)
+        angular = {"s": c["s_or_h"], "moderately_soft": c["gamma"] < 0.0}
+    # built in KernelSpec's default convention first: the kernel takes the
+    # run's model only once SimConfig has accepted it, so that an unknown
+    # model is refused by SimConfig, naming the key
+    kernel = kernels.KernelSpec(gamma=c["gamma"], d=c["d"], **angular)
+    try:
+        cfg = simulator.SimConfig(
+            model=c["model"], kernel=kernel, dt=c["dt"], steps=c["steps"],
+            particles=c["particles"], alpha=c["alpha"], masses=c["masses"],
+            seed=seed if c["seed"] is None else c["seed"],
+            theta_min=c["theta_min"], init=c["init"])
+    except ValueError as exc:
+        raise ValidationError(f"config key {exc}") from exc
+    if "theta_min" in cfg_map and kernel.cutoff:
+        raise ValidationError("config key 'theta_min' is not read by s_or_h = iso")
+    cfg.kernel = dataclasses.replace(kernel, model=cfg.model)
     extras = {k: c[k] for k in ("moments_every", "snapshot_every", "tail_bins")}
     return cfg, extras
 
@@ -579,8 +554,9 @@ def _read_json(path, what):
     return obj
 
 
-# the keys _run_tails reads from each snapshots.json entry
-_SNAPSHOT_ENTRY_KEYS = ("file", "species", "t", "weight")
+# the keys _run_tails reads from each snapshots.json entry: (JSON types, wanted)
+_SNAPSHOT_ENTRY_KEYS = {"file": ((str,), "a string"), "species": ((int,), "an integer"),
+                        "t": ((int, float), "a number"), "weight": ((int, float), "a number")}
 
 
 def _read_snapshot_index(index_path):
@@ -601,9 +577,11 @@ def _read_snapshot_index(index_path):
         if lacking:
             raise ValidationError(f"snapshot index {index_path}: entry {k} lacks "
                                   f"{', '.join(map(repr, lacking))}")
-        if not isinstance(item["file"], str):
-            raise ValidationError(f"snapshot index {index_path}: entry {k} 'file' must "
-                                  f"be a string, got {item['file']!r}")
+        for key, (kinds, wanted) in _SNAPSHOT_ENTRY_KEYS.items():
+            # JSON true and false load as bool, a subclass of int
+            if not isinstance(item[key], kinds) or isinstance(item[key], bool):
+                raise ValidationError(f"snapshot index {index_path}: entry {k} {key!r} "
+                                      f"must be {wanted}, got {item[key]!r}")
     return index
 
 

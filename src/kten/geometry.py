@@ -34,7 +34,7 @@ class RestitutionParams:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise ValueError(f"'alpha' must be in (0, 1), got {self.alpha}")
 
     @property
     def beta(self):

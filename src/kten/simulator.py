@@ -106,20 +106,43 @@ class SimConfig:
     majorant_refresh: int = 100
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
+        """Every value of a run, checked before any work.
+
+        Each message starts with the quoted field name, which is also the
+        key of the `kten simulate` config file.
+        """
+        for field, value, choices in (("model", self.model, MODELS),
+                                      ("init", self.init, INITS)):
+            if value not in choices:
+                raise ValueError(f"{field!r} must be one of {', '.join(choices)}, "
+                                 f"got {value!r}")
+        if not self.particles or not all(n >= 1 for n in self.particles):
+            raise ValueError(f"'particles' must be counts >= 1, got {self.particles}")
+        # alpha is read by the inelastic model only, masses by the mixture only
+        own, other = ("alpha", "masses") if self.model == "inelastic" else ("masses", "alpha")
+        if getattr(self, own) is None:
+            raise ValueError(f"{own!r} is required by model = {self.model}")
+        if getattr(self, other) is not None:
+            raise ValueError(f"{other!r} is not read by model = {self.model}")
         if self.model == "inelastic":
-            if self.alpha is None or not 0.0 < self.alpha < 1.0:
-                raise ValueError("inelastic model needs alpha in (0, 1)")
             if len(self.particles) != 1:
-                raise ValueError("inelastic model is mono-species")
+                raise ValueError("'particles' must hold one count: "
+                                 "the inelastic model is mono-species")
+            RestitutionParams(self.alpha)
         else:
-            if self.masses is None or len(self.masses) != len(self.particles):
-                raise ValueError("mixture model needs one mass per species")
-        if self.dt <= 0 or self.steps < 0:
-            raise ValueError("dt must be positive and steps nonnegative")
-        if not self.kernel.cutoff:
-            _check_theta_min(self.theta_min)
+            masses = self.masses
+            if len(masses) != len(self.particles):
+                raise ValueError(f"'masses' must hold one mass per species, "
+                                 f"{len(self.particles)} in 'particles'")
+            if not all(m > 0 for m in masses):
+                raise ValueError(f"'masses' must be > 0, got {masses}")
+            if any(b <= a for a, b in zip(masses, masses[1:])):
+                raise ValueError(f"'masses' must be strictly increasing, got {masses}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"'dt' must be > 0 and finite, got {self.dt}")
+        if self.steps < 0:
+            raise ValueError(f"'steps' must be >= 0, got {self.steps}")
+        _check_theta_min(self.theta_min)
 
     @property
     def d(self):
@@ -138,8 +161,7 @@ class SimConfig:
 def _check_theta_min(theta_min):
     """The angle table starts at theta_min and turns linear at _ANGLE_SPLIT."""
     if not 0.0 < theta_min < _ANGLE_SPLIT:
-        raise ValueError(f"noncutoff sampling needs theta_min in (0, {_ANGLE_SPLIT}), "
-                         f"got {theta_min}")
+        raise ValueError(f"'theta_min' must be > 0 and < {_ANGLE_SPLIT}, got {theta_min}")
 
 
 class AngularSampler:
@@ -187,11 +209,9 @@ def _init_velocities(rng, n, d, kind):
         signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
         v[:, 0] += signs * 2.0
         return v
-    if kind == "shell":
-        g = rng.normal(size=(n, d))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
-        return g
-    raise ValueError(f"unknown initializer {kind!r}")
+    g = rng.normal(size=(n, d))         # "shell"
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return g
 
 
 def build_ensemble(cfg: SimConfig) -> Ensemble:

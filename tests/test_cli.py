@@ -445,10 +445,20 @@ class TestSimulateAndTails:
             {k: v for k, v in item.items() if not (i == 1 and k == key)}
             for i, item in enumerate(index["snapshots"])]}, f"entry 1 lacks {key!r}")
         for key in ("file", "species", "t", "weight")
+    ] + [
+        (lambda index, key=key, value=value: {"snapshots": [
+            {**item, key: value} if i == 1 else item
+            for i, item in enumerate(index["snapshots"])]},
+         f"entry 1 {key!r} must be {wanted}, got {value!r}")
+        for key, value, wanted in (("weight", "x", "a number"), ("t", None, "a number"),
+                                   ("weight", True, "a number"),
+                                   ("species", 0.0, "an integer"),
+                                   ("species", False, "an integer"))
     ], ids=["no-snapshots-key", "snapshots-not-a-list", "no-snapshot", "entry-not-object",
             "file-not-a-string",
             "entry-without-file", "entry-without-species", "entry-without-t",
-            "entry-without-weight"])
+            "entry-without-weight", "weight-not-a-number", "t-null", "weight-bool",
+            "species-float", "species-bool"])
     def test_tails_malformed_index_names_file(self, tmp_path, capsys, edit, message):
         argv = self.short_run_tails_argv(tmp_path)
         index_path = tmp_path / "sim" / "snapshots.json"
@@ -457,6 +467,17 @@ class TestSimulateAndTails:
         err = capsys.readouterr().err
         assert err.startswith(f"validation error: snapshot index {index_path}: {message}")
         assert not (tmp_path / "tails_report.json").exists()
+
+    @pytest.mark.parametrize("file_seed", [None, 7])
+    def test_manifest_records_the_seed_that_drove_the_run(self, tmp_path, file_seed):
+        outdir = tmp_path / "sim"
+        cfg = self.write_config(tmp_path, outdir, steps=1, seed=file_seed)
+        if file_seed is None:
+            cfg.write_text("".join(ln for ln in cfg.read_text().splitlines(True)
+                                   if not ln.startswith("seed")))
+        run_ok(["simulate", "--config", cfg, "--seed", "99", "--quiet"])
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["seed"] == (99 if file_seed is None else file_seed)
 
     def test_missing_config_key_is_validation_error(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -510,9 +531,9 @@ class TestSimulateAndTails:
         (["model = mixture", "masses = 1.0,2.0", "theta_min = -3"],
          "'theta_min' must be > 0"),
         (["model = mixture", "masses = 1.0,2.0", "theta_min = 1.0"],
-         "'theta_min' must be > 0 and < 0.5, got '1.0'"),
+         "'theta_min' must be > 0 and < 0.5, got 1.0"),
         (["model = mixture", "masses = 1.0,2.0", "theta_min = 4.0"],
-         "'theta_min' must be > 0 and < 0.5, got '4.0'"),
+         "'theta_min' must be > 0 and < 0.5, got 4.0"),
     ], ids=["masses-decreasing", "masses-equal", "masses-negative", "masses-count",
             "masses-missing", "alpha-under-mixture", "masses-under-inelastic",
             "inelastic-two-species", "alpha-missing", "alpha-range", "theta-min-under-iso",

@@ -252,6 +252,27 @@ class TestStep:
             sim.SimConfig(model="inelastic", kernel=spec, dt=0.01, steps=1,
                           particles=(100,), alpha=0.5, theta_min=0.0)
 
+    @pytest.mark.parametrize("field, changes", [
+        ("dt", {"dt": math.nan}),
+        ("dt", {"dt": math.inf}),
+        ("particles", {"particles": (0,)}),
+        ("init", {"init": "foo"}),
+        ("masses", {"particles": (10, 10), "masses": (2.0, 1.0)}),
+        ("masses", {"masses": (0.0,)}),
+        ("masses", {"particles": (10, 10), "masses": (-1.0, 2.0)}),
+        ("alpha", {"alpha": 0.5}),
+        ("masses", {"model": "inelastic", "alpha": 0.5}),
+    ], ids=["dt-nan", "dt-inf", "particles-zero", "init-unknown", "masses-decreasing",
+            "masses-zero", "masses-negative", "alpha-under-mixture",
+            "masses-under-inelastic"])
+    def test_bad_value_is_refused_at_construction_naming_the_field(self, field, changes):
+        # each was accepted here once, then failed late in build_ensemble or
+        # step, or was ignored without a word
+        run = dict(model="mixture", kernel=iso_cutoff(), dt=0.05, steps=1,
+                   particles=(10,), masses=(1.0,)) | changes
+        with pytest.raises(ValueError, match=f"^{field!r}"):
+            sim.SimConfig(**run)
+
 
 class TestMoments:
     def test_single_particle(self):
@@ -500,9 +521,9 @@ class TestAngularSampler:
         # the table is geometric on [theta_min, 0.5] and linear on [0.5, pi]:
         # theta_min >= 0.5 gave a non-monotone grid, and >= pi NaN angles
         spec = KernelSpec(gamma=0.0, d=3, s=0.2, model="mixture")
-        with pytest.raises(ValueError, match=r"theta_min in \(0, 0.5\)"):
+        with pytest.raises(ValueError, match=r"'theta_min' must be > 0 and < 0\.5"):
             sim.AngularSampler(spec, theta_min)
-        with pytest.raises(ValueError, match=r"theta_min in \(0, 0.5\)"):
+        with pytest.raises(ValueError, match=r"'theta_min' must be > 0 and < 0\.5"):
             sim.SimConfig(model="mixture", kernel=spec, dt=0.01, steps=1,
                           particles=(10, 10), masses=(1.0, 2.0), theta_min=theta_min)
 
