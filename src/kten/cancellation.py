@@ -27,7 +27,7 @@ import numpy as np
 
 from . import utils
 from .density import DensityField
-from .errors import ConvergenceFailure, DivergentIntegral
+from .errors import ConvergenceFailure, DivergentIntegral, ValidationError
 
 
 def inelastic_lam(beta):
@@ -56,9 +56,9 @@ def solve_angle(w, lam):
     """
     w = np.asarray(w, dtype=float)
     if not np.all((0.0 < w) & (w <= math.pi)):
-        raise ValueError("w must lie in (0, pi]")
+        raise ValidationError("w must lie in (0, pi]")
     if not 0.0 < lam < 1.0:
-        raise ValueError("lambda must lie in (0, 1)")
+        raise ValidationError("lambda must lie in (0, 1)")
     a = np.arctan2(np.sin(w), (lam - 1.0) + 2.0 * np.cos(0.5 * w) ** 2)
     res = np.abs(_angle_equation(a, lam) - w)
     if np.any(res > 1e-13 * np.maximum(1.0, w)):
@@ -87,12 +87,11 @@ class SFunctionSpec:
     _s1: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
+        utils.check_dimension(self.d)
         if self.gamma <= -self.d:
-            raise ValueError("gamma must exceed -d")
+            raise ValidationError("gamma must exceed -d")
         if not 0.0 < self.lam <= 1.0:
-            raise ValueError(f"lambda must lie in (0, 1], got {self.lam}")
+            raise ValidationError(f"lambda must lie in (0, 1], got {self.lam}")
 
     @property
     def s1(self):
@@ -154,7 +153,7 @@ def S_value(rel_speed, spec: SFunctionSpec):
     """S(|v - v*|) = rel_speed^gamma * S1(spec); strictly positive."""
     rel_speed = np.asarray(rel_speed, dtype=float)
     if np.any(rel_speed <= 0.0):
-        raise ValueError("rel_speed must be positive")
+        raise ValidationError("rel_speed must be positive")
     out = rel_speed ** spec.gamma * spec.s1
     return float(out) if out.ndim == 0 else out
 

@@ -18,7 +18,6 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure.
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -86,7 +85,7 @@ def _build_parser():
     s.add_argument("--beta", type=float, default=1.0 - 1e-3)
     s.add_argument("--r-min", type=_checked(float, _POSITIVE), default=1e-3)
     s.add_argument("--r-max", type=_checked(float, _POSITIVE), default=100.0)
-    s.add_argument("--points-per-decade", type=int, default=4)
+    s.add_argument("--points-per-decade", type=_checked(int, _AT_LEAST_1), default=4)
 
     s = sub.add_parser("cancellation", parents=[common])
     s.add_argument("--family", choices=["inelastic", "mixture-light", "mixture-heavy"],
@@ -150,7 +149,7 @@ def dispatch(argv):
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except (ValidationError, ValueError) as exc:
+    except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
@@ -300,10 +299,10 @@ def _run_region(args):
 
 
 def _run_kernel_scaling(args):
-    f = DensityField.gaussian(args.d)
     spec = kernels.KernelSpec(gamma=args.gamma, d=args.d, s=args.s,
                               model="inelastic", moderately_soft=args.gamma < 0)
     p = RestitutionParams.from_beta(args.beta)
+    f = DensityField.gaussian(args.d)
     decades_small = math.log10(1.0 / args.r_min)
     decades_large = math.log10(args.r_max / 2.0)
     r_grid = np.concatenate([
@@ -334,13 +333,16 @@ def _run_cancellation(args):
         model="inelastic" if args.family == "inelastic" else "mixture")
     # light on heavy (1, x) and heavy on light (x, 1) have the one lambda 1/x
     if args.family == "inelastic":
-        lam, want = canc.inelastic_lam, "beta in (1/2, 1)"
-        valid = (0.5 < grid) & (grid < 1.0)
+        lam = canc.inelastic_lam
+        try:
+            for beta in grid:
+                RestitutionParams.from_beta(float(beta))
+        except ValidationError as exc:
+            raise ValidationError(f"--grid {args.grid!r}: {exc}") from exc
     else:
-        lam, want = functools.partial(canc.mixture_lam, 1.0), "mass ratio > 1"
-        valid = grid > 1.0
-    if not np.all(valid):
-        raise ValidationError(f"--grid {args.grid!r}: every value must be a {want}")
+        lam = functools.partial(canc.mixture_lam, 1.0)
+        if not np.all(grid > 1.0):
+            raise ValidationError(f"--grid {args.grid!r}: every mass ratio must be > 1")
     b = kspec.assembled_b
     elastic = canc.SFunctionSpec(d=args.d, gamma=args.gamma, b=b, lam=1.0)
     rows = []
@@ -474,21 +476,18 @@ def build_sim_config(cfg_map, seed=simulator.SimConfig.seed):
         angular = {"h": lambda t: 1.0}
     else:
         angular = {"s": c["s_or_h"], "moderately_soft": c["gamma"] < 0.0}
-    # built in KernelSpec's default convention first: the kernel takes the
-    # run's model only once SimConfig has accepted it, so that an unknown
-    # model is refused by SimConfig, naming the key
-    kernel = kernels.KernelSpec(gamma=c["gamma"], d=c["d"], **angular)
     try:
+        kernel = kernels.KernelSpec(gamma=c["gamma"], d=c["d"], model=c["model"], **angular)
         cfg = simulator.SimConfig(
             model=c["model"], kernel=kernel, dt=c["dt"], steps=c["steps"],
             particles=c["particles"], alpha=c["alpha"], masses=c["masses"],
             seed=seed if c["seed"] is None else c["seed"],
             theta_min=c["theta_min"], init=c["init"])
-    except ValueError as exc:
-        raise ValidationError(f"config key {exc}") from exc
+    except ValidationError as exc:
+        # the messages quote the fields, each its config key but s, set by s_or_h
+        raise ValidationError("config key " + str(exc).replace("'s'", "'s_or_h'")) from exc
     if "theta_min" in cfg_map and kernel.cutoff:
         raise ValidationError("config key 'theta_min' is not read by s_or_h = iso")
-    cfg.kernel = dataclasses.replace(kernel, model=cfg.model)
     extras = {k: c[k] for k in ("moments_every", "snapshot_every", "tail_bins")}
     return cfg, extras
 

@@ -14,6 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import utils
+from .errors import ValidationError
 
 TRUNCATION_SIGMAS = 12.0  # quadrature reach in units of the support scale
 _SHELL_NODES = 16         # Gauss-Legendre nodes per radial panel of radial_moment
@@ -36,11 +37,11 @@ class DensityField:
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float)
         if not (np.isfinite(self.mass) and np.isfinite(self.energy)):
-            raise ValueError("M0 and E0 must be finite")
+            raise ValidationError("M0 and E0 must be finite")
         if self.mass < 0:
-            raise ValueError("mass must be nonnegative")
+            raise ValidationError("mass must be nonnegative")
         if self.scale <= 0:
-            raise ValueError("support scale must be positive")
+            raise ValidationError("support scale must be positive")
 
     def __call__(self, v):
         return self.evaluator(np.asarray(v, dtype=float))
@@ -241,4 +242,4 @@ def _spot_check_nonnegative(f: DensityField):
     rng = utils.substream(7, 1)
     pts = f.center + f.scale * rng.normal(size=(64, f.d)) * 3.0
     if np.any(f(pts) < 0):
-        raise ValueError("density evaluator returned negative values")
+        raise ValidationError("density evaluator returned negative values")

@@ -1,8 +1,8 @@
 """Exception and warning types shared across the package.
 
-Two failure families matter for the CLI exit-code contract: bad inputs
-(ValidationError, exit 1) and numerical breakdowns detected at run time
-(NumericalError, exit 2).
+A bad value from a caller raises ValidationError, also a ValueError (CLI
+exit 1); a numerical breakdown at run time raises NumericalError (exit 2).
+A plain ValueError is a bug, which the CLI lets propagate.
 """
 
 
@@ -10,8 +10,8 @@ class KtenError(Exception):
     """Base class for all package errors."""
 
 
-class ValidationError(KtenError):
-    """Input violates a documented precondition or type invariant."""
+class ValidationError(KtenError, ValueError):
+    """A caller's value breaks a precondition; the message names it or its file."""
 
 
 class NumericalError(KtenError):
@@ -83,7 +83,7 @@ class MajorantViolation(NumericalError):
 
 
 class NonFiniteResult(NumericalError):
-    """Inner quadrature remainder indicates a non-integrable singularity."""
+    """An integral is not finite, or does not converge at a singularity."""
 
 
 # -- warnings ------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import utils
-from .errors import EqualMasses, NonUnitNormal, ZeroRelativeVelocity
+from .errors import EqualMasses, NonUnitNormal, ValidationError, ZeroRelativeVelocity
 
 UNIT_TOL = 1e-9
 
@@ -34,7 +34,7 @@ class RestitutionParams:
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"'alpha' must be in (0, 1), got {self.alpha}")
+            raise ValidationError(f"'alpha' must be in (0, 1), got {self.alpha}")
 
     @property
     def beta(self):
@@ -48,7 +48,7 @@ class RestitutionParams:
     @classmethod
     def from_beta(cls, beta):
         if not 0.5 < beta < 1.0:
-            raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
+            raise ValidationError(f"'beta' must lie in (1/2, 1), got {beta}")
         return cls(alpha=2.0 * beta - 1.0)
 
 
@@ -60,10 +60,10 @@ class MassPair:
     def __post_init__(self):
         for name, m in (("m_i", self.m_i), ("m_j", self.m_j)):
             if not (m > 0.0 and np.isfinite(m)):
-                raise ValueError(f"{name} must be positive and finite, got {m}")
+                raise ValidationError(f"{name!r} must be positive and finite, got {m}")
         if not np.isfinite(self.total):
             # kappa = 2 m_j / total would be nan or inf
-            raise ValueError(f"m_i + m_j overflows: {self.m_i} + {self.m_j}")
+            raise ValidationError(f"m_i + m_j overflows: {self.m_i} + {self.m_j}")
 
     @property
     def total(self):
@@ -86,7 +86,7 @@ class PostCollision(NamedTuple):
 def _vec(x):
     a = np.asarray(x, dtype=float)
     if a.ndim == 0:
-        raise ValueError("velocity arguments must be vectors")
+        raise ValidationError("velocity arguments must be vectors")
     return a
 
 
@@ -287,7 +287,7 @@ class CollisionFrame:
             raise ZeroRelativeVelocity("collision frame needs |v - v*| > 0")
         c = float(np.dot(rel / r, self.sigma))
         if abs(c - self.cos_theta) > self.TOL:
-            raise ValueError("cos_theta inconsistent with (v, v*, sigma)")
+            raise ValidationError("cos_theta inconsistent with (v, v*, sigma)")
 
 
 def make_collision_frame(v, v_star, sigma):
@@ -359,6 +359,7 @@ def verify_identities(seed, n, d):
     row's value has the same bits in any block, so the report does not
     depend on the block size.
     """
+    utils.check_dimension(d)
     rng = utils.substream(seed, 0xEC)
     v = rng.normal(size=(n, d))
     vs = rng.normal(size=(n, d))

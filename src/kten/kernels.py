@@ -40,7 +40,8 @@ import numpy as np
 from . import utils
 from .density import TRUNCATION_SIGMAS, DensityField
 from .errors import (CoincidentPoints, EqualMasses, HistoryGap, InsufficientGrid,
-                     NonFiniteResult, QuadratureTruncationWarning, SingularAtZeroSpeed)
+                     NonFiniteResult, QuadratureTruncationWarning, SingularAtZeroSpeed,
+                     ValidationError)
 from .geometry import MassPair, RestitutionParams
 
 # The constant of the assembled b(cos theta) differs between the inelastic
@@ -73,24 +74,23 @@ class KernelSpec:
     moderately_soft: bool = False
 
     def __post_init__(self):
-        if self.d not in (2, 3):
-            raise ValueError("only d = 2 and d = 3 are supported")
+        utils.check_dimension(self.d)
         if self.model not in _MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
+            raise ValidationError(f"'model' must be one of {_MODELS}, got {self.model!r}")
         if self.h is not None and self.s is not None:
-            raise ValueError("give either a noncutoff s or a cutoff h, not both")
+            raise ValidationError("give either a noncutoff s or a cutoff h, not both")
         if self.h is None:
             if self.s is None or not 0.0 < self.s < 1.0:
-                raise ValueError("noncutoff spec needs s in (0, 1)")
-            if self.moderately_soft:
-                if not (self.gamma < 0.0 and 0.0 <= self.gamma + 2.0 * self.s <= 2.0):
-                    raise ValueError("moderately soft requires gamma < 0 and "
-                                     "gamma + 2s in [0, 2]")
+                raise ValidationError(f"'s' must lie in (0, 1), got {self.s}")
+            if self.moderately_soft and not (self.gamma < 0.0
+                                             and 0.0 <= self.gamma + 2.0 * self.s <= 2.0):
+                raise ValidationError(f"'gamma' and 's' must satisfy gamma < 0 <= gamma + 2s "
+                                      f"<= 2 (moderately soft), got ({self.gamma}, {self.s})")
         else:
             if not 0.0 <= self.gamma <= 1.0:
-                raise ValueError("cutoff spec requires hard potentials gamma in [0, 1]")
+                raise ValidationError(f"'gamma' must lie in [0, 1] (cutoff), got {self.gamma}")
             if any(self.h(k * math.pi / 8.0) != 1.0 for k in range(5)):
-                raise ValueError("cutoff profile h must be h == 1 (the uniform half-sphere)")
+                raise ValidationError("cutoff profile h must be h == 1 (uniform)")
 
     @property
     def cutoff(self):
@@ -111,7 +111,7 @@ class KernelSpec:
         for angles too small for cos(theta) to resolve.
         """
         if self.cutoff:
-            raise ValueError("assembled_b applies to noncutoff specs")
+            raise ValidationError("assembled_b applies to noncutoff specs")
         return AssembledB(self)
 
 
@@ -215,6 +215,7 @@ class ScalingReport:
     s: float
 
 
+@np.errstate(over="ignore", invalid="ignore")     # a result that is not finite raises
 def verify_Kf_scaling(f: DensityField, spec: KernelSpec, params, u_prime, r_grid):
     """Measure the four ball-integral scaling regimes of the Carleman kernel.
 
@@ -226,6 +227,7 @@ def verify_Kf_scaling(f: DensityField, spec: KernelSpec, params, u_prime, r_grid
     The expected exponents are 2-2s and gamma+3 (inner), -2s and gamma
     (outer); the bounds are upper bounds, so measured slopes can only be
     asserted to saturate them where the configuration allows (see tests).
+    An integral that is not finite (the kernel overflows) raises NonFiniteResult.
     """
     r_grid = np.sort(np.asarray(r_grid, dtype=float))
     small = r_grid[r_grid <= 1.0]
@@ -259,6 +261,9 @@ def verify_Kf_scaling(f: DensityField, spec: KernelSpec, params, u_prime, r_grid
     # analytic tail beyond l_max assuming the plane integral has leveled off
     j_tail = kern[-1] * l_nodes[-1] ** (d + 2.0 * s)
     outer += j_tail * l_max ** (-2.0 * s) / (2.0 * s)
+    if not (np.all(np.isfinite(inner)) and np.all(np.isfinite(outer))):
+        raise NonFiniteResult(f"ball integrals are not finite on r in [{r_grid[0]:g}, "
+                              f"{r_grid[-1]:g}]: the kernel overflows near u'")
 
     slopes = {}
     for tag, rr, vals in (("inner_small", small, inner[r_grid <= 1.0]),
@@ -277,7 +282,7 @@ def verify_Kf_scaling(f: DensityField, spec: KernelSpec, params, u_prime, r_grid
 def _kernel_profile(center, others, ls, f, spec, kappa, n_radial, n_angular):
     """Plain and symmetrized kernel values at (center, others[i]), ls ascending."""
     if spec.cutoff:
-        raise ValueError("hyperplane kernels are defined for noncutoff specs")
+        raise ValidationError("hyperplane kernels are defined for noncutoff specs")
     d, gamma, s = spec.d, spec.gamma, spec.s
     stretch = 1.0 / kappa - 1.0
     nhats = (others - center) / ls[:, None]
@@ -449,7 +454,7 @@ def cutoff_loss_rate(f_j: DensityField, v, spec: KernelSpec):
     with C depending on the mass and energy of f_j.
     """
     if not spec.cutoff:
-        raise ValueError("loss rate requires a cutoff spec")
+        raise ValidationError("loss rate requires a cutoff spec")
     return spec.angular_mass * f_j.radial_moment(np.asarray(v, dtype=float), spec.gamma)
 
 
@@ -464,7 +469,7 @@ def duhamel_factor(times, rates, t1, t2):
     if rates.ndim == 2:
         rates = rates.sum(axis=1)
     if times.ndim != 1 or times.size != rates.size or times.size < 1:
-        raise ValueError("times and rates must be matching 1-d sequences")
+        raise ValidationError("times and rates must be matching 1-d sequences")
     if t1 > t2:
         raise HistoryGap("t1 must not exceed t2")
     if t1 < times[0] or t2 > times[-1]:

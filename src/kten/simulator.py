@@ -56,9 +56,9 @@ class Species:
         # only on C-ordered rows
         self.velocities = np.ascontiguousarray(self.velocities, dtype=float)
         if self.velocities.ndim != 2 or self.velocities.shape[0] == 0:
-            raise ValueError("species needs a nonempty (N, d) velocity array")
+            raise ValidationError("species needs a nonempty (N, d) velocity array")
         if self.mass <= 0 or self.weight <= 0:
-            raise ValueError("mass and weight must be positive")
+            raise ValidationError("mass and weight must be positive")
 
 
 @dataclass
@@ -73,10 +73,10 @@ class Ensemble:
     def __post_init__(self):
         masses = [s.mass for s in self.species]
         if any(b <= a for a, b in zip(masses, masses[1:])):
-            raise ValueError("species masses must be strictly increasing")
+            raise ValidationError("species masses must be strictly increasing")
         weights = {s.weight for s in self.species}
         if len(weights) > 1:
-            raise ValueError("per-species weights must be equal for pair sampling")
+            raise ValidationError("per-species weights must be equal for pair sampling")
 
     @property
     def d(self):
@@ -114,34 +114,35 @@ class SimConfig:
         for field, value, choices in (("model", self.model, MODELS),
                                       ("init", self.init, INITS)):
             if value not in choices:
-                raise ValueError(f"{field!r} must be one of {', '.join(choices)}, "
-                                 f"got {value!r}")
+                raise ValidationError(f"{field!r} must be one of {choices}, got {value!r}")
         if not self.particles or not all(n >= 1 for n in self.particles):
-            raise ValueError(f"'particles' must be counts >= 1, got {self.particles}")
+            raise ValidationError(f"'particles' must be counts >= 1, got {self.particles}")
         # alpha is read by the inelastic model only, masses by the mixture only
         own, other = ("alpha", "masses") if self.model == "inelastic" else ("masses", "alpha")
         if getattr(self, own) is None:
-            raise ValueError(f"{own!r} is required by model = {self.model}")
+            raise ValidationError(f"{own!r} is required by model = {self.model}")
         if getattr(self, other) is not None:
-            raise ValueError(f"{other!r} is not read by model = {self.model}")
+            raise ValidationError(f"{other!r} is not read by model = {self.model}")
         if self.model == "inelastic":
             if len(self.particles) != 1:
-                raise ValueError("'particles' must hold one count: "
-                                 "the inelastic model is mono-species")
+                raise ValidationError("'particles' must hold one count under model = inelastic")
             RestitutionParams(self.alpha)
         else:
             masses = self.masses
             if len(masses) != len(self.particles):
-                raise ValueError(f"'masses' must hold one mass per species, "
-                                 f"{len(self.particles)} in 'particles'")
+                raise ValidationError(f"'masses' must hold one mass per species, "
+                                      f"{len(self.particles)} in 'particles'")
             if not all(m > 0 for m in masses):
-                raise ValueError(f"'masses' must be > 0, got {masses}")
+                raise ValidationError(f"'masses' must be > 0, got {masses}")
             if any(b <= a for a, b in zip(masses, masses[1:])):
-                raise ValueError(f"'masses' must be strictly increasing, got {masses}")
+                raise ValidationError(f"'masses' must be strictly increasing, got {masses}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"'dt' must be > 0 and finite, got {self.dt}")
+            raise ValidationError(f"'dt' must be > 0 and finite, got {self.dt}")
         if self.steps < 0:
-            raise ValueError(f"'steps' must be >= 0, got {self.steps}")
+            raise ValidationError(f"'steps' must be >= 0, got {self.steps}")
+        # the kernel's model fixes the constant of its assembled b
+        if self.kernel.model != self.model:
+            raise ValidationError(f"'kernel' has model = {self.kernel.model}, not {self.model}")
         _check_theta_min(self.theta_min)
 
     @property
@@ -161,7 +162,7 @@ class SimConfig:
 def _check_theta_min(theta_min):
     """The angle table starts at theta_min and turns linear at _ANGLE_SPLIT."""
     if not 0.0 < theta_min < _ANGLE_SPLIT:
-        raise ValueError(f"'theta_min' must be > 0 and < {_ANGLE_SPLIT}, got {theta_min}")
+        raise ValidationError(f"'theta_min' must be > 0 and < {_ANGLE_SPLIT}, got {theta_min}")
 
 
 class AngularSampler:
@@ -540,8 +541,8 @@ def write_snapshot(path, velocities):
 def read_snapshot(path):
     """Velocities (count, d) from a snapshot file.
 
-    A file too short for its header's count, or with a bad magic or
-    version, raises ValidationError naming the file.
+    A file too short for its header's count, with a bad magic or version,
+    without velocities or with one not finite raises ValidationError naming it.
     """
     with open(path, "rb") as fh:
         header = fh.read(20)
@@ -558,4 +559,7 @@ def read_snapshot(path):
         raise ValidationError(f"snapshot {path}: payload holds {len(payload)} bytes, "
                               f"header promises {count} x {d} float64 "
                               f"({count * d * 8} bytes)")
-    return np.frombuffer(payload, dtype="<f8").reshape(count, d).copy()
+    v = np.frombuffer(payload, dtype="<f8").reshape(count, d).copy()
+    if count == 0 or not np.isfinite(v).all():
+        raise ValidationError(f"snapshot {path}: needs one velocity or more, all finite")
+    return v

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import utils
-from .errors import DegenerateGeometry, EpsOutOfRange, GuardViolated
-from .kernels import TestFunction
+from .errors import DegenerateGeometry, EpsOutOfRange, GuardViolated, ValidationError
+from .geometry import RestitutionParams
+from .kernels import KernelSpec, TestFunction
 
 # samples per region Monte Carlo chunk; chunk k draws from substream (seed, k),
 # so this size is part of what a seed means
@@ -43,8 +44,8 @@ class Envelope:
     p: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0 or self.p <= 0:
-            raise ValueError("envelope needs a, b, p > 0")
+        if not (self.a > 0 and self.b > 0 and self.p > 0):      # NaN too
+            raise ValidationError(f"'a', 'b' and 'p' must be > 0, got {self}")
 
 
 def envelope_eval_speed(env: Envelope, speed):
@@ -98,23 +99,21 @@ class SpreadingConfig:
 
     def __post_init__(self):
         if (self.beta is None) == (self.masses is None):
-            raise ValueError("provide exactly one of beta or masses "
-                             "(beta=None selects the mixture iteration)")
-        if self.beta is not None and not 0.5 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (1/2, 1), got {self.beta}")
-        if self.masses is not None and len(self.masses) != 2:
-            raise ValueError(f"masses wants two values (m_i, m_j), got {len(self.masses)}")
-        if self.masses is not None and any(m <= 0 for m in self.masses):
-            raise ValueError("masses must be positive")
-        if not 0.0 < self.T0 < 1.0:
-            raise ValueError("T0 must lie in (0, 1)")
-        if not 0.0 < self.l0 < 1.0:
-            raise ValueError("l0 must lie in (0, 1)")
+            raise ValidationError("give exactly one of 'beta' (inelastic) and 'masses' "
+                                  "(mixture)")
+        if self.beta is not None:
+            RestitutionParams.from_beta(self.beta)
+        elif len(self.masses) != 2:
+            raise ValidationError(f"'masses' must hold two values, got {self.masses}")
+        elif any(m <= 0 for m in self.masses):
+            raise ValidationError(f"'masses' must be > 0, got {self.masses}")
+        for name, value in (("T0", self.T0), ("l0", self.l0)):
+            if not 0.0 < value < 1.0:
+                raise ValidationError(f"{name!r} must lie in (0, 1), got {value}")
         if self.K <= 0:
-            raise ValueError("K must be positive")
-        if not (self.gamma < 0.0 and 0.0 <= self.gamma + 2.0 * self.s <= 2.0):
-            raise ValueError("moderately soft potentials required: gamma < 0, "
-                             "gamma + 2s in [0, 2]")
+            raise ValidationError(f"'K' must be > 0, got {self.K}")
+        # the iteration's kernel: d, s and the moderately soft window
+        KernelSpec(gamma=self.gamma, d=self.d, s=self.s, moderately_soft=True)
 
     @property
     def rho(self):
@@ -140,9 +139,13 @@ def spreading_step(state: SpreadingState, cfg: SpreadingConfig, t: float) -> Spr
 
     Guards eps^q R^{d+gamma} l < 1/2 and R eps < 1 must hold before the step;
     their violation is reported with the failing inequality so the caller can
-    stop or re-parameterize. The level update runs in log space.
+    stop or re-parameterize. The level update runs in log space, so eps and
+    t must be > 0: both underflow to 0 after about a thousand steps.
     """
     eps, R = state.eps, state.R
+    if not (eps > 0.0 and t > 0.0):
+        raise GuardViolated(f"eps = {eps:.3e}, t = {t:.3e}: not > 0 at n = {state.n}",
+                            n=state.n)
     log_guard1 = cfg.q * math.log(eps) + (cfg.d + cfg.gamma) * math.log(R) + state.log_l
     if not log_guard1 < math.log(0.5):
         raise GuardViolated(
@@ -171,7 +174,7 @@ def run_iteration(cfg: SpreadingConfig, n_max: int):
     checked to be dominated by the trace at every step.
     """
     if n_max < 2:
-        raise ValueError("n_max must be >= 2")
+        raise ValidationError(f"'n_max' must be >= 2, got {n_max}")
     state = initial_state(cfg)
     trace = [state]
     for n in range(n_max):
@@ -230,19 +233,19 @@ def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
     below about -0.0081 at beta = 0.8) every plane misses the ball and the
     estimate is 0, flagged with a DegenerateGeometry warning. eps at or
     above 1 - 1/sqrt(1+beta^2) puts v inside B_R where the spreading regime
-    does not apply, and raises.
+    does not apply, and raises. R must be positive and finite.
     """
-    if not 0.5 < beta < 1.0:
-        raise ValueError(f"beta must lie in (1/2, 1), got {beta}")
-    if d not in (2, 3):
-        raise ValueError("only d = 2 and d = 3 are supported")
+    RestitutionParams.from_beta(beta)
+    utils.check_dimension(d)
+    if not (R > 0.0 and math.isfinite(R)):
+        raise ValidationError(f"'R' must be > 0 and finite, got {R}")
     eps_grid = np.asarray(eps, dtype=float)
     if eps_grid.ndim > 1:
-        raise ValueError("eps must be a scalar or a 1-d grid")
+        raise ValidationError("'eps' must be a scalar or a 1-d grid")
     rho = math.sqrt(1.0 + beta * beta)
     for e in eps_grid.ravel():
         if e >= 1.0 - 1.0 / rho:
-            raise EpsOutOfRange(f"eps must be below 1 - 1/sqrt(1+beta^2) = "
+            raise EpsOutOfRange(f"'eps' must be below 1 - 1/sqrt(1+beta^2) = "
                                 f"{1.0 - 1.0 / rho:.6f}, got {float(e)}")
     if axis is None:
         axis = np.zeros(d)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import utils
-from .errors import EmptySeries, InsufficientData
+from .errors import EmptySeries, InsufficientData, ValidationError
 from .spreading import Envelope, envelope_eval_speed
 
 _FIT_MIN_BINS = 8         # bins a tail-fit window must hold
@@ -36,7 +36,7 @@ class TailHistogram:
         self.counts = np.asarray(self.counts)
         self.densities = np.asarray(self.densities, dtype=float)
         if np.any(np.diff(self.bin_edges) <= 0):
-            raise ValueError("bin edges must be strictly increasing")
+            raise ValidationError("bin edges must be strictly increasing")
 
     @property
     def centers(self):

@@ -7,6 +7,8 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .errors import ValidationError
+
 # Fixed documented default seed for every randomized entry point; wall-clock
 # seeding is never used so that runs are reproducible by default.
 DEFAULT_SEED = 20101
@@ -31,10 +33,16 @@ def substream(seed, *path):
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
+def check_dimension(d):
+    """The one check of the velocity dimensions kten supports, d = 2 and 3."""
+    if d not in (2, 3):
+        raise ValidationError(f"'d' must be 2 or 3, got {d}")
+
+
 def sphere_area(d):
     """Surface measure of the unit sphere S^{d-1}; S^0 counts as 2."""
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise ValidationError(f"'d' must be >= 1, got {d}")
     if d == 1:
         return 2.0
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
@@ -51,7 +59,7 @@ def incomplete_beta(x, a, b):
     like x^k for any real b, so it is short for small x.
     """
     if not 0.0 <= x < 1.0:
-        raise ValueError(f"incomplete_beta needs x in [0, 1), got {x}")
+        raise ValidationError(f"incomplete_beta needs x in [0, 1), got {x}")
     total, term, k = 0.0, 1.0, 0
     while abs(term) > 1e-17 * abs(total) * (a + k):
         total += term / (a + k)
@@ -92,7 +100,7 @@ def panel_rule(edges, n_per_panel):
 def log_edges(a, b, n_panels):
     """Logarithmically spaced panel edges; requires 0 < a < b."""
     if not 0 < a < b:
-        raise ValueError("need 0 < a < b")
+        raise ValidationError(f"log_edges needs 0 < a < b, got a = {a}, b = {b}")
     return np.exp(np.linspace(math.log(a), math.log(b), n_panels + 1))
 
 
@@ -103,21 +111,20 @@ def sphere_rule(d, n_polar=16, n_azimuth=32):
     Gauss-Legendre x uniform product rule. Even azimuth counts make the rule
     antipodally symmetric, which the singular-part quadrature relies on.
     """
+    check_dimension(d)
     if d == 2:
         ang = 2.0 * math.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
         dirs = np.stack([np.cos(ang), np.sin(ang)], axis=1)
         return dirs, np.full(n_azimuth, 2.0 * math.pi / n_azimuth)
-    if d == 3:
-        mu, wmu = legendre_rule(n_polar)
-        phi = 2.0 * math.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
-        smu = np.sqrt(1.0 - mu ** 2)
-        x = np.outer(smu, np.cos(phi)).ravel()
-        y = np.outer(smu, np.sin(phi)).ravel()
-        z = np.repeat(mu, n_azimuth)
-        dirs = np.stack([x, y, z], axis=1)
-        w = np.repeat(wmu, n_azimuth) * (2.0 * math.pi / n_azimuth)
-        return dirs, w
-    raise ValueError("only d = 2 and d = 3 are supported")
+    mu, wmu = legendre_rule(n_polar)
+    phi = 2.0 * math.pi * (np.arange(n_azimuth) + 0.5) / n_azimuth
+    smu = np.sqrt(1.0 - mu ** 2)
+    x = np.outer(smu, np.cos(phi)).ravel()
+    y = np.outer(smu, np.sin(phi)).ravel()
+    z = np.repeat(mu, n_azimuth)
+    dirs = np.stack([x, y, z], axis=1)
+    w = np.repeat(wmu, n_azimuth) * (2.0 * math.pi / n_azimuth)
+    return dirs, w
 
 
 def circle_rule(d, n):
@@ -125,11 +132,10 @@ def circle_rule(d, n):
 
     For d == 2 the hyperplane is a line and S^0 carries counting measure 2.
     """
+    check_dimension(d)
     if d == 2:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if d == 3:
-        return sphere_rule(2, n_azimuth=n)
-    raise ValueError("only d = 2 and d = 3 are supported")
+    return sphere_rule(2, n_azimuth=n)
 
 
 def row_dot(a, b):
@@ -272,7 +278,7 @@ def fit_loglog(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0) or np.any(x <= 0):
-        raise ValueError("log-log fit requires positive data")
+        raise ValidationError("log-log fit requires positive data")
     return fit_linear(np.log(x), np.log(y))
 
 

@@ -16,7 +16,7 @@ import pytest
 import kten
 from kten import cli, geometry, simulator, tails
 from kten.cli import dispatch, parse_config_file, build_sim_config
-from kten.errors import InsufficientData
+from kten.errors import InsufficientData, ValidationError
 from kten.simulator import read_snapshot
 
 
@@ -390,6 +390,19 @@ class TestSimulateAndTails:
         err = capsys.readouterr().err
         assert "validation error" in err and str(snap) in err
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_tails_snapshot_not_finite_names_file(self, tmp_path, capsys, bad):
+        # one NaN velocity gave exit 0, "uniform": true and NaN in the JSON
+        argv = self.short_run_tails_argv(tmp_path)
+        snap = sorted((tmp_path / "sim").glob("snapshot_*.kten"))[-1]
+        v = read_snapshot(snap)
+        v[7, 1] = bad
+        simulator.write_snapshot(snap, v)
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"validation error: snapshot {snap}: needs one velocity or more, all finite")
+        assert not (tmp_path / "tails_report.json").exists()
+
     def test_tails_missing_envelope_names_file(self, tmp_path, capsys):
         argv = self.short_run_tails_argv(tmp_path)
         missing = tmp_path / "no_such_env.json"
@@ -547,6 +560,24 @@ class TestSimulateAndTails:
         cfg.write_text("\n".join(lines + [
             "d = 3", "gamma = 0", "s_or_h = iso", "dt = 0.01", "steps = 1",
             f"output_dir = {outdir}"]) + "\n")
+        assert dispatch(["simulate", "--config", str(cfg), "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith(f"validation error: config key {fragment}")
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("changes, fragment", [
+        ({"d": "4"}, "'d' must be 2 or 3, got 4"),
+        ({"s_or_h": "1.5"}, "'s_or_h' must lie in (0, 1), got 1.5"),
+        ({"gamma": "2"}, "'gamma' must lie in [0, 1] (cutoff), got 2.0"),
+        ({"gamma": "-1", "s_or_h": "0.2"}, "'gamma' and 's_or_h' must satisfy"),
+    ], ids=["d", "s", "cutoff-gamma", "moderately-soft"])
+    def test_kernel_error_names_its_config_key(self, tmp_path, capsys, changes, fragment):
+        # d = 4 printed "only d = 2 and d = 3 are supported", s_or_h = 1.5
+        # "noncutoff spec needs s in (0, 1)"
+        outdir = tmp_path / "sim"
+        cfg = self.write_config(tmp_path, outdir, steps=1)
+        lines = [ln for ln in cfg.read_text().splitlines()
+                 if ln.split("=", 1)[0].strip() not in changes]
+        cfg.write_text("\n".join(lines + [f"{k} = {v}" for k, v in changes.items()]) + "\n")
         assert dispatch(["simulate", "--config", str(cfg), "--quiet"]) == 1
         assert capsys.readouterr().err.startswith(f"validation error: config key {fragment}")
         assert not outdir.exists()
@@ -755,14 +786,16 @@ def test_lowerbound_golden_digests(tmp_path):
      "geometric grid '0:0.2:4' needs lo, hi > 0"),
     (["kernel-scaling", "--r-min", "0"], "--r-min", "must be > 0, got '0'"),
     (["kernel-scaling", "--r-max", "-1"], "--r-max", "must be > 0, got '-1'"),
+    (["kernel-scaling", "--points-per-decade", "0"], "--points-per-decade",
+     "must be >= 1, got '0'"),
     (["cancellation", "--grid", "0.6:0.9:0"], "--grid", "grid '0.6:0.9:0' needs n >= 1 points"),
     (["verify-geometry", "--samples", "0"], "--samples", "must be >= 1, got '0'"),
     (["cancellation", "--threads", "0"], "--threads", "must be >= 1, got '0'"),
     (["--threads", "0", "cancellation"], "--threads", "must be >= 1, got '0'"),
 ], ids=["region-samples-0", "region-samples-neg", "region-eps-grid-n0",
         "region-eps-grid-lo0", "kernel-scaling-r-min", "kernel-scaling-r-max",
-        "cancellation-grid-n0", "verify-geometry-samples", "threads-after",
-        "threads-before"])
+        "kernel-scaling-points-per-decade", "cancellation-grid-n0",
+        "verify-geometry-samples", "threads-after", "threads-before"])
 def test_numeric_option_out_of_range_is_a_usage_error_naming_it(tmp_path, capsys,
                                                                 argv, option, message):
     assert dispatch(argv + ["--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
@@ -771,7 +804,103 @@ def test_numeric_option_out_of_range_is_a_usage_error_naming_it(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+def _tails_inputs(tmp_path):
+    """A snapshot directory with one snapshot at t = 1, an empty directory, a
+    good envelope, one with p < 0 and one with a = NaN."""
+    snaps, empty = tmp_path / "snaps", tmp_path / "empty"
+    snaps.mkdir()
+    empty.mkdir()
+    simulator.write_snapshot(snaps / "s.kten", np.random.default_rng(0).normal(size=(500, 3)))
+    (snaps / "snapshots.json").write_text(json.dumps({"snapshots": [
+        {"file": "s.kten", "t": 1.0, "species": 0, "weight": 1.0}]}))
+    env, badenv, nanenv = (tmp_path / f"{k}.json" for k in ("env", "badenv", "nanenv"))
+    env.write_text('{"a": 1e-9, "b": 0.5, "p": 2.0}\n')
+    badenv.write_text('{"a": 1e-9, "b": 0.5, "p": -1.0}\n')
+    nanenv.write_text('{"a": NaN, "b": 0.5, "p": 2.0}\n')
+    return {"snaps": snaps, "empty": empty, "env": env, "badenv": badenv, "nanenv": nanenv}
+
+
+# one bad value for each option of the six subcommands other than simulate
+# that argparse reads without a range check, and what the message names;
+# the options argparse range-checks are in the usage-error table above
+BAD_OPTION_VALUES = {
+    "kernel-scaling-d4": (["kernel-scaling", "--d", "4"], "'d'"),
+    "kernel-scaling-d1": (["kernel-scaling", "--d", "1"], "'d'"),
+    "kernel-scaling-gamma": (["kernel-scaling", "--gamma", "-2"], "'gamma'"),
+    "kernel-scaling-s": (["kernel-scaling", "--s", "1.5"], "'s'"),
+    "kernel-scaling-beta": (["kernel-scaling", "--beta", "0.3"], "'beta'"),
+    "cancellation-d": (["cancellation", "--d", "4"], "'d'"),
+    "cancellation-gamma": (["cancellation", "--gamma", "-3"], "gamma"),
+    "cancellation-s": (["cancellation", "--s", "0"], "'s'"),
+    "cancellation-grid-beta": (["cancellation", "--grid", "0.3:0.9:4"], "--grid"),
+    "cancellation-grid-ratio": (["cancellation", "--family", "mixture-light",
+                                 "--grid", "0.5:3:3"], "--grid"),
+    "spreading-beta": (["spreading", "--beta", "0.3"], "'beta'"),
+    "spreading-masses": (["spreading", "--masses", "1,-2"], "'masses'"),
+    "spreading-gamma": (["spreading", "--beta", "0.8", "--gamma", "0.5"], "'gamma'"),
+    "spreading-s": (["spreading", "--beta", "0.8", "--s", "1.5"], "'s'"),
+    "spreading-d": (["spreading", "--beta", "0.8", "--d", "4"], "'d'"),
+    "spreading-t0": (["spreading", "--beta", "0.8", "--t0", "2"], "'T0'"),
+    "spreading-l0": (["spreading", "--beta", "0.8", "--l0", "0"], "'l0'"),
+    "spreading-K": (["spreading", "--beta", "0.8", "--K", "0"], "'K'"),
+    "spreading-n-max": (["spreading", "--beta", "0.8", "--n-max", "1"], "'n_max'"),
+    "region-beta": (["region", "--beta", "0.3"], "'beta'"),
+    "region-d": (["region", "--beta", "0.8", "--d", "4"], "'d'"),
+    "region-R-negative": (["region", "--beta", "0.8", "--R", "-1"], "'R'"),
+    "region-R-zero": (["region", "--beta", "0.8", "--R", "0"], "'R'"),
+    "region-eps-grid": (["region", "--beta", "0.8", "--eps-grid", "0.3:0.5:3"], "'eps'"),
+    "tails-snapshots": (["tails", "--snapshots", "{empty}", "--envelope", "{env}",
+                         "--t0", "0.5"], "{empty}"),
+    "tails-envelope": (["tails", "--snapshots", "{snaps}", "--envelope", "{badenv}",
+                        "--t0", "0.5"], "{badenv}"),
+    # a NaN envelope gave exit 0, "uniform": true and NaN in the report
+    "tails-envelope-nan": (["tails", "--snapshots", "{snaps}", "--envelope", "{nanenv}",
+                            "--t0", "0.5"], "{nanenv}"),
+    "tails-t0": (["tails", "--snapshots", "{snaps}", "--envelope", "{env}",
+                  "--t0", "5"], "t0 = 5.0"),
+    "verify-geometry-d1": (["verify-geometry", "--d", "1"], "'d'"),
+    "verify-geometry-d4": (["verify-geometry", "--d", "4"], "'d'"),
+}
+
+
+@pytest.mark.parametrize("argv, named", BAD_OPTION_VALUES.values(),
+                         ids=BAD_OPTION_VALUES.keys())
+def test_bad_option_value_is_one_validation_error_line_naming_it(tmp_path, capsys,
+                                                                 argv, named):
+    paths = _tails_inputs(tmp_path)
+    argv = [a.format(**paths) for a in argv]
+    out = tmp_path / "out"
+    # dispatch returns instead of raising: nothing reaches a traceback
+    assert dispatch(argv + ["--output-dir", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and err.count("\n") == 1, err
+    assert named.format(**paths) in err
+    assert list(out.iterdir()) == []
+
+
+def test_bare_value_error_from_a_library_call_propagates(tmp_path, monkeypatch):
+    # a ValueError that is not a ValidationError is a bug, not bad input: it
+    # keeps its traceback instead of printing as a validation error
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(np.linalg, "norm", broken)
+    with pytest.raises(ValueError, match="broadcast") as err:
+        dispatch(["verify-geometry", "--samples", "10", "--output-dir", str(tmp_path),
+                  "--quiet"])
+    assert not isinstance(err.value, ValidationError)
+
+
 class TestKernelScalingCommand:
+    def test_overflowing_integrals_are_a_numerical_failure(self, tmp_path, capsys):
+        # r from 1e-300 overflows the kernel near u': 1206 nan cells were
+        # written with exit 0
+        assert dispatch(["kernel-scaling", "--r-min", "1e-300", "--output-dir",
+                         str(tmp_path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ball integrals are not finite")
+        assert not (tmp_path / "kernel_scaling.csv").exists()
+
     def test_small_grid_csv(self, tmp_path):
         run_ok(["kernel-scaling", "--r-min", "0.01", "--r-max", "20",
                 "--points-per-decade", "3", "--output-dir", tmp_path, "--quiet"])
@@ -802,6 +931,15 @@ class TestConfigParsing:
         sim_cfg, _ = build_sim_config(parse_config_file(cfg))
         assert not sim_cfg.kernel.cutoff
         assert sim_cfg.kernel.s == 0.5
+
+    @pytest.mark.parametrize("model, own", [("inelastic", "alpha = 0.5\nparticles = 50"),
+                                            ("mixture", "masses = 1,2\nparticles = 50,50")])
+    def test_kernel_is_built_in_the_run_model(self, tmp_path, model, own):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"model = {model}\nd = 3\ngamma = 0\ns_or_h = 0.3\n{own}\n"
+                       "dt = 0.01\nsteps = 1\n")
+        sim_cfg, _ = build_sim_config(parse_config_file(cfg))
+        assert sim_cfg.kernel.model == model
 
     def test_unset_keys_take_simconfig_defaults(self, tmp_path):
         cfg = tmp_path / "c.cfg"

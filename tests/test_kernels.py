@@ -10,8 +10,8 @@ from kten import kernels as K
 from kten import utils
 from kten.cli import dispatch
 from kten.density import DensityField
-from kten.errors import (CoincidentPoints, EqualMasses, HistoryGap,
-                         InsufficientGrid, QuadratureTruncationWarning, SingularAtZeroSpeed)
+from kten.errors import (CoincidentPoints, EqualMasses, HistoryGap, InsufficientGrid,
+                         NonFiniteResult, QuadratureTruncationWarning, SingularAtZeroSpeed)
 from kten.geometry import MassPair, RestitutionParams
 
 GAUSS3 = DensityField.gaussian(3)
@@ -285,6 +285,13 @@ class TestScalingReport:
             K.verify_Kf_scaling(GAUSS3, CUTOFF3, BETA08, np.zeros(3),
                                 np.concatenate([np.geomspace(1e-2, 1.0, 4),
                                                 np.geomspace(2.0, 10.0, 4)]))
+
+    def test_integrals_that_are_not_finite_raise(self):
+        # near r = 1e-300 the kernel, ~ l^-(d+2s), overflows to inf, and
+        # inf * 0 to nan; the integrals were returned with nan in them
+        r_grid = np.concatenate([np.geomspace(1e-300, 1.0, 8), np.geomspace(2.0, 10.0, 4)])
+        with pytest.raises(NonFiniteResult, match="not finite"):
+            K.verify_Kf_scaling(GAUSS3, SOFT3, BETA08, np.zeros(3), r_grid)
 
 
 class TestPlaneRule:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -391,6 +392,16 @@ class TestSnapshotIO:
         with pytest.raises(ValidationError, match="v.kten: unsupported version 9"):
             sim.read_snapshot(path)
 
+    @pytest.mark.parametrize("v", [np.array([[0.0, math.nan, 1.0]]),
+                                   np.array([[1.0, 2.0], [-math.inf, 0.0]]),
+                                   np.zeros((0, 3))], ids=["nan", "inf", "empty"])
+    def test_no_velocity_or_one_not_finite_rejected(self, tmp_path, v):
+        path = tmp_path / "odd.kten"
+        sim.write_snapshot(path, v)
+        with pytest.raises(ValidationError, match="odd.kten: needs one velocity or more, "
+                                                  "all finite"):
+            sim.read_snapshot(path)
+
     @pytest.mark.parametrize("keep", [10, 20, 20 + 8 * 7])
     def test_truncated_file_rejected(self, tmp_path, keep):
         path = tmp_path / "short.kten"
@@ -509,6 +520,19 @@ class TestAngularSampler:
             scale = np.abs(va).max()
             assert np.abs(va_new - ref_a).max() < 1e-13 * scale
             assert np.abs(vb_new - ref_b).max() < 1e-13 * scale
+
+    def test_kernel_of_another_model_is_refused(self):
+        # the kernel's model fixes the constant of b: an inelastic-convention
+        # kernel under a mixture run sampled with angular mass 474.6 against
+        # 237.3, twice the collision rate
+        spec = KernelSpec(gamma=0.0, d=3, s=0.3, model="inelastic")
+        assert sim.AngularSampler(spec, 0.01).angular_mass == pytest.approx(
+            2.0 * sim.AngularSampler(dataclasses.replace(spec, model="mixture"),
+                                     0.01).angular_mass)
+        with pytest.raises(ValidationError, match="^'kernel' has model = inelastic, "
+                                                  "not mixture"):
+            sim.SimConfig(model="mixture", kernel=spec, dt=0.01, steps=1,
+                          particles=(10, 10), masses=(1.0, 2.0))
 
     def test_cutoff_spec_has_no_sampler(self):
         cfg = elastic_cfg()

@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
+from kten import cancellation, geometry, kernels, utils
 from kten import spreading as S
-from kten.errors import DegenerateGeometry, EpsOutOfRange, GuardViolated
+from kten.errors import DegenerateGeometry, EpsOutOfRange, GuardViolated, ValidationError
 from kten.utils import fit_loglog
 
 
@@ -111,6 +112,13 @@ class TestRunIteration:
             for st in trace:
                 assert math.log(env.a) - env.b * st.R ** env.p <= st.log_l + 1e-9
 
+    def test_window_that_underflows_is_a_guard_violation(self):
+        # the step takes log t, and t = T0 2^-(n+2) reaches 0 at n = 77 for
+        # T0 = 1e-300; log(0) raised a bare ValueError
+        with pytest.raises(GuardViolated, match="not > 0 at n = 77") as err:
+            S.run_iteration(S.SpreadingConfig(T0=1e-300), 100)
+        assert err.value.n == 77
+
     def test_nmax_validation(self):
         with pytest.raises(ValueError):
             S.run_iteration(S.SpreadingConfig(), 1)
@@ -121,7 +129,50 @@ class TestRunIteration:
             S.SpreadingConfig(beta=None, masses=masses)
 
 
+class TestParameterWindows:
+    """Each window has one check, so every caller refuses with one message."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: geometry.RestitutionParams.from_beta(0.3),
+        lambda: S.SpreadingConfig(beta=0.3),
+        lambda: S.region_estimate_mc(1.0, 0.1, 0.3, 3, 1000),
+    ], ids=["from_beta", "SpreadingConfig", "region_estimate_mc"])
+    def test_beta(self, call):
+        with pytest.raises(ValidationError, match=r"^'beta' must lie in \(1/2, 1\), got 0\.3$"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: kernels.KernelSpec(gamma=-1.0, d=4, s=0.5),
+        lambda: S.SpreadingConfig(d=4),
+        lambda: S.region_estimate_mc(1.0, 0.1, 0.8, 4, 1000),
+        lambda: geometry.verify_identities(1, 10, 4),
+        lambda: cancellation.SFunctionSpec(d=4, gamma=-1.0, b=lambda c: 1.0, lam=0.5),
+        lambda: utils.sphere_rule(4),
+        lambda: utils.circle_rule(4, 8),
+    ], ids=["KernelSpec", "SpreadingConfig", "region_estimate_mc", "verify_identities",
+            "SFunctionSpec", "sphere_rule", "circle_rule"])
+    def test_dimension(self, call):
+        with pytest.raises(ValidationError, match=r"^'d' must be 2 or 3, got 4$"):
+            call()
+
+    @pytest.mark.parametrize("call", [
+        lambda: kernels.KernelSpec(gamma=-1.0, s=0.2, moderately_soft=True),
+        lambda: S.SpreadingConfig(gamma=-1.0, s=0.2),
+    ], ids=["KernelSpec", "SpreadingConfig"])
+    def test_moderately_soft(self, call):
+        with pytest.raises(ValidationError, match=r"^'gamma' and 's' must satisfy gamma < 0 "
+                                                  r"<= gamma \+ 2s <= 2 \(moderately soft\), "
+                                                  r"got \(-1\.0, 0\.2\)$"):
+            call()
+
+
 class TestRegionEstimate:
+    @pytest.mark.parametrize("R", [-1.0, 0.0, math.inf, math.nan])
+    def test_radius_not_positive_and_finite_is_refused(self, R):
+        # R = -1 gave negative estimates and stderrs, R = 0 zeros
+        with pytest.raises(ValidationError, match="^'R' must be > 0 and finite"):
+            S.region_estimate_mc(R, 0.1, 0.8, 3, 1000)
+
     def test_eps_beyond_reachability_gives_zero_with_warning(self):
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
