@@ -6,7 +6,7 @@ One executable, seven subcommands:
     kernel-scaling   ball-integral scaling of the Carleman kernel (CSV)
     cancellation     angular integral S1 across a parameter sweep (CSV)
     spreading        lower-bound iteration and envelope (JSON)
-    region           region-estimate Monte Carlo over an eps grid (CSV)
+    region           region integral over an eps grid, by quadrature (CSV)
     tails            tail fits and envelope domination of saved snapshots (JSON)
     verify-geometry  randomized kinematics identity checks (JSON)
 
@@ -59,7 +59,8 @@ def _common_options(**defaults):
     common.add_argument("--seed", type=int,
                         help=f"RNG seed (default {DEFAULT_SEED}, never wall clock)")
     common.add_argument("--threads", type=_checked(int, _AT_LEAST_1),
-                        help="worker threads, used by region only; results do not depend on it")
+                        help="worker threads; every subcommand runs on one thread "
+                             "at present, and results never depend on it")
     common.add_argument("--output-dir", type=Path,
                         help="directory for outputs and manifest.json")
     common.add_argument("--quiet", action="store_true")
@@ -117,7 +118,9 @@ def _build_parser():
     s.add_argument("--R", type=float, default=1.0)
     s.add_argument("--eps-grid", type=_grid_spec(geometric=True), default="0.01:0.2:8",
                    help="lo:hi:n geometric grid")
-    s.add_argument("--samples", type=_checked(int, _AT_LEAST_1), default=10**6)
+    s.add_argument("--samples", type=_checked(int, _AT_LEAST_1), default=10**6,
+                   help="not read: the integral is computed by quadrature; still "
+                        "accepted and range-checked, so existing command lines run")
 
     s = sub.add_parser("tails", parents=[common])
     s.add_argument("--snapshots", type=Path, required=True,
@@ -139,7 +142,7 @@ def dispatch(argv):
         args = parser.parse_args(argv)
         started = time.time()
         runner = _RUNNERS[args.subcommand]
-        args.output_dir.mkdir(parents=True, exist_ok=True)
+        _make_output_dir(args.output_dir)
         config, outputs = runner(args)
         # the simulate runner may take output_dir and seed from its config file
         _write_manifest(args.output_dir, args.subcommand, config, args.seed,
@@ -174,6 +177,14 @@ def _environment():
         "cpu_count": os.cpu_count(),
         "platform": platform.platform(),
     }
+
+
+def _make_output_dir(path):
+    """Create the output directory; a path that cannot be one is a ValidationError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"output directory {path}: {exc.strerror}") from exc
 
 
 def _write_manifest(outdir, subcommand, config, seed, started, outputs):
@@ -285,16 +296,14 @@ def _run_spreading(args):
 
 def _run_region(args):
     eps_grid = _parse_grid(args.eps_grid, geometric=True)
-    estimates = spreading.region_estimate_mc(args.R, eps_grid, args.beta, args.d,
-                                             args.samples, seed=args.seed,
-                                             threads=args.threads)
+    values = spreading.region_integral(args.R, eps_grid, args.beta, args.d)
     rows = []
-    for eps, (est, se) in zip(eps_grid, estimates):
-        rows.append((float(eps), est, se))
+    for eps, (value, err) in zip(eps_grid, values):
+        rows.append((float(eps), value, err))
         if not args.quiet:
-            print(f"eps={eps:.5g}  estimate={est:.6g}  stderr={se:.3g}")
+            print(f"eps={eps:.5g}  estimate={value:.6g}  quad_error={err:.3g}")
     out = args.output_dir / "region.csv"
-    _write_csv(out, ["eps", "estimate", "stderr"], rows)
+    _write_csv(out, ["eps", "estimate", "quad_error"], rows)
     return _parsed_config(args), [out]
 
 
@@ -305,6 +314,12 @@ def _run_kernel_scaling(args):
     f = DensityField.gaussian(args.d)
     decades_small = math.log10(1.0 / args.r_min)
     decades_large = math.log10(args.r_max / 2.0)
+    for option, value, decades in (("--r-min", args.r_min, decades_small),
+                                   ("--r-max", args.r_max, decades_large)):
+        # 1/r_min overflows for r_min below about 5.6e-309, and r_max may be inf
+        if not math.isfinite(decades):
+            raise ValidationError(f"{option} {value!r}: the grid would span infinitely "
+                                  "many decades")
     r_grid = np.concatenate([
         np.geomspace(args.r_min, 1.0, max(4, int(args.points_per_decade * decades_small))),
         np.geomspace(2.0, args.r_max, max(4, int(args.points_per_decade * decades_large))),
@@ -374,7 +389,7 @@ def _run_simulate(args):
     cfg_map = parse_config_file(args.config)
     cfg, extras = build_sim_config(cfg_map, seed=args.seed)
     outdir = Path(cfg_map.get("output_dir", args.output_dir))
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_output_dir(outdir)
     outputs = run_simulation_to_dir(cfg, outdir, extras, quiet=args.quiet)
     args.output_dir, args.seed = outdir, cfg.seed
     return dict(cfg_map), outputs

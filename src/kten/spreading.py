@@ -1,11 +1,11 @@
 """Constructive lower-bound machinery.
 
-Three pieces: a Monte Carlo estimate of the collision-geometry region
-integral (how much (u, v*) mass inside a ball can produce a fixed
-post-collision velocity just beyond it), the doubling-step update that turns
-a lower bound on B_R into one on B_{rho(1-eps)R} at a squared level, and the
-iteration that runs the step to exhaustion and fits the resulting
-stretched-exponential envelope a exp(-b |v|^p).
+Three pieces: the collision-geometry region integral (how much (u, v*) mass
+inside a ball can produce a fixed post-collision velocity just beyond it),
+by quadrature and by an independent Monte Carlo estimate; the doubling-step
+update that turns a lower bound on B_R into one on B_{rho(1-eps)R} at a
+squared level; and the iteration that runs the step to exhaustion and fits
+the resulting stretched-exponential envelope a exp(-b |v|^p).
 
 The growth factor rho is sqrt(1+beta^2) for the inelastic model and sqrt(2)
 for the mixture, giving the tail exponent p = log 2 / log rho: exactly 2 in
@@ -28,6 +28,13 @@ from .kernels import KernelSpec, TestFunction
 # samples per region Monte Carlo chunk; chunk k draws from substream (seed, k),
 # so this size is part of what a seed means
 _REGION_CHUNK = 1 << 17
+# Gauss-Legendre nodes per panel of the region quadrature: the value takes
+# twice as many, and its gap to this rule is the reported quad_error
+_REGION_NODES = 16
+# length ratio of consecutive region quadrature panels graded towards a
+# singularity near an end, and the smallest panel (in tau) that grading makes
+_REGION_GRADING = 4.0
+_REGION_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -171,7 +178,9 @@ def run_iteration(cfg: SpreadingConfig, n_max: int):
     as its time argument. The envelope fixes p from the growth factor, fits b
     on the final three trace points (the required b is monotone along the
     trace, so the late points bind), anchors a at the initial level, and is
-    checked to be dominated by the trace at every step.
+    checked to be dominated by the trace at every step. Where no finite b
+    fits (R^p overflows or log l reaches -inf, about a thousand steps out),
+    it raises GuardViolated.
     """
     if n_max < 2:
         raise ValidationError(f"'n_max' must be >= 2, got {n_max}")
@@ -183,10 +192,142 @@ def run_iteration(cfg: SpreadingConfig, n_max: int):
         trace.append(state)
     p = cfg.p
     log_a = math.log(cfg.l0)
-    b = max((log_a - st.log_l) / st.R ** p for st in trace[-3:])
-    if any(log_a - b * st.R ** p > st.log_l + 1e-9 for st in trace):
-        b = max((log_a - st.log_l) / st.R ** p for st in trace[1:])
+    try:
+        b = max((log_a - st.log_l) / st.R ** p for st in trace[-3:])
+        if any(log_a - b * st.R ** p > st.log_l + 1e-9 for st in trace):
+            b = max((log_a - st.log_l) / st.R ** p for st in trace[1:])
+    except OverflowError:
+        b = math.inf
+    if not math.isfinite(b):
+        # R grows like rho^n and log l falls like -2^n: about a thousand steps
+        # out, R^p overflows or log l reaches -inf, and no finite b fits
+        raise GuardViolated(f"no finite b fits the envelope to n = {n_max}: "
+                            f"R = {trace[-1].R:.3e}, log l = {trace[-1].log_l:.3e}",
+                            n=n_max)
     return trace, Envelope(a=cfg.l0, b=b, p=p)
+
+
+def _region_probes(R, eps, beta, d):
+    """The checked eps as an array and the probe radius c = rho (1-eps) R at each eps.
+
+    The checks of both region functions: beta, d, R > 0 and finite, eps a
+    scalar or 1-d grid with every value below 1 - 1/rho.
+    """
+    RestitutionParams.from_beta(beta)
+    utils.check_dimension(d)
+    if not (R > 0.0 and math.isfinite(R)):
+        raise ValidationError(f"'R' must be > 0 and finite, got {R}")
+    eps_grid = np.asarray(eps, dtype=float)
+    if eps_grid.ndim > 1:
+        raise ValidationError("'eps' must be a scalar or a 1-d grid")
+    rho = math.sqrt(1.0 + beta * beta)
+    for e in eps_grid.ravel():
+        if e >= 1.0 - 1.0 / rho:
+            raise EpsOutOfRange(f"'eps' must be below 1 - 1/sqrt(1+beta^2) = "
+                                f"{1.0 - 1.0 / rho:.6f}, got {float(e)}")
+    return eps_grid, [rho * (1.0 - e) * R for e in eps_grid.ravel()]
+
+
+def region_integral(R, eps, beta, d):
+    """The region integral I(R, eps) of region_estimate_mc, by quadrature.
+
+    Returns (value, quad_error), or a list of such pairs for a 1-d eps grid,
+    with region_estimate_mc's checks, its promises and its zero value (with
+    a DegenerateGeometry warning) once every plane misses the ball. value is
+    the rule with 2 * _REGION_NODES nodes per panel, and quad_error its gap
+    to the rule with _REGION_NODES, which overstates value's own error.
+
+    The integral is taken in coordinates centred on the probe v = c a,
+    c = rho (1-eps) R: u = v + n e with n = |u - v| and z = e.a. The partner
+    plane passes through v/beta - k u = v - k n e, k = 1/beta - 1, with
+    normal e, so its distance from the origin is |c z - k n|. u lies in
+    B_R iff z <= z_max(n) = -(c^2 - R^2 + n^2) / (2 c n), and the plane
+    meets B_R iff |c z - k n| <= R. Since c > R, z_max < 0 and
+    (k n - R) / c > -1, so the domain is z in [(k n - R) / c, z_max(n)],
+    open exactly for n between the roots n_lo < n_hi of
+    (2/beta - 1) n^2 - 2 R n + c^2 - R^2. The roots are real iff
+    c^2 < 2 R^2 / (2 - beta), the reachable radius; past it I = 0. The
+    domain has no kink inside (n_lo, n_hi), so one variable change serves
+    the whole range:
+    - d = 3 (du = 2 pi n^2 dn dz): the integral in z of pi (R^2 - (c z - k n)^2)
+      is a cubic, and I = pi^2 (2/beta - 1)^2 / (12 c) times the integral
+      of (n - n_lo)^2 (n_hi - n)^2 ((2/beta - 1) n^2 + 4 R n + c^2 - R^2) / n;
+    - d = 2 (du = 2 n dn dpsi, psi in [0, pi] with z = cos psi): I = 4 times
+      the integral of n sqrt(R^2 - y^2), y = c cos psi - k n, over psi from
+      arccos z_max to arccos((k n - R) / c). In eta = pi - psi, running from
+      eta_2 to eta_1, R + y = c (cos eta_2 - cos eta) vanishes at eta_2 and
+      at -eta_2, which meet as c -> R with k n small; the rule is
+      Gauss-Legendre in s with eta = eta_2 cosh s, which takes the square
+      root of both.
+    In n the rule is Gauss-Legendre in tau with n = n_lo + (n_hi - n_lo) sin^2 tau,
+    which smooths the d = 2 onsets like (n - n_lo)^(3/2) at both ends. Two
+    singularities lie beyond the ends: the pole of z_max at n = 0, n_lo
+    below the range, and the branch point of eta_1 at n = c + R, the far
+    side of the ball, above n_hi. Both close in as eps nears 1 - 1/rho (the
+    second only as beta nears 1 too), so tau is cut into panels that shrink
+    by _REGION_GRADING towards each end, down to that singularity's
+    distance in tau or _REGION_FLOOR.
+    """
+    eps_grid, cs = _region_probes(R, eps, beta, d)
+    results = []
+    for c in map(float, cs):
+        coarse = _region_quadrature(R, c, beta, d, _REGION_NODES)
+        value = _region_quadrature(R, c, beta, d, 2 * _REGION_NODES)
+        if value == 0.0:
+            warnings.warn("every hyperplane misses the ball", DegenerateGeometry)
+        results.append((value, abs(value - coarse)))
+    return results[0] if eps_grid.ndim == 0 else results
+
+
+def _region_quadrature(R, c, beta, d, nodes):
+    """I at probe radius c by region_integral's rule with `nodes` per panel."""
+    slope = 2.0 / beta - 1.0
+    k = 1.0 / beta - 1.0
+    # c^2 - R^2; c = R within rounding when eps is one ulp below 1 - 1/rho
+    gap = max((c - R) * (c + R), 0.0)
+    disc = R * R - slope * gap
+    if not disc > 0.0:
+        return 0.0
+    root = math.sqrt(disc)
+    n_lo = gap / (R + root)           # (R - root) / slope without cancellation
+    span = 2.0 * root / slope         # n_hi - n_lo
+    # the distances in tau of the singularities at n = 0 and n = c + R
+    lo_scale = max(math.sqrt(n_lo / span), _REGION_FLOOR)
+    hi_scale = max(math.sqrt(max(c + R - (R + root) / slope, 0.0) / span), _REGION_FLOOR)
+    lower, upper = [], []
+    edge = 0.25 * math.pi / _REGION_GRADING
+    while edge > min(lo_scale, hi_scale):
+        if edge > lo_scale:
+            lower.append(edge)
+        if edge > hi_scale:
+            upper.append(0.5 * math.pi - edge)
+        edge /= _REGION_GRADING
+    tau, w = utils.panel_rule([0.0, *lower[::-1], 0.25 * math.pi, *upper, 0.5 * math.pi],
+                              nodes)
+    above = span * np.sin(tau) ** 2       # n - n_lo
+    below = span * np.cos(tau) ** 2       # n_hi - n
+    n = n_lo + above
+    w = w * 2.0 * np.sqrt(above * below)  # dn = 2 span sin(tau) cos(tau) dtau
+    if d == 3:
+        f = (above * below) ** 2 * ((slope * n + 4.0 * R) * n + gap) / n
+        return math.pi ** 2 * slope ** 2 / (12.0 * c) * float(np.dot(f, w))
+    # eta_2 = arccos(-z_lo) and eta_1 = arccos(-z_max)
+    eta_2 = 2.0 * np.arcsin(np.sqrt((max(c - R, 0.0) + k * n) / (2.0 * c)))
+    eta_1 = np.arccos((gap + n * n) / (2.0 * c * n))
+    # eta_1 - eta_2 from z_max - z_lo = slope (n - n_lo)(n_hi - n) / (2 c n),
+    # which has no cancellation where the range closes
+    width = 2.0 * np.arcsin(slope * above * below
+                            / (4.0 * c * n * np.sin(0.5 * (eta_1 + eta_2))))
+    # eta = eta_2 cosh s for s in [0, acosh(eta_1 / eta_2)]
+    ratio = width / eta_2
+    s_1 = np.log1p(ratio + np.sqrt(ratio * (ratio + 2.0)))
+    x, w_x = utils.legendre_rule(nodes)
+    s = 0.5 * s_1[:, None] * (x + 1.0)
+    r_plus = 2.0 * c * np.sin(eta_2[:, None] * np.cosh(0.5 * s) ** 2) \
+        * np.sin(eta_2[:, None] * np.sinh(0.5 * s) ** 2)
+    r_minus = R + k * n[:, None] + c * np.cos(eta_2[:, None] * np.cosh(s))
+    inner = np.sqrt(r_plus * r_minus) * np.sinh(s) @ w_x * (0.5 * s_1 * eta_2)
+    return 4.0 * float(np.dot(n * inner, w))
 
 
 def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
@@ -234,27 +375,17 @@ def region_estimate_mc(R, eps, beta, d, samples, seed=utils.DEFAULT_SEED,
     estimate is 0, flagged with a DegenerateGeometry warning. eps at or
     above 1 - 1/sqrt(1+beta^2) puts v inside B_R where the spreading regime
     does not apply, and raises. R must be positive and finite.
+
+    region_integral computes the same integral by quadrature; this estimate
+    is its independent check.
     """
-    RestitutionParams.from_beta(beta)
-    utils.check_dimension(d)
-    if not (R > 0.0 and math.isfinite(R)):
-        raise ValidationError(f"'R' must be > 0 and finite, got {R}")
-    eps_grid = np.asarray(eps, dtype=float)
-    if eps_grid.ndim > 1:
-        raise ValidationError("'eps' must be a scalar or a 1-d grid")
-    rho = math.sqrt(1.0 + beta * beta)
-    for e in eps_grid.ravel():
-        if e >= 1.0 - 1.0 / rho:
-            raise EpsOutOfRange(f"'eps' must be below 1 - 1/sqrt(1+beta^2) = "
-                                f"{1.0 - 1.0 / rho:.6f}, got {float(e)}")
+    eps_grid, cs = _region_probes(R, eps, beta, d)
     if axis is None:
         axis = np.zeros(d)
         axis[0] = 1.0
     else:
         axis = np.asarray(axis, dtype=float)
         axis = axis / np.linalg.norm(axis)
-    # the probe v = c * axis at each eps
-    cs = [rho * (1.0 - e) * R for e in eps_grid.ravel()]
 
     n_chunks = (samples + _REGION_CHUNK - 1) // _REGION_CHUNK
     sizes = [min(_REGION_CHUNK, samples - i * _REGION_CHUNK) for i in range(n_chunks)]

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import kten
-from kten import cli, geometry, simulator, tails
+from kten import cli, geometry, simulator, spreading, tails
 from kten.cli import dispatch, parse_config_file, build_sim_config
 from kten.errors import InsufficientData, ValidationError
 from kten.simulator import read_snapshot
@@ -234,7 +234,22 @@ class TestRegionCommand:
                     "--output-dir", out, "--quiet"])
         ca, cb = (a / "region.csv").read_text(), (b / "region.csv").read_text()
         assert ca == cb
-        assert ca.splitlines()[0] == "eps,estimate,stderr"
+        assert ca.splitlines()[0] == "eps,estimate,quad_error"
+
+    def test_rows_are_the_quadrature_whatever_samples_and_seed(self, tmp_path):
+        # --samples and the seed are accepted but not read
+        grid = np.geomspace(0.05, 0.2, 3)
+        texts = []
+        for k, (samples, seed) in enumerate([("50000", "7"), ("10", "8")]):
+            out = tmp_path / str(k)
+            run_ok(["region", "--beta", "0.8", "--d", "2", "--R", "1.5", "--eps-grid",
+                    "0.05:0.2:3", "--samples", samples, "--seed", seed,
+                    "--output-dir", out, "--quiet"])
+            texts.append((out / "region.csv").read_text())
+        assert texts[0] == texts[1]
+        rows = [[float(x) for x in line.split(",")] for line in texts[0].splitlines()[1:]]
+        assert rows == [[e, *pair] for e, pair in
+                        zip(grid, spreading.region_integral(1.5, grid, 0.8, 2))]
 
     def test_thread_count_invariance(self, tmp_path):
         outs = []
@@ -744,8 +759,10 @@ def test_tails_report_golden_digest(tmp_path):
 # became closed forms (scipy 1.17); region and cancellation-inelastic re-recorded
 # when the region Monte Carlo moved onto u.a and |u|^2 and the cancellation
 # angle onto its atan2 closed form (rounding only: at most 7.7e-15 and 2.6e-16
-# relative). A change here is a change of computed numbers. Both mixture
-# families take lambda = 1/x, so they write the same CSV.
+# relative); region re-recorded when it became the quadrature with the
+# columns eps,estimate,quad_error (its Monte Carlo digest was 3e864b5c...).
+# A change here is a change of computed numbers. Both mixture families take
+# lambda = 1/x, so they write the same CSV.
 LOWERBOUND_RUNS = {
     "region": (["region", "--beta", "0.8", "--eps-grid", "0.01:0.2:4",
                 "--samples", "200000", "--seed", "13"], "region.csv"),
@@ -759,7 +776,7 @@ LOWERBOUND_RUNS = {
     "verify-geometry": (["verify-geometry", "--seed", "13"], "geometry_report.json"),
 }
 LOWERBOUND_DIGESTS = {
-    "region": "3e864b5cb499065cc05b7eabbb2e988d8d082ef26b3a9b97bc429abfd185bd3f",
+    "region": "138fe6adf12fdcf3b2db7e352db2d8df43e50164aa5ca9dc1a702c8661014d17",
     "cancellation-inelastic": "5afe6e7f480b169374baea747e9de14896febb9bcca99cbcc72a6cc833eb7642",
     "cancellation-mixture-light": "7cf79cd4cf6415d6a7b0c1de759805cf2ea619feb481c524407fef80d4f792ad",
     "cancellation-mixture-heavy": "7cf79cd4cf6415d6a7b0c1de759805cf2ea619feb481c524407fef80d4f792ad",
@@ -829,6 +846,10 @@ BAD_OPTION_VALUES = {
     "kernel-scaling-gamma": (["kernel-scaling", "--gamma", "-2"], "'gamma'"),
     "kernel-scaling-s": (["kernel-scaling", "--s", "1.5"], "'s'"),
     "kernel-scaling-beta": (["kernel-scaling", "--beta", "0.3"], "'beta'"),
+    # int() of an infinite decade count raised a bare OverflowError
+    "kernel-scaling-r-max-inf": (["kernel-scaling", "--r-max", "inf"], "--r-max inf"),
+    "kernel-scaling-r-min-subnormal": (["kernel-scaling", "--r-min", "1e-310"],
+                                       "--r-min 1e-310"),
     "cancellation-d": (["cancellation", "--d", "4"], "'d'"),
     "cancellation-gamma": (["cancellation", "--gamma", "-3"], "gamma"),
     "cancellation-s": (["cancellation", "--s", "0"], "'s'"),
@@ -889,6 +910,39 @@ def test_bare_value_error_from_a_library_call_propagates(tmp_path, monkeypatch):
         dispatch(["verify-geometry", "--samples", "10", "--output-dir", str(tmp_path),
                   "--quiet"])
     assert not isinstance(err.value, ValidationError)
+
+
+def test_spreading_envelope_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # R^p overflowed in the envelope fit: a bare OverflowError traceback
+    assert dispatch(["spreading", "--masses", "1,2", "--n-max", "1030",
+                     "--output-dir", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: no finite b fits the envelope to n = 1030")
+    assert not (tmp_path / "spreading.json").exists()
+
+
+class TestOutputDirectoryThatIsAFile:
+    # mkdir raised a bare FileExistsError
+    def test_output_dir_option(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        assert dispatch(["verify-geometry", "--samples", "10", "--output-dir", str(taken),
+                         "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"validation error: output directory {taken}: File exists\n"
+        assert taken.read_text() == "keep\n"
+
+    def test_simulate_config_output_dir(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("model = mixture\nd = 3\ngamma = 0\ns_or_h = iso\nmasses = 1.0\n"
+                       f"particles = 30\ndt = 0.1\nsteps = 1\noutput_dir = {taken}\n")
+        assert dispatch(["simulate", "--config", str(cfg), "--quiet",
+                         "--output-dir", str(tmp_path / "cli")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"validation error: output directory {taken}: File exists\n"
+        assert taken.read_text() == "keep\n"
 
 
 class TestKernelScalingCommand:

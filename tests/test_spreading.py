@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from kten import cancellation, geometry, kernels, utils
 from kten import spreading as S
@@ -112,6 +113,16 @@ class TestRunIteration:
             for st in trace:
                 assert math.log(env.a) - env.b * st.R ** env.p <= st.log_l + 1e-9
 
+    def test_envelope_that_overflows_is_a_guard_violation(self):
+        # R grows like sqrt(2)^n, and st.R ** p raised a bare OverflowError
+        cfg = S.SpreadingConfig(beta=None, masses=(1.0, 2.0))
+        with pytest.raises(GuardViolated, match="no finite b fits the envelope to "
+                                                "n = 1030") as err:
+            S.run_iteration(cfg, 1030)
+        assert err.value.n == 1030
+        _, env = S.run_iteration(cfg, 1000)
+        assert math.isfinite(env.b)
+
     def test_window_that_underflows_is_a_guard_violation(self):
         # the step takes log t, and t = T0 2^-(n+2) reaches 0 at n = 77 for
         # T0 = 1e-300; log(0) raised a bare ValueError
@@ -136,7 +147,8 @@ class TestParameterWindows:
         lambda: geometry.RestitutionParams.from_beta(0.3),
         lambda: S.SpreadingConfig(beta=0.3),
         lambda: S.region_estimate_mc(1.0, 0.1, 0.3, 3, 1000),
-    ], ids=["from_beta", "SpreadingConfig", "region_estimate_mc"])
+        lambda: S.region_integral(1.0, 0.1, 0.3, 3),
+    ], ids=["from_beta", "SpreadingConfig", "region_estimate_mc", "region_integral"])
     def test_beta(self, call):
         with pytest.raises(ValidationError, match=r"^'beta' must lie in \(1/2, 1\), got 0\.3$"):
             call()
@@ -145,12 +157,13 @@ class TestParameterWindows:
         lambda: kernels.KernelSpec(gamma=-1.0, d=4, s=0.5),
         lambda: S.SpreadingConfig(d=4),
         lambda: S.region_estimate_mc(1.0, 0.1, 0.8, 4, 1000),
+        lambda: S.region_integral(1.0, 0.1, 0.8, 4),
         lambda: geometry.verify_identities(1, 10, 4),
         lambda: cancellation.SFunctionSpec(d=4, gamma=-1.0, b=lambda c: 1.0, lam=0.5),
         lambda: utils.sphere_rule(4),
         lambda: utils.circle_rule(4, 8),
-    ], ids=["KernelSpec", "SpreadingConfig", "region_estimate_mc", "verify_identities",
-            "SFunctionSpec", "sphere_rule", "circle_rule"])
+    ], ids=["KernelSpec", "SpreadingConfig", "region_estimate_mc", "region_integral",
+            "verify_identities", "SFunctionSpec", "sphere_rule", "circle_rule"])
     def test_dimension(self, call):
         with pytest.raises(ValidationError, match=r"^'d' must be 2 or 3, got 4$"):
             call()
@@ -359,6 +372,184 @@ class TestRegionOnTwoScalars:
             got = S.region_estimate_mc(3.0, eps, 0.8, 3, 1000)
         assert got[0] == pytest.approx(S.utils.ball_volume(3, 3.0) * math.pi * 9.0,
                                        rel=1e-12)
+
+
+def origin_frame_integral(R, eps, beta, d):
+    """I(R, eps) from its definition in the frame of the origin, by scipy's
+    adaptive rules: for |u| = r and u.a = r mu, the plane through
+    v/beta - (1/beta - 1) u with normal u - v meets B_R on the mu interval
+    where R^2 |u - v|^2 - <pt, u - v>^2, a quadratic in mu, is >= 0; the
+    section is integrated over mu (d = 3) or the polar angle (d = 2) there,
+    and the shells over r from the r where that interval opens."""
+    c = math.sqrt(1.0 + beta * beta) * (1.0 - eps) * R
+    g, k = c * (2.0 / beta - 1.0), 1.0 / beta - 1.0
+
+    def dist2(r, mu):
+        sect = g * r * mu - c * c / beta - k * r * r
+        return sect * sect / (r * r - 2.0 * c * r * mu + c * c)
+
+    def section_range(r):
+        a0, a1 = -c * c / beta - k * r * r, g * r
+        lo, hi = np.sort(np.roots([a1 * a1, 2.0 * (a0 * a1 + R * R * c * r),
+                                   a0 * a0 - R * R * (r * r + c * c)]).real)
+        return max(lo, -1.0), min(hi, 1.0)
+
+    def shell(r):
+        lo, hi = section_range(r)
+        if d == 3:
+            area = quad(lambda mu: math.pi * (R * R - dist2(r, mu)), lo, hi,
+                        epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            return 2.0 * math.pi * r * r * area
+        area = quad(lambda phi: 2.0 * math.sqrt(max(R * R - dist2(r, math.cos(phi)), 0.0)),
+                    math.acos(hi), math.acos(lo), epsabs=0.0, epsrel=1e-12, limit=200)[0]
+        return 2.0 * r * area
+
+    r_open = math.sqrt(c * c - R * R * beta / (2.0 - beta))
+    return quad(shell, r_open, R, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+def eps_limit(beta):
+    return 1.0 - 1.0 / math.sqrt(1.0 + beta * beta)
+
+
+def eps_reach(beta):
+    """The eps below which the probe lies beyond the reachable radius
+    sqrt(2 / (2 - beta)) R and every plane misses the ball."""
+    return 1.0 - math.sqrt(2.0 / (2.0 - beta) / (1.0 + beta * beta))
+
+
+@pytest.fixture
+def refined_rule(monkeypatch):
+    """_region_quadrature at 128 nodes per panel, on panels that halve
+    towards each end down to 1e-9."""
+    monkeypatch.setattr(S, "_REGION_GRADING", 2.0)
+    monkeypatch.setattr(S, "_REGION_FLOOR", 1e-9)
+
+    def rule(R, eps, beta, d):
+        return S._region_quadrature(R, math.sqrt(1.0 + beta * beta) * (1.0 - eps) * R,
+                                    beta, d, 128)
+    return rule
+
+
+class TestRegionIntegral:
+    # (beta, d, R, eps grid, axis, seed): eps <= 0 down to near the reachable
+    # radius, and eps within 5e-4 of 1 - 1/rho; seeds fixed before the runs
+    MC_CASES = [
+        (0.8, 3, 1.0, [-0.005, 0.0, 0.01, 0.05, 0.2, 0.219], None, 2101),
+        (0.8, 2, 1.0, [-0.005, 0.0, 0.01, 0.05, 0.2, 0.219], None, 2102),
+        (0.6, 3, 2.0, [-0.02, 0.0, 0.03, 0.1, 0.142], (1.0, -2.0, 0.5), 2103),
+        (0.95, 2, 0.5, [-0.0003, 0.0, 0.05, 0.2, 0.2745], (0.3, 1.0), 2104),
+    ]
+    # the eps near 1 - 1/rho: 1e-4, 1e-7 and one ulp below it
+    NEAR_LIMIT = [lambda lim: lim - 1e-4, lambda lim: lim - 1e-7,
+                  lambda lim: float(np.nextafter(lim, 0.0))]
+
+    @pytest.mark.parametrize("beta, d, R, eps, axis, seed", MC_CASES,
+                             ids=[f"beta{c[0]}-d{c[1]}" for c in MC_CASES])
+    def test_monte_carlo_agrees_within_4_standard_errors(self, beta, d, R, eps, axis,
+                                                         seed):
+        mc = np.array(S.region_estimate_mc(R, eps, beta, d, 400000, seed=seed, axis=axis))
+        quad_values = np.array(S.region_integral(R, eps, beta, d))[:, 0]
+        assert np.all(mc[:, 1] > 0.0)
+        assert np.all(np.abs(mc[:, 0] - quad_values) <= 4.0 * mc[:, 1])
+
+    def test_cli_monte_carlo_agrees_within_3_standard_errors(self):
+        # the region CLI's former output: 5a's grid, 1e6 samples, the default seed
+        grid = np.geomspace(0.01, 0.2, 8)
+        mc = np.array(S.region_estimate_mc(1.0, grid, 0.8, 3, 10 ** 6))
+        quad_values = np.array(S.region_integral(1.0, grid, 0.8, 3))[:, 0]
+        assert np.all(np.abs(mc[:, 0] - quad_values) <= 3.0 * mc[:, 1])
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("beta, R, eps", [(0.8, 1.0, 0.05), (0.8, 1.0, 0.2),
+                                              (0.6, 2.0, 0.0), (0.95, 0.5, 0.1),
+                                              (0.8, 1.0, -0.005)])
+    def test_origin_frame_definition_agrees(self, beta, R, eps, d):
+        # an independent derivation: the definition in the origin's frame,
+        # integrated adaptively
+        value, _ = S.region_integral(R, eps, beta, d)
+        assert value == pytest.approx(origin_frame_integral(R, eps, beta, d), rel=1e-11)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("beta", [0.51, 0.8, 0.999, 1.0 - 1e-6])
+    def test_within_1e_12_of_a_refined_rule(self, refined_rule, beta, d):
+        lim = eps_limit(beta)
+        eps = [0.5 * eps_reach(beta), 0.0, 0.01, 0.05, 0.5 * lim] \
+            + [f(lim) for f in self.NEAR_LIMIT]
+        for R in (1.0, 2.5):
+            got = S.region_integral(R, eps, beta, d)
+            for e, (value, err) in zip(eps, got):
+                reference = refined_rule(R, e, beta, d)
+                assert value > 0.0
+                assert abs(value - reference) <= 1e-12 * reference, (R, e)
+                # quad_error, the coarse rule's gap, overstates the error up to rounding
+                assert abs(value - reference) <= err + 1e-13 * reference, (R, e)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.2, 0.2190, eps_limit(0.8) - 1e-7])
+    def test_converges_in_the_node_count(self, refined_rule, eps, d):
+        reference = refined_rule(1.0, eps, 0.8, d)
+        c = math.sqrt(1.64) * (1.0 - eps)
+        errors = [abs(S._region_quadrature(1.0, c, 0.8, d, n) - reference) / reference
+                  for n in (4, 8, 16, 32)]
+        assert errors[0] > errors[1] > 1e-12
+        assert errors[2] <= 1e-12 and errors[3] <= 1e-13
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_r_scaling(self, d):
+        eps = [0.0, 0.05, 0.2, 0.219]
+        unit = np.array(S.region_integral(1.0, eps, 0.8, d))[:, 0]
+        for R in (0.5, 2.0, 3.7):
+            scaled = np.array(S.region_integral(R, eps, 0.8, d))[:, 0]
+            np.testing.assert_allclose(scaled, R ** (2 * d - 1) * unit, rtol=5e-14, atol=0.0)
+
+    @pytest.mark.parametrize("d, slope, local_range", [(3, 1.999, (1.499, 2.216)),
+                                                       (2, 1.633, (1.205, 1.882))])
+    def test_local_exponents_on_the_5a_grid_lie_below_d(self, d, slope, local_range):
+        # I >= C eps^d needs I / eps^d not to increase: every local exponent
+        # is at most d. The quadrature gives them exactly; the fitted slope is
+        # the README's figure
+        grid = np.geomspace(0.01, 0.2, 8)
+        values = np.array(S.region_integral(1.0, grid, 0.8, d))[:, 0]
+        local = np.diff(np.log(values)) / np.diff(np.log(grid))
+        assert np.all(local < d)
+        assert np.all(np.diff(local[:-1]) > 0.0)
+        assert (local.min(), local.max()) == pytest.approx(local_range, abs=1e-3)
+        assert fit_loglog(grid, values)[0] == pytest.approx(slope, abs=5e-4)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_eps_beyond_reachability_gives_zero_with_one_warning(self, d):
+        beyond = eps_reach(0.8) * (1.0 + 1e-9)
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            got = S.region_integral(1.0, [0.1, beyond, -0.05], 0.8, d)
+            inside = S.region_integral(1.0, eps_reach(0.8) * (1.0 - 1e-6), 0.8, d)
+        assert got[0][0] > 0.0 and got[1:] == [(0.0, 0.0)] * 2
+        assert inside[0] > 0.0
+        assert sum(issubclass(w.category, DegenerateGeometry) for w in rec) == 2
+
+    def test_eps_at_the_limit_is_refused_before_any_quadrature(self, monkeypatch):
+        def no_rule(*args):
+            raise AssertionError("integrated before checking eps")
+
+        monkeypatch.setattr(S, "_region_quadrature", no_rule)
+        with pytest.raises(EpsOutOfRange, match="got 0.5"):
+            S.region_integral(1.0, [0.01, 0.1, 0.5], 0.8, 3)
+        with pytest.raises(EpsOutOfRange):
+            S.region_integral(1.0, eps_limit(0.8), 0.8, 2)
+
+    @pytest.mark.parametrize("R", [-1.0, 0.0, math.inf, math.nan])
+    def test_radius_not_positive_and_finite_is_refused(self, R):
+        with pytest.raises(ValidationError, match="^'R' must be > 0 and finite"):
+            S.region_integral(R, 0.1, 0.8, 3)
+
+    def test_grid_equals_one_call_per_eps_and_values_are_floats(self):
+        grid = np.geomspace(0.01, 0.2, 5)
+        together = S.region_integral(1.3, grid, 0.8, 2)
+        assert together == [S.region_integral(1.3, float(e), 0.8, 2) for e in grid]
+        assert all(type(x) is float for pair in together for x in pair)
+        with pytest.raises(ValueError, match="1-d grid"):
+            S.region_integral(1.0, [[0.1]], 0.8, 3)
 
 
 class TestEnvelopeEval:
