@@ -88,8 +88,9 @@ class SFunctionSpec:
 
     def __post_init__(self):
         utils.check_dimension(self.d)
-        if self.gamma <= -self.d:
-            raise ValidationError("gamma must exceed -d")
+        if not (math.isfinite(self.gamma) and self.gamma > -self.d):
+            raise ValidationError(f"'gamma' must be finite and > -d = {-self.d}, "
+                                  f"got {self.gamma}")
         if not 0.0 < self.lam <= 1.0:
             raise ValidationError(f"lambda must lie in (0, 1], got {self.lam}")
 

@@ -238,7 +238,7 @@ def _checked(kind, check):
 
 
 def _parse_grid(text, geometric=False):
-    """The lo:hi:n grid, n >= 1 points; a geometric one needs lo, hi > 0."""
+    """The lo:hi:n grid: finite lo and hi, n >= 1 points; a geometric one needs lo, hi > 0."""
     try:
         lo, hi, n = text.split(":")
         lo, hi, n = float(lo), float(hi), int(n)
@@ -246,6 +246,8 @@ def _parse_grid(text, geometric=False):
         raise argparse.ArgumentTypeError(f"bad grid spec {text!r}, want lo:hi:n") from None
     if n < 1:
         raise argparse.ArgumentTypeError(f"grid {text!r} needs n >= 1 points")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError(f"grid {text!r} needs finite lo and hi")
     if geometric:
         if not (lo > 0 and hi > 0):
             raise argparse.ArgumentTypeError(f"geometric grid {text!r} needs lo, hi > 0")
@@ -281,7 +283,7 @@ def _run_spreading(args):
             raise ValidationError(f"--masses: cannot read {args.masses!r} ({exc})") from exc
     cfg = spreading.SpreadingConfig(d=args.d, gamma=args.gamma, s=args.s,
                                     beta=args.beta, masses=masses, T0=args.t0,
-                                    l0=args.l0, K=args.K, seed=args.seed)
+                                    l0=args.l0, K=args.K)
     trace, env = spreading.run_iteration(cfg, args.n_max)
     out = args.output_dir / "spreading.json"
     _write_json(out, {
@@ -534,8 +536,8 @@ def run_simulation_to_dir(cfg, outdir, extras, quiet=True):
                 simulator.write_snapshot(p, s.velocities)
                 outputs.append(p)
                 snapshot_index.append({"file": p.name, "t": ens.time, "species": sp,
-                                       "mass": s.mass, "weight": s.weight})
-                h = tails.tail_histogram(s.velocities, s.weight,
+                                       "mass": s.mass, "weight": ens.weight})
+                h = tails.tail_histogram(s.velocities, ens.weight,
                                          n_bins=extras["tail_bins"])
                 rows += [(sp, float(lo), float(hi), int(c), float(dens))
                          for lo, hi, c, dens in zip(h.bin_edges[:-1], h.bin_edges[1:],

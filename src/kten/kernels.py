@@ -75,6 +75,8 @@ class KernelSpec:
 
     def __post_init__(self):
         utils.check_dimension(self.d)
+        if not math.isfinite(self.gamma):
+            raise ValidationError(f"'gamma' must be finite, got {self.gamma}")
         if self.model not in _MODELS:
             raise ValidationError(f"'model' must be one of {_MODELS}, got {self.model!r}")
         if self.h is not None and self.s is not None:

@@ -3,7 +3,8 @@
 No-time-counter scheme: per species pair, a majorant of the pair collision
 rate fixes a candidate count for the step; candidates are accepted with
 probability (true speed factor)/(majorant speed factor) and the collision
-direction is drawn from the kernel's angular law. Noncutoff kernels are
+direction is drawn from the kernel's angular law. Every particle of every
+species carries the one weight of its ensemble. Noncutoff kernels are
 sampled through a hard angular truncation at theta_min; the momentum-transfer
 weight of the discarded grazing collisions is computed and logged (their raw
 count is infinite). Cutoff kernels (the uniform half-sphere law) draw the
@@ -16,15 +17,15 @@ Determinism: all randomness comes from counter-based streams keyed by
 one more than the largest level among the earlier candidates sharing one of
 its particles; levels are committed in order, one vectorized batch each, so
 every particle meets its collisions in candidate order and the result equals
-committing candidates one at a time. Results are bit-identical for any
-thread count.
+committing candidates one at a time: it does not depend on the level
+schedule.
 """
 
 import logging
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -41,6 +42,7 @@ SNAPSHOT_VERSION = 1
 _ANGLE_TABLE = 4096        # grid points of the angular sampler's inverse-CDF table
 _ANGLE_SPLIT = 0.5         # the table is geometric below this angle, linear above
 _ENTROPY_BINS = 24         # histogram bins per axis of the entropy estimate
+_MAJORANT_REFRESH = 100    # steps between speed-factor majorants drawn afresh
 MODELS = ("inelastic", "mixture")
 INITS = ("gaussian", "two_bump", "shell")     # the initializers of _init_velocities
 
@@ -49,7 +51,6 @@ INITS = ("gaussian", "two_bump", "shell")     # the initializers of _init_veloci
 class Species:
     mass: float
     velocities: np.ndarray        # (N, d)
-    weight: float
 
     def __post_init__(self):
         # C order: moments' einsum column sums equal .sum(axis=0) bit for bit
@@ -57,15 +58,22 @@ class Species:
         self.velocities = np.ascontiguousarray(self.velocities, dtype=float)
         if self.velocities.ndim != 2 or self.velocities.shape[0] == 0:
             raise ValidationError("species needs a nonempty (N, d) velocity array")
-        if self.mass <= 0 or self.weight <= 0:
-            raise ValidationError("mass and weight must be positive")
+        if self.mass <= 0:
+            raise ValidationError("mass must be positive")
 
 
 @dataclass
 class Ensemble:
+    """The particles of every species, each carrying the one `weight`.
+
+    One weight for all species is what lets a pair block draw its
+    candidates from the one majorant rate.
+    """
+
     species: list
     time: float
     seed: int
+    weight: float                          # density one particle stands for
     step_index: int = 0
     majorant: float | None = None          # live speed-factor majorant
     last_step_stats: dict | None = None
@@ -74,24 +82,22 @@ class Ensemble:
         masses = [s.mass for s in self.species]
         if any(b <= a for a, b in zip(masses, masses[1:])):
             raise ValidationError("species masses must be strictly increasing")
-        weights = {s.weight for s in self.species}
-        if len(weights) > 1:
-            raise ValidationError("per-species weights must be equal for pair sampling")
+        if self.weight <= 0:
+            raise ValidationError("weight must be positive")
 
     @property
     def d(self):
         return self.species[0].velocities.shape[1]
 
     def copy(self):
-        return Ensemble(
-            species=[Species(s.mass, s.velocities.copy(), s.weight)
-                     for s in self.species],
-            time=self.time, seed=self.seed, step_index=self.step_index,
-            majorant=self.majorant, last_step_stats=None)
+        return replace(self, species=[Species(s.mass, s.velocities.copy())
+                                      for s in self.species], last_step_stats=None)
 
 
 @dataclass
 class SimConfig:
+    """One DSMC run; every particle carries the weight 1 / sum(particles)."""
+
     model: str                    # "inelastic" | "mixture"
     kernel: KernelSpec
     dt: float
@@ -102,8 +108,6 @@ class SimConfig:
     seed: int = utils.DEFAULT_SEED
     theta_min: float = 1e-2
     init: str = "gaussian"
-    majorant: float | None = None          # initial speed-factor estimate
-    majorant_refresh: int = 100
 
     def __post_init__(self):
         """Every value of a run, checked before any work.
@@ -132,8 +136,8 @@ class SimConfig:
             if len(masses) != len(self.particles):
                 raise ValidationError(f"'masses' must hold one mass per species, "
                                       f"{len(self.particles)} in 'particles'")
-            if not all(m > 0 for m in masses):
-                raise ValidationError(f"'masses' must be > 0, got {masses}")
+            if not all(m > 0 and math.isfinite(m) for m in masses):
+                raise ValidationError(f"'masses' must be > 0 and finite, got {masses}")
             if any(b <= a for a, b in zip(masses, masses[1:])):
                 raise ValidationError(f"'masses' must be strictly increasing, got {masses}")
         if not (self.dt > 0 and math.isfinite(self.dt)):
@@ -185,7 +189,6 @@ class AngularSampler:
         # the grazing count below theta_min is infinite for any s in (0,1); its
         # momentum-transfer weight, the integral of (1 - cos t) b sin^{d-2} t
         # over [0, theta_min], is an incomplete beta function in sin^2(t/2)
-        self.discarded_mass = math.inf
         self.discarded_transfer = 2.0 ** (d - 1) * _b_norm_constant(spec.model, d) \
             * area * utils.incomplete_beta(math.sin(0.5 * theta_min) ** 2, 1.0 - s,
                                            0.5 * (gamma + 2.0 * s + d))
@@ -221,8 +224,9 @@ def build_ensemble(cfg: SimConfig) -> Ensemble:
     masses = (1.0,) if cfg.model == "inelastic" else tuple(cfg.masses)
     for k, n in enumerate(cfg.particles):
         v = _init_velocities(rng, n, cfg.d, cfg.init)
-        species.append(Species(mass=masses[k], velocities=v, weight=1.0 / sum(cfg.particles)))
-    return Ensemble(species=species, time=0.0, seed=cfg.seed, majorant=cfg.majorant)
+        species.append(Species(mass=masses[k], velocities=v))
+    return Ensemble(species=species, time=0.0, seed=cfg.seed,
+                    weight=1.0 / sum(cfg.particles))
 
 
 def _speed_majorant(ens: Ensemble, cfg: SimConfig):
@@ -258,20 +262,19 @@ def step(ens: Ensemble, cfg: SimConfig) -> Ensemble:
     """Advance the ensemble by one time step of length cfg.dt.
 
     Returns a new Ensemble; the input is not modified. Candidates are
-    committed in dependency levels (see _process_candidates). A majorant
-    violation is detected when a level is committed: the observed value is
-    the largest speed factor in the first level, in level order, that holds
-    a violating candidate. The majorant is inflated to 1.5 x max(observed,
-    majorant) and the step is re-run from its own saved stream, so recovery
-    is deterministic.
+    committed in dependency levels (see _levels). A majorant violation is
+    detected when a level is committed: the observed value is the largest
+    speed factor in the first level, in level order, that holds a violating
+    candidate. The majorant is inflated to 1.5 x max(observed, majorant) and
+    the step is re-run from its own saved stream, so recovery is
+    deterministic. The majorant is drawn afresh every _MAJORANT_REFRESH steps.
 
     The result's last_step_stats holds the candidate and accepted counts,
-    sum_c2 and predicted_energy_loss (inelastic bookkeeping), the majorant
-    used, and levels, the number of levels summed over pair blocks.
+    predicted_energy_loss (inelastic bookkeeping), the majorant used, and
+    levels, the number of levels summed over pair blocks.
     """
     out = ens.copy()
-    if out.majorant is None or (cfg.majorant_refresh > 0
-                                and out.step_index % cfg.majorant_refresh == 0):
+    if out.majorant is None or out.step_index % _MAJORANT_REFRESH == 0:
         out.majorant = _speed_majorant(out, cfg)
     for _retry in range(20):
         try:
@@ -296,14 +299,10 @@ def step(ens: Ensemble, cfg: SimConfig) -> Ensemble:
 
 
 def _attempt_step(ens: Ensemble, cfg: SimConfig):
-    sampler = cfg.sampler
-    d = ens.d
-    gamma = cfg.kernel.gamma
-    w = ens.species[0].weight
-    maj_rate = ens.majorant * (sampler or cfg.kernel).angular_mass   # truncated b, or h == 1
-    stats = {"candidates": 0, "accepted": 0, "sum_c2": 0.0,
-             "predicted_energy_loss": 0.0, "majorant": ens.majorant,
-             "levels": 0}
+    w = ens.weight
+    maj_rate = ens.majorant * (cfg.sampler or cfg.kernel).angular_mass   # truncated b, or h == 1
+    stats = {"candidates": 0, "accepted": 0, "predicted_energy_loss": 0.0,
+             "majorant": ens.majorant, "levels": 0}
     for block, (i, j) in enumerate(_pair_blocks(len(ens.species))):
         rng = utils.substream(ens.seed, ens.step_index, block + 1)
         vi = ens.species[i].velocities
@@ -327,13 +326,13 @@ def _attempt_step(ens: Ensemble, cfg: SimConfig):
             idx_b = (idx_a + 1 + rng.integers(0, n_i - 1, m)) % n_i
         else:
             idx_b = rng.integers(0, n_j, m)
-        u_acc = rng.random(m)
-        u_theta = rng.random(m)
-        u_azim = rng.random(m) * 2.0 * math.pi
+        u = rng.random((3, m))      # acceptance, polar and azimuth uniforms
         pair_params = _pair_collision_params(cfg, ens, i, j)
-        stats["levels"] += _process_candidates(
-            vi, vj, idx_a, idx_b, u_acc, u_theta, u_azim, ens.majorant, gamma,
-            sampler, pair_params, d, w, stats, same=(i == j))
+        # the b particles of a cross-species block get keys after the a ones
+        for level in _levels(idx_a, idx_b if i == j else idx_b + n_i):
+            _apply_wave(vi, vj, idx_a[level], idx_b[level], np.take(u, level, axis=1),
+                        cfg, pair_params, ens.majorant, w, stats)
+            stats["levels"] += 1
         stats["candidates"] += m
     return stats
 
@@ -344,35 +343,28 @@ def _pair_collision_params(cfg, ens, i, j):
     return MassPair(ens.species[i].mass, ens.species[j].mass)
 
 
-def _process_candidates(vi, vj, idx_a, idx_b, u_acc, u_theta, u_azim,
-                        majorant, gamma, sampler, pair_params, d, w, stats,
-                        same):
-    """Commit candidates level by level; returns the number of levels.
+def _levels(key_a, key_b):
+    """Yield the candidate indices of each dependency level, in order.
 
     A candidate's level is 1 + the larger level of its predecessors (the
-    previous candidates touching either of its particles), or 0 if it has
-    none. Levels are peeled off in order: a pass takes every pending
-    candidate whose predecessors are all committed. No particle repeats
-    within a level and every particle meets its collisions in candidate
-    order, so the result equals committing the candidates one at a time.
+    previous candidates sharing its a or b key), or 0 if it has none. Levels
+    are peeled off in order: a pass takes every pending candidate whose
+    predecessors all came in earlier levels. No key repeats within a level
+    and every key meets its candidates in order, so committing level after
+    level equals committing the candidates one at a time.
     """
-    m = len(idx_a)
-    pred = _predecessors(idx_a, idx_b if same else idx_b + len(vi))
+    m = len(key_a)
+    pred = _predecessors(key_a, key_b)
     pred_a, pred_b = pred[:m], pred[m:]
     committed = np.zeros(m + 1, dtype=bool)
     committed[m] = True                     # the "no predecessor" sentinel
     pending = np.arange(m)
-    levels = 0
     while pending.size:
         ready = committed[pred_a[pending]] & committed[pred_b[pending]]
         level = pending[ready]
-        _apply_wave(vi, vj, idx_a[level], idx_b[level], u_acc[level],
-                    u_theta[level], u_azim[level], majorant, gamma, sampler,
-                    pair_params, d, w, stats)
+        yield level
         committed[level] = True
         pending = pending[~ready]
-        levels += 1
-    return levels
 
 
 def _predecessors(key_a, key_b):
@@ -394,25 +386,32 @@ def _predecessors(key_a, key_b):
     return pred
 
 
-def _apply_wave(vi, vj, ia, ib, u_acc, u_theta, u_azim, majorant, gamma,
-                sampler, pair_params, d, w, stats):
+def _apply_wave(vi, vj, ia, ib, u, cfg, pair_params, majorant, w, stats):
+    """Commit one level: particle ia[k] of vi meets particle ib[k] of vj.
+
+    u holds the level's acceptance, polar and azimuth uniforms as rows; w is
+    the particle weight of the inelastic energy-loss bookkeeping.
+    """
     va = np.take(vi, ia, axis=0)
     vb = np.take(vj, ib, axis=0)
     rel = va - vb
     rspeed = np.sqrt(utils.row_dot(rel, rel))
     live = rspeed > 0.0                     # zero-relative-speed pairs are no-ops
     factor = np.zeros_like(rspeed)
-    factor[live] = rspeed[live] ** gamma
+    factor[live] = rspeed[live] ** cfg.kernel.gamma
     over = factor > majorant
     if np.any(over):
         raise _Violation(float(np.max(factor)))
-    keep = np.flatnonzero(live & (u_acc * majorant < factor))
+    keep = np.flatnonzero(live & (u[0] * majorant < factor))
     if keep.size == 0:
         return
     if keep.size < rspeed.size:     # all accepted at gamma 0 with majorant 1
-        ia, ib, rspeed, u_theta, u_azim = (
-            np.take(a, keep) for a in (ia, ib, rspeed, u_theta, u_azim))
+        ia, ib, rspeed = (np.take(a, keep) for a in (ia, ib, rspeed))
         va, vb, rel = (np.take(a, keep, axis=0) for a in (va, vb, rel))
+        u = np.take(u, keep, axis=1)
+    u_theta, u_azim = u[1], u[2] * 2.0 * math.pi
+    d = vi.shape[1]
+    sampler = cfg.sampler
     if sampler is None:
         # cutoff: n uniform on the sphere; the post rules and c^2 are even in
         # n, so this is the half-sphere law (c itself may come out negative)
@@ -433,7 +432,6 @@ def _apply_wave(vi, vj, ia, ib, u_acc, u_theta, u_azim, majorant, gamma,
             coef = np.where(u_azim < math.pi, 1.0, -1.0)[:, None]
         tang = utils.tangent_vectors(khat, coef)
         unit = np.sin(half)[:, None] * khat + np.cos(half)[:, None] * tang
-    c = utils.row_dot(rel, unit)
     inelastic = isinstance(pair_params, RestitutionParams)
     post = geometry.inelastic_post_n if inelastic else geometry.mixture_post_n
     va_new, vb_new, _ = post(va, vb, unit, pair_params)
@@ -442,8 +440,8 @@ def _apply_wave(vi, vj, ia, ib, u_acc, u_theta, u_azim, majorant, gamma,
     stats["accepted"] += int(ia.size)
     if inelastic:
         beta = pair_params.beta
+        c = utils.row_dot(rel, unit)
         c2 = float(np.sum(c * c))
-        stats["sum_c2"] += c2
         stats["predicted_energy_loss"] += 2.0 * beta * (1.0 - beta) * c2 * w
 
 
@@ -455,23 +453,22 @@ def moments(ens: Ensemble):
     ones. Entropy is the plug-in histogram estimate of sum integral f log f
     with a Miller-Madow bin-count correction, decreasing toward equilibrium.
     """
-    d = ens.d
-    mass = [s.weight * len(s.velocities) for s in ens.species]
+    d, w = ens.d, ens.weight
+    mass = [w * len(s.velocities) for s in ens.species]
     momentum = np.zeros(d)
     energy = 0.0
     entropy = 0.0
     for s in ens.species:
         # einsum sums each column down the rows in the order .sum(axis=0)
         # takes on C-ordered rows, at a fraction of its cost
-        momentum += s.weight * s.mass * np.einsum("ij->j", s.velocities)
-        energy += s.weight * s.mass * float(np.sum(s.velocities ** 2))
-        entropy += _entropy_estimate(s)
+        momentum += w * s.mass * np.einsum("ij->j", s.velocities)
+        energy += w * s.mass * float(np.sum(s.velocities ** 2))
+        entropy += _entropy_estimate(s.velocities, w)
     return {"mass": mass, "momentum": momentum, "energy": float(energy),
             "entropy_estimate": float(entropy)}
 
 
-def _entropy_estimate(s: Species):
-    v = s.velocities
+def _entropy_estimate(v, w):
     n, d = v.shape
     lim = max(float(np.maximum(v.max(), -v.min())) * 1.05, 1e-12)
     if not math.isfinite(lim):              # NaN or inf velocities have no histogram
@@ -479,12 +476,12 @@ def _entropy_estimate(s: Species):
     counts = utils.grid_counts_in_range(v, np.linspace(-lim, lim, _ENTROPY_BINS + 1))
     cell = (2.0 * lim / _ENTROPY_BINS) ** d
     c = counts[counts > 0].ravel()
-    dens = s.weight * c / cell
+    dens = w * c / cell
     h_plugin = float(np.sum(dens * np.log(dens) * cell))
     k_occupied = c.size
     # Miller-Madow raises the Shannon entropy estimate by (K-1)/(2N); in
     # integral-of-f-log-f units that lowers the plug-in value by w(K-1)/2
-    return h_plugin - s.weight * (k_occupied - 1) / 2.0
+    return h_plugin - w * (k_occupied - 1) / 2.0
 
 
 @dataclass

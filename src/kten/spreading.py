@@ -102,7 +102,6 @@ class SpreadingConfig:
     T0: float = 0.5
     l0: float = 0.1
     K: float = 1e-3          # step constant; nonconstructive in the source model
-    seed: int = utils.DEFAULT_SEED
 
     def __post_init__(self):
         if (self.beta is None) == (self.masses is None):
@@ -117,8 +116,8 @@ class SpreadingConfig:
         for name, value in (("T0", self.T0), ("l0", self.l0)):
             if not 0.0 < value < 1.0:
                 raise ValidationError(f"{name!r} must lie in (0, 1), got {value}")
-        if self.K <= 0:
-            raise ValidationError(f"'K' must be > 0, got {self.K}")
+        if not (self.K > 0 and math.isfinite(self.K)):
+            raise ValidationError(f"'K' must be > 0 and finite, got {self.K}")
         # the iteration's kernel: d, s and the moderately soft window
         KernelSpec(gamma=self.gamma, d=self.d, s=self.s, moderately_soft=True)
 

@@ -107,8 +107,14 @@ class TestAsymmetry:
             C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=lam)
 
     def test_gamma_at_or_below_minus_d_is_rejected(self):
-        with pytest.raises(ValueError, match="gamma must exceed -d"):
+        with pytest.raises(ValueError, match="^'gamma' must be finite and > -d = -3"):
             C.SFunctionSpec(d=3, gamma=-3.5, b=B3, lam=1.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_gamma_not_finite_is_rejected(self, gamma):
+        # a NaN gamma passed the gamma <= -d check
+        with pytest.raises(ValueError, match=f"^'gamma' must be finite .* got {gamma}"):
+            C.SFunctionSpec(d=3, gamma=gamma, b=B3, lam=1.0)
 
 
 def test_spec_is_frozen_so_s1_cannot_go_stale():

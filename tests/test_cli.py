@@ -8,6 +8,7 @@ import os
 import platform
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,40 @@ def test_benchmark_tracer_finds_every_wrapped_name():
          "import tracer; tracer.install(tracer.Tracer())"],
         cwd=root, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+_TRACED_RUN = """
+import json, sys
+sys.path[:0] = ['perfbench', 'src']
+import tracer
+from kten.cli import dispatch
+out, cfg = sys.argv[1], sys.argv[2]
+t = tracer.Tracer()
+tracer.install(t)
+assert dispatch(['simulate', '--config', cfg, '--quiet']) == 0
+assert dispatch(['cancellation', '--output-dir', out + '/canc', '--quiet']) == 0
+m = tracer.layer_metrics(t.spans, dict.fromkeys(
+    ['majorant_inflation', 'reduce_dt', 'integration', 'quadrature_truncation', 'other'], 0))
+print(json.dumps({k: m[k] for k in
+                  ('simulator.step.calls', 'simulator.candidates', 'cancellation.s1.evals')}))
+"""
+
+
+def test_benchmark_tracer_measures_a_simulate_and_a_cancellation(tmp_path):
+    # the benchmark's own runs do not trace; a wrapper that stops seeing its
+    # function (a rename, a call that bypasses the module attribute) shows
+    # as a zero count here instead of in a later traced run
+    root = Path(__file__).resolve().parents[1]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(["model = inelastic", "d = 3", "gamma = 0", "s_or_h = iso",
+                              "alpha = 0.5", "particles = 400", "dt = 0.05", "steps = 2",
+                              f"output_dir = {tmp_path / 'sim'}"]) + "\n")
+    out = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(tmp_path), str(cfg)],
+                         cwd=root, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    m = json.loads(out.stdout)
+    assert m["simulator.step.calls"] == 2
+    assert m["simulator.candidates"] > 0 and m["cancellation.s1.evals"] > 0
 
 
 def test_parser_runners_and_benchmark_tracer_name_the_same_subcommands():
@@ -545,6 +580,8 @@ class TestSimulateAndTails:
         (["model = mixture", "masses = 4.0,1.0"], "'masses' must be strictly increasing"),
         (["model = mixture", "masses = 1.0,1.0"], "'masses' must be strictly increasing"),
         (["model = mixture", "masses = -1.0,1.0"], "'masses' must be > 0"),
+        # failed in the first step naming neither the config key nor masses
+        (["model = mixture", "masses = 1.0,inf"], "'masses' must be > 0 and finite"),
         (["model = mixture", "masses = 1.0"], "'masses' must hold one mass per species"),
         (["model = mixture"], "'masses' is required by model = mixture"),
         (["model = mixture", "masses = 1.0,2.0", "alpha = 0.5"],
@@ -562,7 +599,7 @@ class TestSimulateAndTails:
          "'theta_min' must be > 0 and < 0.5, got 1.0"),
         (["model = mixture", "masses = 1.0,2.0", "theta_min = 4.0"],
          "'theta_min' must be > 0 and < 0.5, got 4.0"),
-    ], ids=["masses-decreasing", "masses-equal", "masses-negative", "masses-count",
+    ], ids=["masses-decreasing", "masses-equal", "masses-negative", "masses-inf", "masses-count",
             "masses-missing", "alpha-under-mixture", "masses-under-inelastic",
             "inelastic-two-species", "alpha-missing", "alpha-range", "theta-min-under-iso",
             "theta-min-negative", "theta-min-one", "theta-min-four"])
@@ -584,7 +621,10 @@ class TestSimulateAndTails:
         ({"s_or_h": "1.5"}, "'s_or_h' must lie in (0, 1), got 1.5"),
         ({"gamma": "2"}, "'gamma' must lie in [0, 1] (cutoff), got 2.0"),
         ({"gamma": "-1", "s_or_h": "0.2"}, "'gamma' and 's_or_h' must satisfy"),
-    ], ids=["d", "s", "cutoff-gamma", "moderately-soft"])
+        # int() of a NaN candidate count raised a bare ValueError in the first step
+        ({"gamma": "nan", "s_or_h": "0.2"}, "'gamma' must be finite, got nan"),
+        ({"gamma": "inf", "s_or_h": "0.2"}, "'gamma' must be finite, got inf"),
+    ], ids=["d", "s", "cutoff-gamma", "moderately-soft", "gamma-nan", "gamma-inf"])
     def test_kernel_error_names_its_config_key(self, tmp_path, capsys, changes, fragment):
         # d = 4 printed "only d = 2 and d = 3 are supported", s_or_h = 1.5
         # "noncutoff spec needs s in (0, 1)"
@@ -806,16 +846,25 @@ def test_lowerbound_golden_digests(tmp_path):
     (["kernel-scaling", "--points-per-decade", "0"], "--points-per-decade",
      "must be >= 1, got '0'"),
     (["cancellation", "--grid", "0.6:0.9:0"], "--grid", "grid '0.6:0.9:0' needs n >= 1 points"),
+    (["cancellation", "--grid", "0.55:inf:3"], "--grid",
+     "grid '0.55:inf:3' needs finite lo and hi"),
+    (["region", "--beta", "0.8", "--eps-grid", "0.01:inf:3"], "--eps-grid",
+     "grid '0.01:inf:3' needs finite lo and hi"),
     (["verify-geometry", "--samples", "0"], "--samples", "must be >= 1, got '0'"),
     (["cancellation", "--threads", "0"], "--threads", "must be >= 1, got '0'"),
     (["--threads", "0", "cancellation"], "--threads", "must be >= 1, got '0'"),
 ], ids=["region-samples-0", "region-samples-neg", "region-eps-grid-n0",
         "region-eps-grid-lo0", "kernel-scaling-r-min", "kernel-scaling-r-max",
         "kernel-scaling-points-per-decade", "cancellation-grid-n0",
+        "cancellation-grid-inf", "region-eps-grid-inf",
         "verify-geometry-samples", "threads-after", "threads-before"])
 def test_numeric_option_out_of_range_is_a_usage_error_naming_it(tmp_path, capsys,
                                                                 argv, option, message):
-    assert dispatch(argv + ["--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+    # an infinite grid end made numpy warn before the refusal
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        assert dispatch(argv + ["--output-dir", str(tmp_path / "out"), "--quiet"]) == 1
+    assert [str(w.message) for w in rec] == []
     err = capsys.readouterr().err
     assert err.startswith(f"error: argument {option}: {message}") and "usage" in err
     assert not (tmp_path / "out").exists()
@@ -850,8 +899,13 @@ BAD_OPTION_VALUES = {
     "kernel-scaling-r-max-inf": (["kernel-scaling", "--r-max", "inf"], "--r-max inf"),
     "kernel-scaling-r-min-subnormal": (["kernel-scaling", "--r-min", "1e-310"],
                                        "--r-min 1e-310"),
+    # a non-finite gamma exited 2 as a numerical failure
+    "kernel-scaling-gamma-nan": (["kernel-scaling", "--gamma", "nan"], "'gamma'"),
+    "kernel-scaling-gamma-inf": (["kernel-scaling", "--gamma", "inf"], "'gamma'"),
     "cancellation-d": (["cancellation", "--d", "4"], "'d'"),
     "cancellation-gamma": (["cancellation", "--gamma", "-3"], "gamma"),
+    "cancellation-gamma-nan": (["cancellation", "--gamma", "nan"], "'gamma'"),
+    "cancellation-gamma-inf": (["cancellation", "--gamma", "inf"], "'gamma'"),
     "cancellation-s": (["cancellation", "--s", "0"], "'s'"),
     "cancellation-grid-beta": (["cancellation", "--grid", "0.3:0.9:4"], "--grid"),
     "cancellation-grid-ratio": (["cancellation", "--family", "mixture-light",
@@ -864,6 +918,9 @@ BAD_OPTION_VALUES = {
     "spreading-t0": (["spreading", "--beta", "0.8", "--t0", "2"], "'T0'"),
     "spreading-l0": (["spreading", "--beta", "0.8", "--l0", "0"], "'l0'"),
     "spreading-K": (["spreading", "--beta", "0.8", "--K", "0"], "'K'"),
+    # a K that is not finite exited 2 with eps^q R^(d+gamma) l = nan
+    "spreading-K-nan": (["spreading", "--beta", "0.8", "--K", "nan"], "'K'"),
+    "spreading-K-inf": (["spreading", "--beta", "0.8", "--K", "inf"], "'K'"),
     "spreading-n-max": (["spreading", "--beta", "0.8", "--n-max", "1"], "'n_max'"),
     "region-beta": (["region", "--beta", "0.3"], "'beta'"),
     "region-d": (["region", "--beta", "0.8", "--d", "4"], "'d'"),
@@ -891,8 +948,12 @@ def test_bad_option_value_is_one_validation_error_line_naming_it(tmp_path, capsy
     paths = _tails_inputs(tmp_path)
     argv = [a.format(**paths) for a in argv]
     out = tmp_path / "out"
-    # dispatch returns instead of raising: nothing reaches a traceback
-    assert dispatch(argv + ["--output-dir", str(out), "--quiet"]) == 1
+    # dispatch returns instead of raising: nothing reaches a traceback; a
+    # gamma = inf cancellation made numpy warn before it failed
+    with warnings.catch_warnings(record=True) as rec:
+        warnings.simplefilter("always")
+        assert dispatch(argv + ["--output-dir", str(out), "--quiet"]) == 1
+    assert [str(w.message) for w in rec] == []
     err = capsys.readouterr().err
     assert err.startswith("validation error: ") and err.count("\n") == 1, err
     assert named.format(**paths) in err

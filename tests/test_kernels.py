@@ -84,6 +84,15 @@ class TestEvalB:
             K.KernelSpec(gamma=-1.0, d=3, s=0.1, model="inelastic",
                          moderately_soft=True)   # gamma + 2s < 0
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("angular", [{"s": 0.3}, {"h": lambda t: 1.0}],
+                             ids=["noncutoff", "cutoff"])
+    def test_gamma_not_finite_is_refused(self, gamma, angular):
+        # a noncutoff spec took NaN: the moderately-soft check is off when
+        # the kernel does not ask for it
+        with pytest.raises(ValueError, match=f"^'gamma' must be finite, got {gamma}"):
+            K.KernelSpec(gamma=gamma, d=3, model="inelastic", **angular)
+
     def test_cutoff_hard_potentials_validation(self):
         with pytest.raises(ValueError):
             K.KernelSpec(gamma=1.5, d=3, h=lambda t: 1.0, model="mixture")

@@ -21,6 +21,12 @@ def elastic_cfg(n=3000, steps=40, seed=11, gamma=0.0, init="two_bump", dt=0.05):
                          init=init)
 
 
+def pin_majorant(monkeypatch, value):
+    """Every fresh speed-factor majorant is `value`; a run of fewer than
+    sim._MAJORANT_REFRESH steps draws one, at its first step."""
+    monkeypatch.setattr(sim, "_speed_majorant", lambda ens, cfg: value)
+
+
 def run(cfg, steps=None):
     ens = sim.build_ensemble(cfg)
     for _ in range(cfg.steps if steps is None else steps):
@@ -31,15 +37,9 @@ def run(cfg, steps=None):
 class TestEnsemble:
     def test_masses_must_increase(self):
         with pytest.raises(ValueError):
-            sim.Ensemble(species=[sim.Species(2.0, np.zeros((4, 3)) + 1, 0.1),
-                                  sim.Species(1.0, np.zeros((4, 3)) + 1, 0.1)],
-                         time=0.0, seed=1)
-
-    def test_weights_must_match(self):
-        with pytest.raises(ValueError):
-            sim.Ensemble(species=[sim.Species(1.0, np.ones((4, 3)), 0.1),
-                                  sim.Species(2.0, np.ones((4, 3)), 0.2)],
-                         time=0.0, seed=1)
+            sim.Ensemble(species=[sim.Species(2.0, np.zeros((4, 3)) + 1),
+                                  sim.Species(1.0, np.zeros((4, 3)) + 1)],
+                         time=0.0, seed=1, weight=0.1)
 
 
 class TestStep:
@@ -191,13 +191,13 @@ class TestStep:
             < 1e-8 * math.sqrt(m0["energy"])
         assert abs(m1["energy"] / m0["energy"] - 1.0) < 1e-8
 
-    def test_hard_potential_majorant_recovery(self):
+    def test_hard_potential_majorant_recovery(self, monkeypatch):
         # an undersized majorant (but big enough to draw candidates) must be
         # caught by the per-candidate monitor, inflated, and the step re-run
         spec = iso_cutoff(gamma=1.0)
         cfg = sim.SimConfig(model="mixture", kernel=spec, dt=0.02, steps=0,
-                            particles=(1000,), masses=(1.0,), seed=3,
-                            majorant=0.5, majorant_refresh=0)
+                            particles=(1000,), masses=(1.0,), seed=3)
+        pin_majorant(monkeypatch, 0.5)
         ens = sim.build_ensemble(cfg)
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
@@ -278,8 +278,8 @@ class TestStep:
 class TestMoments:
     def test_single_particle(self):
         ens = sim.Ensemble(
-            species=[sim.Species(1.0, np.array([[1.0, 2.0, -1.0]]), 0.5)],
-            time=0.0, seed=1)
+            species=[sim.Species(1.0, np.array([[1.0, 2.0, -1.0]]))],
+            time=0.0, seed=1, weight=0.5)
         m = sim.moments(ens)
         assert m["mass"] == [0.5]
         assert np.allclose(m["momentum"], [0.5, 1.0, -0.5])
@@ -300,17 +300,17 @@ def _moments_by_the_old_expressions(ens):
     momentum, energy, entropy = np.zeros(d), 0.0, 0.0
     for s in ens.species:
         v = s.velocities
-        momentum += s.weight * s.mass * v.sum(axis=0)
-        energy += s.weight * s.mass * float(np.sum(v ** 2))
+        momentum += ens.weight * s.mass * v.sum(axis=0)
+        energy += ens.weight * s.mass * float(np.sum(v ** 2))
         lim = max(float(np.max(np.abs(v))) * 1.05, 1e-12)
         edges = np.linspace(-lim, lim, sim._ENTROPY_BINS + 1)
         counts = np.histogramdd(v, bins=[edges] * d)[0]
         cell = (2.0 * lim / sim._ENTROPY_BINS) ** d
         c = counts[counts > 0].ravel()
-        dens = s.weight * c / cell
+        dens = ens.weight * c / cell
         entropy += (float(np.sum(dens * np.log(dens) * cell))
-                    - s.weight * (c.size - 1) / 2.0)
-    return {"mass": [s.weight * len(s.velocities) for s in ens.species],
+                    - ens.weight * (c.size - 1) / 2.0)
+    return {"mass": [ens.weight * len(s.velocities) for s in ens.species],
             "momentum": momentum, "energy": energy, "entropy_estimate": entropy}
 
 
@@ -332,17 +332,17 @@ def test_moments_bit_for_bit_against_the_old_expressions(d):
 
 def test_species_stores_a_fortran_ordered_input_c_contiguous():
     v = np.asfortranarray(np.random.default_rng(8).normal(size=(1000, 3)))
-    s = sim.Species(1.0, v, 0.5)
+    s = sim.Species(1.0, v)
     assert s.velocities.flags.c_contiguous
     assert np.array_equal(s.velocities, v)
     c_ordered = np.ascontiguousarray(v)
-    assert sim.Species(1.0, c_ordered, 0.5).velocities is c_ordered     # no copy
+    assert sim.Species(1.0, c_ordered).velocities is c_ordered     # no copy
 
 
 class TestPositivityProbe:
     def test_point_mass_mostly_empty(self):
         v = np.zeros((5000, 3))
-        ens = sim.Ensemble(species=[sim.Species(1.0, v, 1e-4)], time=0.0, seed=1)
+        ens = sim.Ensemble(species=[sim.Species(1.0, v)], time=0.0, seed=1, weight=1e-4)
         rep = sim.positivity_probe(ens, radius=2.0, bins=10)[0]
         assert rep.empty_bins > 0.9 * rep.checked_bins
 
@@ -352,7 +352,7 @@ class TestPositivityProbe:
         # counts ~ 19, so an empty bin has probability ~ e^-19 per bin)
         rng = np.random.default_rng(8)
         v = rng.normal(size=(10 ** 6, 3))
-        ens = sim.Ensemble(species=[sim.Species(1.0, v, 1e-6)], time=0.0, seed=1)
+        ens = sim.Ensemble(species=[sim.Species(1.0, v)], time=0.0, seed=1, weight=1e-6)
         rep = sim.positivity_probe(ens, radius=3.0, bins=20)[0]
         assert rep.empty_bins == 0
         assert rep.populated_radius == pytest.approx(3.0, abs=0.4)
@@ -360,7 +360,7 @@ class TestPositivityProbe:
     def test_counts_nonnegative_by_construction(self):
         rng = np.random.default_rng(1)
         v = rng.normal(size=(100, 2))
-        ens = sim.Ensemble(species=[sim.Species(1.0, v, 0.01)], time=0.0, seed=1)
+        ens = sim.Ensemble(species=[sim.Species(1.0, v)], time=0.0, seed=1, weight=0.01)
         reps = sim.positivity_probe(ens, radius=2.0, bins=5)
         assert reps[0].empty_bins >= 0
 
@@ -418,12 +418,20 @@ AXES = {3: [np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
         2: [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.6, 0.8])]}
 
 
-def _drawn_normals(khat, monkeypatch, sampler=None, pair=MassPair(1.0, 2.0),
+def _wave_cfg(spec):
+    """A run of spec's model, for the kernel and sampler a commit wave reads."""
+    own = {"alpha": 0.5} if spec.model == "inelastic" else {"masses": (1.0,)}
+    return sim.SimConfig(model=spec.model, kernel=spec, dt=1.0, steps=0, particles=(1,),
+                         theta_min=0.05, **own)
+
+
+def _drawn_normals(khat, monkeypatch, cfg=None, pair=MassPair(1.0, 2.0),
                    m=20000, seed=29):
     """The impact normals one wave draws for v - v* along khat, and its commit.
 
-    Returns (n, theta, pre, post): the normals, the sampler's angles (None
-    for a cutoff wave), and the velocity pairs before and after.
+    cfg defaults to a cutoff run. Returns (n, theta, pre, post): the normals,
+    the sampler's angles (None for a cutoff wave), and the velocity pairs
+    before and after.
     """
     seen = []
 
@@ -438,25 +446,26 @@ def _drawn_normals(khat, monkeypatch, sampler=None, pair=MassPair(1.0, 2.0),
         monkeypatch.setattr(sim.geometry, name, recording(getattr(sim.geometry, name)))
     rng = np.random.default_rng(seed)
     d = len(khat)
+    cfg = cfg or _wave_cfg(iso_cutoff(d=d))
     v = np.zeros((2 * m, d))
     v[:m] = rng.uniform(0.5, 2.0, size=(m, 1)) * khat
     u_theta = rng.random(m)
-    stats = {"accepted": 0, "sum_c2": 0.0, "predicted_energy_loss": 0.0}
+    stats = {"accepted": 0, "predicted_energy_loss": 0.0}
     # gamma 0 under majorant 1 accepts every candidate
-    sim._apply_wave(v, v, np.arange(m), np.arange(m, 2 * m), rng.random(m),
-                    u_theta, rng.random(m) * 2.0 * math.pi, 1.0, 0.0, sampler,
-                    pair, d, 1.0 / m, stats)
+    sim._apply_wave(v, v, np.arange(m), np.arange(m, 2 * m),
+                    np.stack([rng.random(m), u_theta, rng.random(m)]), cfg, pair,
+                    1.0, 1.0 / m, stats)
     assert stats["accepted"] == m and len(seen) == 1
     (va, vb), n, post = seen[0]
     assert np.abs(np.linalg.norm(n, axis=1) - 1.0).max() < 1e-15
     rel = va - vb
     assert np.allclose(rel / np.linalg.norm(rel, axis=1)[:, None], khat, rtol=0, atol=1e-15)
-    theta = None if sampler is None else sampler.sample(u_theta)
+    theta = None if cfg.sampler is None else cfg.sampler.sample(u_theta)
     return n, theta, (va, vb), post
 
 
-def _noncutoff_sampler(d, model="mixture"):
-    return sim.AngularSampler(KernelSpec(gamma=0.0, d=d, s=0.2, model=model), 0.05)
+def _noncutoff_cfg(d, model="mixture"):
+    return _wave_cfg(KernelSpec(gamma=0.0, d=d, s=0.2, model=model))
 
 
 class TestAngularSampler:
@@ -483,13 +492,13 @@ class TestAngularSampler:
     def test_noncutoff_normal_carries_the_half_angle(self, monkeypatch, d):
         # n = sin(theta/2) khat + cos(theta/2) t with t a unit tangent
         for khat in AXES[d]:
-            n, theta, _, _ = _drawn_normals(khat, monkeypatch, _noncutoff_sampler(d))
+            n, theta, _, _ = _drawn_normals(khat, monkeypatch, _noncutoff_cfg(d))
             assert np.abs(n @ khat - np.sin(0.5 * theta)).max() < 1e-12
 
     def test_noncutoff_d3_tangent_azimuth_is_uniform(self, monkeypatch):
         from scipy.stats import kstest
         for khat in AXES[3]:
-            n, _, _, _ = _drawn_normals(khat, monkeypatch, _noncutoff_sampler(3))
+            n, _, _, _ = _drawn_normals(khat, monkeypatch, _noncutoff_cfg(3))
             # a right-handed frame of khat's plane, built apart from the simulator
             e1 = np.cross(khat, [0.6, 0.0, 0.8])
             e1 /= np.linalg.norm(e1)
@@ -499,7 +508,7 @@ class TestAngularSampler:
 
     def test_noncutoff_d2_draws_both_tangent_signs(self, monkeypatch):
         for khat in AXES[2]:
-            n, _, _, _ = _drawn_normals(khat, monkeypatch, _noncutoff_sampler(2))
+            n, _, _, _ = _drawn_normals(khat, monkeypatch, _noncutoff_cfg(2))
             positive = np.mean(n @ np.array([-khat[1], khat[0]]) > 0.0)
             assert 0.45 < positive < 0.55
 
@@ -511,10 +520,10 @@ class TestAngularSampler:
         rule, pair = ((sim.geometry.inelastic_post_sigma, RestitutionParams(0.5))
                       if model == "inelastic"
                       else (sim.geometry.mixture_post_sigma, MassPair(1.0, 2.0)))
-        sampler = _noncutoff_sampler(d, model)
+        cfg = _noncutoff_cfg(d, model)
         for khat in AXES[d]:
             n, _, (va, vb), (va_new, vb_new) = _drawn_normals(khat, monkeypatch,
-                                                              sampler, pair)
+                                                              cfg, pair)
             sigma = khat - 2.0 * (n @ khat)[:, None] * n
             ref_a, ref_b, _ = rule(va, vb, sigma, pair)
             scale = np.abs(va).max()
@@ -583,7 +592,6 @@ class TestAngularSampler:
         spec = KernelSpec(gamma=-1.0, d=3, s=0.5, model="inelastic",
                           moderately_soft=True)
         s = sim.AngularSampler(spec, theta_min=1e-2)
-        assert s.discarded_mass == math.inf
         assert 0.0 < s.discarded_transfer < math.inf
         assert np.all(s.sample(np.array([0.0, 0.5, 1.0])) >= 1e-2 - 1e-12)
         # a smaller truncation discards less transfer weight
@@ -613,19 +621,12 @@ class TestAngularSampler:
         assert got == pytest.approx(147.95714056222942, rel=1e-12)
 
 
-def _commit_one_at_a_time(vi, vj, idx_a, idx_b, u_acc, u_theta, u_azim,
-                          majorant, gamma, sampler, pair_params, d, w, stats,
-                          same):
-    """Reference schedule for _process_candidates: one candidate per batch."""
-    for k in range(len(idx_a)):
-        one = slice(k, k + 1)
-        sim._apply_wave(vi, vj, idx_a[one], idx_b[one], u_acc[one],
-                        u_theta[one], u_azim[one], majorant, gamma, sampler,
-                        pair_params, d, w, stats)
-    return len(idx_a)
+def _one_candidate_per_level(key_a, key_b):
+    """Reference schedule for _levels: one candidate per level, in order."""
+    return (np.array([k]) for k in range(len(key_a)))
 
 
-def _equivalence_cfg(case):
+def _equivalence_cfg(case, monkeypatch):
     # each majorant bounds every pair speed factor of its run, so no
     # violation (and no schedule-dependent retry) can occur
     if case == "inelastic_cutoff_d3":
@@ -633,20 +634,20 @@ def _equivalence_cfg(case):
                              dt=0.1, steps=4, particles=(800,), alpha=0.5,
                              seed=41)
     if case == "inelastic_cutoff_d2":
+        pin_majorant(monkeypatch, 20.0)
         return sim.SimConfig(model="inelastic",
                              kernel=iso_cutoff(gamma=1.0, d=2, model="inelastic"),
                              dt=0.02, steps=4, particles=(800,), alpha=0.6,
-                             seed=42, majorant=20.0, majorant_refresh=0,
-                             init="two_bump")
+                             seed=42, init="two_bump")
     if case == "mixture_two_species":
         return sim.SimConfig(model="mixture", kernel=iso_cutoff(gamma=0.0),
                              dt=0.1, steps=4, particles=(500, 300),
                              masses=(1.0, 3.0), seed=43)
     if case == "noncutoff":
         spec = KernelSpec(gamma=1.0, d=3, s=0.2, model="mixture")
+        pin_majorant(monkeypatch, 20.0)
         return sim.SimConfig(model="mixture", kernel=spec, dt=0.0008, steps=4,
-                             particles=(600,), masses=(1.0,), seed=44,
-                             majorant=20.0, majorant_refresh=0)
+                             particles=(600,), masses=(1.0,), seed=44)
     raise ValueError(case)
 
 
@@ -667,9 +668,9 @@ class TestLevelSchedule:
     @pytest.mark.parametrize("case", ["inelastic_cutoff_d3", "inelastic_cutoff_d2",
                                       "mixture_two_species", "noncutoff"])
     def test_levels_equal_sequential_commit(self, case, monkeypatch):
-        cfg = _equivalence_cfg(case)
+        cfg = _equivalence_cfg(case, monkeypatch)
         by_level, levels = self.trajectory(cfg)
-        monkeypatch.setattr(sim, "_process_candidates", _commit_one_at_a_time)
+        monkeypatch.setattr(sim, "_levels", _one_candidate_per_level)
         one_by_one, candidates = self.trajectory(cfg)
         # the schedule batched the candidates, and changed no bit
         assert cfg.steps < levels < candidates
@@ -696,8 +697,8 @@ class TestLevelSchedule:
         # majorant)
         spec = iso_cutoff(gamma=1.0)
         cfg = sim.SimConfig(model="mixture", kernel=spec, dt=0.02, steps=0,
-                            particles=(20000,), masses=(1.0,), seed=5,
-                            majorant=0.5, majorant_refresh=0)
+                            particles=(20000,), masses=(1.0,), seed=5)
+        pin_majorant(monkeypatch, 0.5)
         ens = sim.build_ensemble(cfg)
         apply_wave = sim._apply_wave
         violated = []
@@ -744,27 +745,25 @@ class TestCommitKernels:
         # u_acc < 1/2; three extra rejected candidates on their own particles
         # send the same collisions through the masked path
         if case == "inelastic_cutoff_d3":
-            d, sampler = 3, None
+            d, cfg = 3, _wave_cfg(iso_cutoff(model="inelastic"))
             params = RestitutionParams(0.5)
         else:
-            d = 2
-            sampler = sim.AngularSampler(
-                KernelSpec(gamma=0.0, d=2, s=0.2, model="mixture"), 0.05)
+            d, cfg = 2, _noncutoff_cfg(2)
             params = MassPair(1.0, 1.0)
         rng = np.random.default_rng(23)
         v0 = rng.normal(size=(206, d))
         perm = rng.permutation(200)
         ia, ib = perm[:100], perm[100:]
-        u_theta, u_azim = rng.random(103), rng.random(103) * 2.0 * math.pi
+        u_theta, u_azim = rng.random(103), rng.random(103)
         u_acc = np.concatenate([0.49 * rng.random(100), [0.6, 0.8, 0.99]])
+        u = np.stack([u_acc, u_theta, u_azim])
         results = []
         for ia_k, ib_k, m in ((ia, ib, 100),
                               (np.append(ia, [200, 201, 202]),
                                np.append(ib, [203, 204, 205]), 103)):
             v = v0.copy()
-            stats = {"accepted": 0, "sum_c2": 0.0, "predicted_energy_loss": 0.0}
-            sim._apply_wave(v, v, ia_k, ib_k, u_acc[:m], u_theta[:m], u_azim[:m],
-                            2.0, 0.0, sampler, params, d, 1e-3, stats)
+            stats = {"accepted": 0, "predicted_energy_loss": 0.0}
+            sim._apply_wave(v, v, ia_k, ib_k, u[:, :m], cfg, params, 2.0, 1e-3, stats)
             results.append((v, stats))
         (v_all, stats_all), (v_masked, stats_masked) = results
         assert stats_all == stats_masked and stats_all["accepted"] == 100
