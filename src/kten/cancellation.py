@@ -13,21 +13,22 @@ lambda in (0, 1] covers every model:
     two masses           lambda = lighter/heavier mass   (mixture_lam)
     elastic              lambda = 1  (a = A = w/2)
 
-with convex weights c_a = lambda/(1+lambda), c_A = 1/(1+lambda). The bracket
-is positive on (0, pi) and O(sin^2(w/2)) near zero, which makes the integral
-finite for every noncutoff profile with s < 1. The w-integral S1 is speed
-independent and cached per spec; S(r) = r^gamma * S1.
+with convex weights c_a = lambda/(1+lambda), c_A = 1/(1+lambda). S is built
+from a noncutoff kernels.KernelSpec, which gives d, gamma and b, and lambda.
+The bracket is positive on (0, pi) and O(sin^2(w/2)) near zero, which makes
+the integral finite for every noncutoff profile with s < 1. The w-integral S1
+is speed independent and cached per spec; S(r) = r^gamma * S1.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import utils
 from .density import DensityField
 from .errors import ConvergenceFailure, DivergentIntegral, ValidationError
+from .kernels import KernelSpec
 
 
 def inelastic_lam(beta):
@@ -73,24 +74,24 @@ def solve_angle(w, lam):
 class SFunctionSpec:
     """Parameters of one cancellation function S.
 
-    `b` is the full angular kernel of cos(w); kernels.KernelSpec.assembled_b
-    builds one from a smooth noncutoff profile. `lam` in (0, 1] is the
+    `kernel` is a noncutoff kernels.KernelSpec: S reads its d, gamma and full
+    angular kernel (KernelSpec.assembled_b). `lam` in (0, 1] is the
     asymmetry of the collision (inelastic_lam, mixture_lam); lam = 1 is the
     elastic split.
     """
 
-    d: int
-    gamma: float
-    b: Callable
+    kernel: KernelSpec
     lam: float
     # the cache is no part of the value: equality and the hash ignore it
     _s1: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        utils.check_dimension(self.d)
-        if not (math.isfinite(self.gamma) and self.gamma > -self.d):
-            raise ValidationError(f"'gamma' must be finite and > -d = {-self.d}, "
-                                  f"got {self.gamma}")
+        k = self.kernel
+        if k.cutoff:
+            raise ValidationError("the cancellation function needs a noncutoff kernel")
+        if not k.gamma > -k.d:      # KernelSpec has refused a gamma that is not finite
+            raise ValidationError(f"'gamma' must be finite and > -d = {-k.d}, "
+                                  f"got {k.gamma}")
         if not 0.0 < self.lam <= 1.0:
             raise ValidationError(f"lambda must lie in (0, 1], got {self.lam}")
 
@@ -114,7 +115,7 @@ def _bracket(spec: SFunctionSpec, w):
         A = w - a
     # base - 1 without cancellation: cos x - 1 = -2 sin^2(x/2)
     delta = -2.0 * (c_a * np.sin(0.5 * a) ** 2 + c_A * np.sin(0.5 * A) ** 2)
-    return np.expm1(-(spec.d + spec.gamma) * np.log1p(delta))
+    return np.expm1(-(spec.kernel.d + spec.kernel.gamma) * np.log1p(delta))
 
 
 def _angular_mesh(n_panels, eps=1e-9):
@@ -124,13 +125,11 @@ def _angular_mesh(n_panels, eps=1e-9):
 
 
 def _s1_on_mesh(spec, edges, gl_nodes):
+    d = spec.kernel.d
     w, wt = utils.panel_rule(edges, gl_nodes)
-    if hasattr(spec.b, "from_angle"):
-        bw = spec.b.from_angle(w)       # stable where cos(w) rounds to 1
-    else:
-        bw = spec.b(np.cos(w))
-    vals = bw * np.sin(w) ** (spec.d - 2) * _bracket(spec, w)
-    return float(utils.sphere_area(spec.d - 1) * np.sum(wt * vals))
+    bw = spec.kernel.assembled_b.from_angle(w)      # stable where cos(w) rounds to 1
+    vals = bw * np.sin(w) ** (d - 2) * _bracket(spec, w)
+    return float(utils.sphere_area(d - 1) * np.sum(wt * vals))
 
 
 def _angular_integral(spec: SFunctionSpec):
@@ -155,7 +154,7 @@ def S_value(rel_speed, spec: SFunctionSpec):
     rel_speed = np.asarray(rel_speed, dtype=float)
     if np.any(rel_speed <= 0.0):
         raise ValidationError("rel_speed must be positive")
-    out = rel_speed ** spec.gamma * spec.s1
+    out = rel_speed ** spec.kernel.gamma * spec.s1
     return float(out) if out.ndim == 0 else out
 
 
@@ -167,6 +166,6 @@ def Q_ns_apply(f: DensityField, g_at_v, v, spec: SFunctionSpec):
     """
     if g_at_v == 0.0:
         return 0.0
-    moment = f.radial_moment(np.asarray(v, dtype=float), spec.gamma)
+    moment = f.radial_moment(np.asarray(v, dtype=float), spec.kernel.gamma)
     return float(g_at_v * spec.s1 * moment)
 

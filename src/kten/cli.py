@@ -142,7 +142,8 @@ def dispatch(argv):
         args = parser.parse_args(argv)
         started = time.time()
         runner = _RUNNERS[args.subcommand]
-        _make_output_dir(args.output_dir)
+        if args.subcommand != "simulate":   # simulate creates the directory it resolves
+            _make_output_dir(args.output_dir)
         config, outputs = runner(args)
         # the simulate runner may take output_dir and seed from its config file
         _write_manifest(args.output_dir, args.subcommand, config, args.seed,
@@ -360,12 +361,11 @@ def _run_cancellation(args):
         lam = functools.partial(canc.mixture_lam, 1.0)
         if not np.all(grid > 1.0):
             raise ValidationError(f"--grid {args.grid!r}: every mass ratio must be > 1")
-    b = kspec.assembled_b
-    elastic = canc.SFunctionSpec(d=args.d, gamma=args.gamma, b=b, lam=1.0)
+    elastic = canc.SFunctionSpec(kernel=kspec, lam=1.0)
     rows = []
     for x in grid:
         x = float(x)
-        spec = canc.SFunctionSpec(d=args.d, gamma=args.gamma, b=b, lam=lam(x))
+        spec = canc.SFunctionSpec(kernel=kspec, lam=lam(x))
         rows.append((x, spec.s1, elastic.s1, spec.s1 / elastic.s1))
         if not args.quiet:
             print(f"param={x:.4f}  S1={spec.s1:.6g}  elastic={elastic.s1:.6g}")

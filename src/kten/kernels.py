@@ -51,6 +51,16 @@ _MODELS = ("inelastic", "mixture", "elastic")
 
 # radial x angular nodes of the plane rule in verify_Kf_scaling and Q_s_apply
 _PLANE_NODES = (40, 24)
+# radial x angular nodes of the plane rule of one K_f_* value
+_CARLEMAN_NODES = (64, 48)
+# Q_s_apply's rule: the split radius r_split over 1 + |v|, the log panels inside
+# and outside it, Gauss-Legendre nodes per panel, and the largest share of the
+# whole that the innermost panel may carry before the value counts as divergent
+_QS_SPLIT = 0.1
+_QS_INNER_PANELS = 10
+_QS_OUTER_PANELS = 12
+_QS_GL_PER_PANEL = 6
+_QS_REMAINDER_TOL = 0.05
 
 
 def _b_norm_constant(model, d):
@@ -159,35 +169,35 @@ def _check_disk_volume(k, wk, wang, R, d):
         raise ValueError("plane quadrature fails the unit-density volume check")
 
 
-def _carleman_value(center, other, f, spec, kappa, symmetrized, n_radial=64, n_angular=48):
+def _carleman_value(center, other, f, spec, kappa, symmetrized):
     center = np.asarray(center, dtype=float)
     other = np.asarray(other, dtype=float)
     l = float(np.linalg.norm(other - center))
     if l == 0.0:
         raise CoincidentPoints("kernel undefined at coincident points")
     plain, sym = _kernel_profile(center, other[None], np.array([l]), f, spec, kappa,
-                                 n_radial, n_angular)
+                                 *_CARLEMAN_NODES)
     return float(sym[0] if symmetrized else plain[0])
 
 
 def K_f_inelastic(u, u_prime, f: DensityField, spec: KernelSpec,
-                  p: RestitutionParams, symmetrized=False, **kw):
+                  p: RestitutionParams, symmetrized=False):
     """Inelastic Carleman kernel K_f(u, u'); symmetrized=True gives K-bar.
 
     The hyperplane passes through P = (1/beta) u' - (1/beta - 1) u with
     normal u - u'; the plain weight is the node distance to P, the
     symmetrized weight the distance to u'.
     """
-    return _carleman_value(u_prime, u, f, spec, p.kappa, symmetrized, **kw)
+    return _carleman_value(u_prime, u, f, spec, p.kappa, symmetrized)
 
 
-def K_f_elastic(u, u_prime, f: DensityField, spec: KernelSpec, symmetrized=False, **kw):
+def K_f_elastic(u, u_prime, f: DensityField, spec: KernelSpec, symmetrized=False):
     """Equal-mass elastic kernel: the kappa -> 1 degeneration (plane through u')."""
-    return _carleman_value(u_prime, u, f, spec, 1.0, symmetrized, **kw)
+    return _carleman_value(u_prime, u, f, spec, 1.0, symmetrized)
 
 
 def K_f_mixture(u, u_prime, f_j: DensityField, spec: KernelSpec, m: MassPair,
-                symmetrized=False, **kw):
+                symmetrized=False):
     """Two-mass Carleman kernel; the mass ordering picks the base point.
 
     For m_i < m_j the anchor is the first argument and the plane passes
@@ -201,7 +211,7 @@ def K_f_mixture(u, u_prime, f_j: DensityField, spec: KernelSpec, m: MassPair,
         center, other = u, u_prime
     else:
         center, other = u_prime, u
-    return _carleman_value(center, other, f_j, spec, m.kappa, symmetrized, **kw)
+    return _carleman_value(center, other, f_j, spec, m.kappa, symmetrized)
 
 
 @dataclass
@@ -213,8 +223,6 @@ class ScalingReport:
     outer_integral: np.ndarray
     slopes: dict                   # regime -> (slope, ci95)
     expected: dict                 # regime -> exponent from the scaling bounds
-    gamma: float
-    s: float
 
 
 @np.errstate(over="ignore", invalid="ignore")     # a result that is not finite raises
@@ -278,7 +286,7 @@ def verify_Kf_scaling(f: DensityField, spec: KernelSpec, params, u_prime, r_grid
     expected = {"inner_small": 2.0 - 2.0 * s, "outer_small": -2.0 * s,
                 "inner_large": gamma + 3.0, "outer_large": gamma}
     return ScalingReport(r=r_grid, inner_second_moment=inner, outer_integral=outer,
-                         slopes=slopes, expected=expected, gamma=gamma, s=s)
+                         slopes=slopes, expected=expected)
 
 
 def _kernel_profile(center, others, ls, f, spec, kappa, n_radial, n_angular):
@@ -349,13 +357,11 @@ class QsResult:
     inner_symmetric: float
     inner_correction: float
     outer: float
-    r_split: float
     bound: float | None
     bound_ratio: float | None
 
 
-def Q_s_apply(f: DensityField, psi, v, spec: KernelSpec, params, r_split=None,
-              inner_panels=10, outer_panels=12, gl_per_panel=6, remainder_tol=0.05):
+def Q_s_apply(f: DensityField, psi, v, spec: KernelSpec, params):
     """Principal-value application of the singular operator part to psi at v.
 
     Splits at |u - v| = r_split. Inside, antipodal direction pairs are summed
@@ -369,18 +375,17 @@ def Q_s_apply(f: DensityField, psi, v, spec: KernelSpec, params, r_split=None,
     v = np.asarray(v, dtype=float)
     d, gamma, s = spec.d, spec.gamma, spec.s
     kappa = params.kappa
-    if r_split is None:
-        r_split = 0.1 * (1.0 + float(np.linalg.norm(v)))
+    r_split = _QS_SPLIT * (1.0 + float(np.linalg.norm(v)))
     psi_v = float(psi(v))
 
     dirs, wd = utils.sphere_rule(3, 6, 8) if d == 3 else utils.sphere_rule(2, n_azimuth=16)
     pairs = _antipodal_pairs(dirs)
 
-    inner_edges = utils.log_edges(r_split * 1e-5, r_split, inner_panels)
-    li, wi = utils.panel_rule(inner_edges, gl_per_panel)
+    inner_edges = utils.log_edges(r_split * 1e-5, r_split, _QS_INNER_PANELS)
+    li, wi = utils.panel_rule(inner_edges, _QS_GL_PER_PANEL)
     l_out_max = _outer_reach(f, v, kappa, r_split)
-    louter, wouter = utils.panel_rule(utils.log_edges(r_split, l_out_max, outer_panels),
-                                      gl_per_panel)
+    louter, wouter = utils.panel_rule(utils.log_edges(r_split, l_out_max, _QS_OUTER_PANELS),
+                                      _QS_GL_PER_PANEL)
 
     inner_sym = 0.0
     inner_corr = 0.0
@@ -407,9 +412,9 @@ def Q_s_apply(f: DensityField, psi, v, spec: KernelSpec, params, r_split=None,
 
     # remainder check: the innermost panel of the paired symmetric sum must be
     # negligible against the whole, otherwise the principal value diverges
-    per_panel = np.add.reduceat(np.abs(shell_track), np.arange(0, li.size, gl_per_panel))
+    per_panel = np.add.reduceat(np.abs(shell_track), np.arange(0, li.size, _QS_GL_PER_PANEL))
     total = abs(inner_sym) + abs(inner_corr) + abs(outer)
-    if total > 0 and per_panel[0] > remainder_tol * total:
+    if total > 0 and per_panel[0] > _QS_REMAINDER_TOL * total:
         raise NonFiniteResult("inner shells do not converge; singularity too strong")
 
     value = inner_sym + inner_corr + outer
@@ -420,7 +425,7 @@ def Q_s_apply(f: DensityField, psi, v, spec: KernelSpec, params, r_split=None,
             * (1.0 + float(np.linalg.norm(v))) ** (gamma + 2.0 * s)
         bound_ratio = abs(value) / bound if bound > 0 else math.inf
     return QsResult(value=value, inner_symmetric=inner_sym, inner_correction=inner_corr,
-                    outer=outer, r_split=r_split, bound=bound, bound_ratio=bound_ratio)
+                    outer=outer, bound=bound, bound_ratio=bound_ratio)
 
 
 def _antipodal_pairs(dirs_sorted):

@@ -31,7 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from . import geometry, utils
-from .errors import MajorantInflationWarning, MajorantViolation, ValidationError
+from .errors import (MajorantInflationWarning, MajorantViolation, NumericalError,
+                     ValidationError)
 from .geometry import MassPair, RestitutionParams
 from .kernels import KernelSpec, _b_norm_constant
 
@@ -229,6 +230,7 @@ def build_ensemble(cfg: SimConfig) -> Ensemble:
                     weight=1.0 / sum(cfg.particles))
 
 
+@np.errstate(over="ignore")     # an overflow is an infinite majorant, refused by the step
 def _speed_majorant(ens: Ensemble, cfg: SimConfig):
     """Majorant of |v - v*|^gamma from sampled pair speeds, inflated by 1.3."""
     gamma = cfg.kernel.gamma
@@ -313,6 +315,10 @@ def _attempt_step(ens: Ensemble, cfg: SimConfig):
         else:
             lam = n_i * n_j * w * maj_rate * cfg.dt
         n_block = n_i if i == j else n_i + n_j
+        if not lam < 2.0 ** 53:
+            # from 2^53 on lam has no fraction to round; inf and nan land here too
+            raise NumericalError(f"step with dt = {cfg.dt:g} draws {lam:.3g} candidates "
+                                 f"for {n_block} particles, too many to draw")
         if lam > 0.5 * n_block:
             # dt times max collision rate approaching 1 per particle breaks
             # the acceptance-rejection picture of uncorrelated binary events
@@ -486,9 +492,6 @@ def _entropy_estimate(v, w):
 
 @dataclass
 class PositivityReport:
-    species_index: int
-    bins: int
-    radius: float
     empty_bins: int
     checked_bins: int
     populated_radius: float     # largest radius with every bin populated
@@ -508,7 +511,7 @@ def positivity_probe(ens: Ensemble, radius, bins):
     center_norm = np.sqrt(sum(m ** 2 for m in mesh))
     inside = center_norm <= radius
     reports = []
-    for k, s in enumerate(ens.species):
+    for s in ens.species:
         counts = utils.grid_counts(s.velocities, edges)
         empty = inside & (counts == 0)
         if np.any(empty):
@@ -517,7 +520,6 @@ def positivity_probe(ens: Ensemble, radius, bins):
         else:
             populated_radius = float(np.max(center_norm[inside]))
         reports.append(PositivityReport(
-            species_index=k, bins=bins, radius=radius,
             empty_bins=int(np.sum(empty)), checked_bins=int(np.sum(inside)),
             populated_radius=populated_radius))
     return reports

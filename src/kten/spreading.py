@@ -111,8 +111,8 @@ class SpreadingConfig:
             RestitutionParams.from_beta(self.beta)
         elif len(self.masses) != 2:
             raise ValidationError(f"'masses' must hold two values, got {self.masses}")
-        elif any(m <= 0 for m in self.masses):
-            raise ValidationError(f"'masses' must be > 0, got {self.masses}")
+        elif not all(m > 0 and math.isfinite(m) for m in self.masses):
+            raise ValidationError(f"'masses' must be > 0 and finite, got {self.masses}")
         for name, value in (("T0", self.T0), ("l0", self.l0)):
             if not 0.0 < value < 1.0:
                 raise ValidationError(f"{name!r} must lie in (0, 1), got {value}")

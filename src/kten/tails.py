@@ -90,8 +90,6 @@ class TailFit:
     b_hat: float
     a_hat: float
     r_squared: float
-    window: tuple
-    n_bins: int
 
 
 def fit_tail_exponent(hist: TailHistogram, window):
@@ -120,8 +118,7 @@ def fit_tail_exponent(hist: TailHistogram, window):
     x = np.log(centers[sel])
     slope, intercept, r2, _ = utils.fit_linear(x, y)
     return TailFit(p_hat=float(slope), b_hat=float(math.exp(intercept)),
-                   a_hat=a_hat, r_squared=float(r2),
-                   window=(float(lo), float(hi)), n_bins=int(np.sum(sel)))
+                   a_hat=a_hat, r_squared=float(r2))
 
 
 @dataclass
@@ -129,10 +126,6 @@ class DominationReport:
     violations: list            # bin indices with confident envelope violation
     unresolved: list            # zero-count bin indices (never violations)
     resolved_range: tuple       # (min, max) center speed of populated bins
-    confidence: float
-    n_bins: int
-    note: str = ("domination is tested on the resolved speed range only; "
-                 "unresolved bins carry no evidence either way")
 
     @property
     def dominated(self):
@@ -158,13 +151,11 @@ def check_envelope(hist: TailHistogram, env: Envelope):
     resolved = (float(centers[populated].min()), float(centers[populated].max())) \
         if populated.any() else (math.nan, math.nan)
     return DominationReport(violations=violations, unresolved=unresolved,
-                            resolved_range=resolved, confidence=_CONFIDENCE,
-                            n_bins=len(hist.counts))
+                            resolved_range=resolved)
 
 
 @dataclass
 class UniformityReport:
-    times: list
     reports: list
     uniform: bool
     first_failing_t: float | None
@@ -179,15 +170,14 @@ def uniformity_scan(hist_series, env: Envelope, t0):
     selected = [(t, h) for t, h in hist_series if t > t0]
     if not selected:
         raise EmptySeries(f"no snapshots after t0 = {t0}")
-    times, reports = [], []
+    reports = []
     first_failing = None
     for t, h in sorted(selected, key=lambda th: th[0]):
         rep = check_envelope(h, env)
-        times.append(t)
         reports.append(rep)
         if not rep.dominated and first_failing is None:
             first_failing = t
-    return UniformityReport(times=times, reports=reports,
+    return UniformityReport(reports=reports,
                             uniform=first_failing is None,
                             first_failing_t=first_failing)
 

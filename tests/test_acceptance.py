@@ -88,9 +88,9 @@ def test_criterion_3_cancellation_elastic_limits():
     ok = True
     details = []
     for d, gamma, s in ((3, -1.0, 0.5), (2, -0.5, 0.5)):
-        b = kernels.KernelSpec(gamma=gamma, d=d, s=s, model="inelastic",
-                               moderately_soft=True).assembled_b
-        elastic = canc.SFunctionSpec(d=d, gamma=gamma, b=b, lam=1.0)
+        kernel = kernels.KernelSpec(gamma=gamma, d=d, s=s, model="inelastic",
+                                    moderately_soft=True)
+        elastic = canc.SFunctionSpec(kernel=kernel, lam=1.0)
         # light on heavy and heavy on light share one lambda
         cases = {
             "inelastic": canc.inelastic_lam(1.0 - 1e-6),
@@ -99,7 +99,7 @@ def test_criterion_3_cancellation_elastic_limits():
         }
         ok = ok and elastic.s1 > 0
         for name, lam in cases.items():
-            sp = canc.SFunctionSpec(d=d, gamma=gamma, b=b, lam=lam)
+            sp = canc.SFunctionSpec(kernel=kernel, lam=lam)
             gap = abs(sp.s1 / elastic.s1 - 1.0)
             ok = ok and gap < 1e-3 and sp.s1 > 0
             details.append(f"{name}(d={d}):{gap:.1e}")

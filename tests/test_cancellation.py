@@ -8,16 +8,17 @@ from scipy.optimize import brentq
 
 from kten import cancellation as C
 from kten.density import DensityField
-from kten.errors import ConvergenceFailure, DivergentIntegral
+from kten.errors import ConvergenceFailure, DivergentIntegral, ValidationError
 from kten.kernels import KernelSpec
 
 
-def noncutoff_b(d, gamma, s):
+def noncutoff_kernel(d, gamma, s):
     return KernelSpec(gamma=gamma, d=d, s=s, model="inelastic",
-                      moderately_soft=(gamma < 0)).assembled_b
+                      moderately_soft=(gamma < 0))
 
 
-B3 = noncutoff_b(3, -1.0, 0.5)
+K3 = noncutoff_kernel(3, -1.0, 0.5)
+B3 = K3.assembled_b
 
 
 class TestSolveAngle:
@@ -104,32 +105,37 @@ class TestAsymmetry:
     @pytest.mark.parametrize("lam", [0.0, -0.5, 1.0 + 1e-12, 1.5, math.nan])
     def test_lam_outside_the_unit_interval_is_rejected(self, lam):
         with pytest.raises(ValueError, match=f"got {lam}"):
-            C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=lam)
+            C.SFunctionSpec(kernel=K3, lam=lam)
 
     def test_gamma_at_or_below_minus_d_is_rejected(self):
         with pytest.raises(ValueError, match="^'gamma' must be finite and > -d = -3"):
-            C.SFunctionSpec(d=3, gamma=-3.5, b=B3, lam=1.0)
+            C.SFunctionSpec(kernel=KernelSpec(gamma=-3.5, d=3, s=0.5, model="inelastic"),
+                            lam=1.0)
+
+    def test_cutoff_kernel_is_rejected(self):
+        with pytest.raises(ValidationError, match="needs a noncutoff kernel"):
+            C.SFunctionSpec(kernel=KernelSpec(gamma=1.0, d=3, h=lambda t: 1.0), lam=1.0)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
     def test_gamma_not_finite_is_rejected(self, gamma):
         # a NaN gamma passed the gamma <= -d check
-        with pytest.raises(ValueError, match=f"^'gamma' must be finite .* got {gamma}"):
-            C.SFunctionSpec(d=3, gamma=gamma, b=B3, lam=1.0)
+        with pytest.raises(ValueError, match=f"^'gamma' must be finite.* got {gamma}"):
+            C.SFunctionSpec(kernel=noncutoff_kernel(3, gamma, 0.5), lam=1.0)
 
 
 def test_spec_is_frozen_so_s1_cannot_go_stale():
-    spec = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=0.5)
+    spec = C.SFunctionSpec(kernel=K3, lam=0.5)
     s1 = spec.s1
     for name, value in (("lam", 0.9), ("lam", 7.0), ("gamma", 0.0)):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(spec, name, value)
     assert spec.lam == 0.5
-    assert spec.s1 == s1 == C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=0.5).s1
-    assert spec.s1 != C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=0.9).s1
+    assert spec.s1 == s1 == C.SFunctionSpec(kernel=K3, lam=0.5).s1
+    assert spec.s1 != C.SFunctionSpec(kernel=K3, lam=0.9).s1
 
 
 @pytest.mark.parametrize("name,make", [
-    ("_s1", lambda: C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=0.5, _s1=1.0)),
+    ("_s1", lambda: C.SFunctionSpec(kernel=K3, lam=0.5, _s1=1.0)),
     ("_angular_mass", lambda: KernelSpec(gamma=1.0, d=3, h=lambda t: 1.0,
                                          _angular_mass=5.0)),
     ("_sphere", lambda: DensityField(d=3, evaluator=lambda v: np.zeros(v.shape[:-1]),
@@ -143,7 +149,7 @@ def test_private_caches_are_not_constructor_arguments(name, make):
 
 class TestSValue:
     def test_elastic_formula_against_quad_oracle(self):
-        el = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=1.0)
+        el = C.SFunctionSpec(kernel=K3, lam=1.0)
 
         def integrand(w):
             return float(B3.from_angle(w)) * math.sin(w) \
@@ -157,7 +163,7 @@ class TestSValue:
     def test_inelastic_against_independent_quad_oracle(self):
         beta = 0.6
         lam = beta / (2.0 - beta)
-        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=C.inelastic_lam(beta))
+        sp = C.SFunctionSpec(kernel=K3, lam=C.inelastic_lam(beta))
 
         def integrand(w):
             a = brentq(lambda x: x + math.asin(min(1.0, lam * math.sin(x))) - w,
@@ -172,40 +178,35 @@ class TestSValue:
         assert sp.s1 == pytest.approx(oracle, rel=1e-9)
 
     def test_elastic_limits_all_families(self):
-        el = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=1.0)
+        el = C.SFunctionSpec(kernel=K3, lam=1.0)
         for lam in (C.inelastic_lam(1.0 - 1e-6), C.mixture_lam(1.0, 1.0 + 1e-6),
                     C.mixture_lam(1.0 + 1e-6, 1.0)):
-            sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=lam)
+            sp = C.SFunctionSpec(kernel=K3, lam=lam)
             assert abs(sp.s1 / el.s1 - 1.0) < 1e-3
 
     def test_power_law_factorization(self):
-        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=C.inelastic_lam(0.8))
+        sp = C.SFunctionSpec(kernel=K3, lam=C.inelastic_lam(0.8))
         assert C.S_value(2.0, sp) == pytest.approx(0.5 * C.S_value(1.0, sp),
                                                    rel=1e-15)
 
     def test_positive_across_parameters(self):
         for beta in np.linspace(0.55, 0.95, 5):
-            sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3,
-                                 lam=C.inelastic_lam(float(beta)))
+            sp = C.SFunctionSpec(kernel=K3, lam=C.inelastic_lam(float(beta)))
             assert sp.s1 > 0.0
-        b2 = noncutoff_b(2, -0.5, 0.5)
+        k2 = noncutoff_kernel(2, -0.5, 0.5)
         for lam_m in (2.0, 5.0):
-            sp = C.SFunctionSpec(d=2, gamma=-0.5, b=b2, lam=C.mixture_lam(1.0, lam_m))
+            sp = C.SFunctionSpec(kernel=k2, lam=C.mixture_lam(1.0, lam_m))
             assert sp.s1 > 0.0
 
     def test_divergent_profile_detected(self):
-        # an angular kernel with an s >= 1 equivalent singularity: b ~ w^{-d-2}
-        def bad_b(cos_w):
-            w = np.arccos(np.clip(cos_w, -1.0, 1.0))
-            with np.errstate(divide="ignore"):
-                return w ** (-5.0)
-
-        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=bad_b, lam=1.0)
+        # b ~ w^{-(d-1)-2s}: at s = 0.99 the integrand ~ w^{-0.98} is too
+        # singular for the mesh, so its two refinements disagree
+        sp = C.SFunctionSpec(kernel=noncutoff_kernel(3, -1.0, 0.99), lam=1.0)
         with pytest.raises(DivergentIntegral):
             _ = sp.s1
 
     def test_rel_speed_must_be_positive(self):
-        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=1.0)
+        sp = C.SFunctionSpec(kernel=K3, lam=1.0)
         with pytest.raises(ValueError):
             C.S_value(0.0, sp)
 
@@ -218,13 +219,13 @@ class TestBracketProperties:
         ("elastic", dict(lam=1.0)),
     ])
     def test_bracket_positive_on_dense_grid(self, case, kw):
-        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, **kw)
+        sp = C.SFunctionSpec(kernel=K3, **kw)
         w = np.linspace(1e-6, math.pi - 1e-9, 2000)
         assert np.all(C._bracket(sp, w) > 0.0)
 
     def test_near_zero_quadratic_bound(self):
         # bracket / sin^2(w/2) stays bounded on (0, 0.1]
-        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=C.inelastic_lam(0.8))
+        sp = C.SFunctionSpec(kernel=K3, lam=C.inelastic_lam(0.8))
         w = np.linspace(1e-8, 0.1, 500)
         ratio = C._bracket(sp, w) / np.sin(0.5 * w) ** 2
         bound = 2.0 * max(1.0, 3.0 + (-1.0)) * 2.0
@@ -244,12 +245,12 @@ class TestBracketProperties:
 
 class TestQnsApply:
     def test_zero_level_gives_zero(self):
-        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=C.inelastic_lam(0.8))
+        sp = C.SFunctionSpec(kernel=K3, lam=C.inelastic_lam(0.8))
         f = DensityField.gaussian(3)
         assert C.Q_ns_apply(f, 0.0, np.zeros(3), sp) == 0.0
 
     def test_positive_and_finite_at_random_points(self):
-        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=C.inelastic_lam(0.8))
+        sp = C.SFunctionSpec(kernel=K3, lam=C.inelastic_lam(0.8))
         f = DensityField.gaussian(3)
         rng = np.random.default_rng(17)
         for _ in range(20):
@@ -260,7 +261,7 @@ class TestQnsApply:
     def test_value_against_coulomb_closed_form(self):
         # gamma = -1, unit Gaussian: the radial moment is erf(|v|/sqrt2)/|v|
         from scipy.special import erf
-        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=C.inelastic_lam(0.8))
+        sp = C.SFunctionSpec(kernel=K3, lam=C.inelastic_lam(0.8))
         f = DensityField.gaussian(3)
         v = np.array([1.3, 0.0, 0.0])
         expected = float(f(v)) * sp.s1 * erf(1.3 / math.sqrt(2.0)) / 1.3
@@ -268,7 +269,7 @@ class TestQnsApply:
         assert got == pytest.approx(expected, rel=1e-8)
 
     def test_translation_covariance(self):
-        sp = C.SFunctionSpec(d=3, gamma=-1.0, b=B3, lam=C.inelastic_lam(0.8))
+        sp = C.SFunctionSpec(kernel=K3, lam=C.inelastic_lam(0.8))
         shift = np.array([0.7, -1.1, 0.4])
         f0 = DensityField.gaussian(3)
         f1 = DensityField.gaussian(3, center=shift)

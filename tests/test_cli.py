@@ -168,6 +168,48 @@ def test_benchmark_tracer_measures_a_simulate_and_a_cancellation(tmp_path):
     assert m["simulator.candidates"] > 0 and m["cancellation.s1.evals"] > 0
 
 
+_TRACED_LOWER_BOUND = """
+import json, sys
+sys.path[:0] = ['perfbench', 'src']
+import numpy as np
+import tracer
+from kten import kernels
+from kten.cli import dispatch
+from kten.density import DensityField
+from kten.geometry import RestitutionParams
+out = sys.argv[1]
+t = tracer.Tracer()
+tracer.install(t)
+assert dispatch(['kernel-scaling', '--r-min', '0.1', '--r-max', '10',
+                 '--output-dir', out + '/scaling', '--quiet']) == 0
+assert dispatch(['verify-geometry', '--samples', '200',
+                 '--output-dir', out + '/geometry', '--quiet']) == 0
+f = DensityField.gaussian(3)
+soft = kernels.KernelSpec(gamma=-1.0, d=3, s=0.5, model='inelastic', moderately_soft=True)
+kernels.Q_s_apply(f, kernels.gaussian_bump(np.array([0.1, -0.3, 0.2]), 1.0),
+                  np.array([0.3, 0.4, 0.0]), soft, RestitutionParams.from_beta(0.8))
+cutoff = kernels.KernelSpec(gamma=1.0, d=3, h=lambda t: 1.0, model='inelastic')
+kernels.cutoff_loss_rate(f, np.array([1.0, 2.0, 2.0]) / 3.0, cutoff)
+m = tracer.layer_metrics(t.spans, dict.fromkeys(
+    ['majorant_inflation', 'reduce_dt', 'integration', 'quadrature_truncation', 'other'], 0))
+print(json.dumps({k: m[k] for k in
+                  ('kernels.verify_Kf_scaling.busy_s', 'kernels.Q_s_apply.busy_s',
+                   'kernels.plane_evals', 'density.radial_moment.calls',
+                   'geometry.pairs')}))
+"""
+
+
+def test_benchmark_tracer_measures_the_lower_bound_layer(tmp_path):
+    # the same guard for the kernels, density and geometry wrappers, on the
+    # benchmark's lower-bound operations
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", _TRACED_LOWER_BOUND, str(tmp_path)],
+                         cwd=root, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    m = json.loads(out.stdout)
+    assert all(value > 0 for value in m.values()), m
+
+
 def test_parser_runners_and_benchmark_tracer_name_the_same_subcommands():
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("tracer", root / "perfbench" / "tracer.py")
@@ -637,6 +679,27 @@ class TestSimulateAndTails:
         assert capsys.readouterr().err.startswith(f"validation error: config key {fragment}")
         assert not outdir.exists()
 
+    # gamma = 800 overflowed the majorant (a RuntimeWarning) and int() of the
+    # infinite count raised OverflowError; the count at dt = 1e300 made
+    # rng.integers raise "Maximum allowed dimension exceeded"
+    @pytest.mark.parametrize("lines", [
+        ["model = mixture", "masses = 1,2", "particles = 100,100", "gamma = 800",
+         "s_or_h = 0.2", "dt = 0.01"],
+        ["model = inelastic", "alpha = 0.5", "particles = 100", "gamma = 0",
+         "s_or_h = iso", "dt = 1e300"],
+    ], ids=["gamma-800", "dt-1e300"])
+    def test_uncountable_candidate_count_is_a_numerical_failure(self, tmp_path, capsys,
+                                                                lines):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n".join(lines + ["d = 3", "steps = 1",
+                                          f"output_dir = {tmp_path / 'sim'}"]) + "\n")
+        with warnings.catch_warnings(record=True) as rec:
+            warnings.simplefilter("always")
+            assert dispatch(["simulate", "--config", str(cfg), "--quiet"]) == 2
+        assert [str(w.message) for w in rec] == []
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: step with dt = ") and err.count("\n") == 1
+
     def test_readme_lists_every_config_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("### Simulation config", 1)[1].split("```ini", 1)[1]
@@ -912,6 +975,9 @@ BAD_OPTION_VALUES = {
                                  "--grid", "0.5:3:3"], "--grid"),
     "spreading-beta": (["spreading", "--beta", "0.3"], "'beta'"),
     "spreading-masses": (["spreading", "--masses", "1,-2"], "'masses'"),
+    # a mass that is not finite exited 0
+    "spreading-masses-inf": (["spreading", "--masses", "1,inf"], "'masses'"),
+    "spreading-masses-nan": (["spreading", "--masses", "1,nan"], "'masses'"),
     "spreading-gamma": (["spreading", "--beta", "0.8", "--gamma", "0.5"], "'gamma'"),
     "spreading-s": (["spreading", "--beta", "0.8", "--s", "1.5"], "'s'"),
     "spreading-d": (["spreading", "--beta", "0.8", "--d", "4"], "'d'"),
@@ -1004,6 +1070,8 @@ class TestOutputDirectoryThatIsAFile:
         err = capsys.readouterr().err
         assert err == f"validation error: output directory {taken}: File exists\n"
         assert taken.read_text() == "keep\n"
+        # the config's output_dir wins, so --output-dir is not created
+        assert not (tmp_path / "cli").exists()
 
 
 class TestKernelScalingCommand:

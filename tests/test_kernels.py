@@ -161,10 +161,8 @@ class TestCarlemanKernels:
             up = rng.normal(size=3)
             if np.linalg.norm(u - up) < 1e-3:
                 continue
-            plain = K.K_f_inelastic(u, up, GAUSS3, SOFT3, BETA08,
-                                    n_radial=24, n_angular=12)
-            sym = K.K_f_inelastic(u, up, GAUSS3, SOFT3, BETA08,
-                                  symmetrized=True, n_radial=24, n_angular=12)
+            plain = K.K_f_inelastic(u, up, GAUSS3, SOFT3, BETA08)
+            sym = K.K_f_inelastic(u, up, GAUSS3, SOFT3, BETA08, symmetrized=True)
             assert 0.0 <= plain <= sym * (1.0 + 1e-12)
 
     def test_truncation_warning_on_undersized_plane(self):
@@ -219,10 +217,8 @@ class TestCarlemanKernels:
                 u, up = rng.normal(size=3), rng.normal(size=3)
                 if np.linalg.norm(u - up) < 1e-3:
                     continue
-                plain = K.K_f_mixture(u, up, GAUSS3, SOFT3_MIX, masses,
-                                      n_radial=24, n_angular=12)
-                sym = K.K_f_mixture(u, up, GAUSS3, SOFT3_MIX, masses,
-                                    symmetrized=True, n_radial=24, n_angular=12)
+                plain = K.K_f_mixture(u, up, GAUSS3, SOFT3_MIX, masses)
+                sym = K.K_f_mixture(u, up, GAUSS3, SOFT3_MIX, masses, symmetrized=True)
                 assert plain <= sym * (1.0 + 1e-12)
 
     def test_mixture_equal_masses_rejected(self):
@@ -402,22 +398,26 @@ class TestQsApply:
             ratios.append(res.bound_ratio)
         assert max(ratios) < 50.0     # measured constant, reported not asserted a priori
 
-    def test_remainder_guard_raises(self):
+    def test_remainder_guard_raises(self, monkeypatch):
         from kten.errors import NonFiniteResult
         psi = K.gaussian_bump(np.zeros(3), 1.0)
+        monkeypatch.setattr(K, "_QS_REMAINDER_TOL", 0.0)
         with pytest.raises(NonFiniteResult):
-            K.Q_s_apply(GAUSS3, psi, np.array([0.5, 0.0, 0.0]), SOFT3, BETA08,
-                        remainder_tol=0.0)
+            K.Q_s_apply(GAUSS3, psi, np.array([0.5, 0.0, 0.0]), SOFT3, BETA08)
 
-    def test_split_radius_independence(self):
+    def test_split_radius_independence(self, monkeypatch):
         # the principal-value split is a bookkeeping choice; the value must
         # not depend on where the inner/outer boundary sits
         psi = K.gaussian_bump(np.array([0.4, 0.0, 0.0]), 0.9)
         v = np.array([0.3, -0.2, 0.1])
-        vals = [K.Q_s_apply(GAUSS3, psi, v, SOFT3, BETA08, r_split=rs,
-                            inner_panels=14, outer_panels=16,
-                            gl_per_panel=8).value
-                for rs in (0.06, 0.12, 0.2)]
+        for name, value in (("_QS_INNER_PANELS", 14), ("_QS_OUTER_PANELS", 16),
+                            ("_QS_GL_PER_PANEL", 8)):
+            monkeypatch.setattr(K, name, value)
+        vals = []
+        for rs in (0.06, 0.12, 0.2):
+            # r_split = _QS_SPLIT (1 + |v|)
+            monkeypatch.setattr(K, "_QS_SPLIT", rs / (1.0 + float(np.linalg.norm(v))))
+            vals.append(K.Q_s_apply(GAUSS3, psi, v, SOFT3, BETA08).value)
         assert vals[1] == pytest.approx(vals[0], rel=2e-3)
         assert vals[2] == pytest.approx(vals[0], rel=2e-3)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from kten import cancellation, geometry, kernels, utils
+from kten import geometry, kernels, utils
 from kten import spreading as S
 from kten.errors import DegenerateGeometry, EpsOutOfRange, GuardViolated, ValidationError
 from kten.utils import fit_loglog
@@ -159,11 +159,10 @@ class TestParameterWindows:
         lambda: S.region_estimate_mc(1.0, 0.1, 0.8, 4, 1000),
         lambda: S.region_integral(1.0, 0.1, 0.8, 4),
         lambda: geometry.verify_identities(1, 10, 4),
-        lambda: cancellation.SFunctionSpec(d=4, gamma=-1.0, b=lambda c: 1.0, lam=0.5),
         lambda: utils.sphere_rule(4),
         lambda: utils.circle_rule(4, 8),
     ], ids=["KernelSpec", "SpreadingConfig", "region_estimate_mc", "region_integral",
-            "verify_identities", "SFunctionSpec", "sphere_rule", "circle_rule"])
+            "verify_identities", "sphere_rule", "circle_rule"])
     def test_dimension(self, call):
         with pytest.raises(ValidationError, match=r"^'d' must be 2 or 3, got 4$"):
             call()
