@@ -96,8 +96,8 @@ def _build_parser():
     s.add_argument("--d", type=int, default=3)
     s.add_argument("--gamma", type=float, default=-1.0)
     s.add_argument("--s", type=float, default=0.5)
-    s.add_argument("--grid", type=_grid_spec(), default="0.55:0.95:9",
-                   help="lo:hi:n sweep of beta (or mass ratio for mixtures)")
+    s.add_argument("--grid", type=_grid_spec(), help="lo:hi:n sweep of beta (default "
+                   "0.55:0.95:9), or of the mass ratio for mixtures (default 1.5:4:6)")
 
     s = sub.add_parser("spreading", parents=[common])
     s.add_argument("--beta", type=float, default=None)
@@ -345,6 +345,7 @@ def _run_kernel_scaling(args):
 
 
 def _run_cancellation(args):
+    args.grid = args.grid or ("0.55:0.95:9" if args.family == "inelastic" else "1.5:4:6")
     grid = _parse_grid(args.grid)
     kspec = kernels.KernelSpec(
         gamma=args.gamma, d=args.d, s=args.s,

@@ -3,7 +3,7 @@
 A DensityField wraps either an analytic nonnegative f(v) or a particle
 ensemble turned into a histogram lookup. Kernel and cancellation code only
 needs three things from it: pointwise evaluation on batches of velocities,
-sums of f over the rings of a hyperplane, and weighted radial moments
+ring sums over a family of parallel hyperplanes, and weighted radial moments
 around an arbitrary center. Ring sums and moments come by quadrature, except
 for `gaussian()` fields, which give them in closed form (ring sums at d = 3).
 """
@@ -87,18 +87,19 @@ class DensityField:
             r2 *= norm
             return r2
 
-        def ring_sums(bases, normals, k):
-            # c lies h from the plane and its foot q from the base, so on the
-            # ring |x - c|^2 = h^2 + k^2 + q^2 - 2 k q cos(phi): the circle
-            # integral is 2 pi norm exp(-(h^2 + k^2 + q^2) / 2 sigma^2) I0(k q / sigma^2),
-            # taken through i0e(z) = exp(-z) I0(z), which cannot overflow
+        def ring_sums(origin, normal, shifts, k):
+            # c lies h_l = h0 - shifts[l] from plane l and its foot q from every
+            # base, so on the ring |x - c|^2 = h_l^2 + k^2 + q^2 - 2 k q cos(phi):
+            # the circle integral is 2 pi norm exp(-(h_l^2 + k^2 + q^2) / 2 sigma^2)
+            # I0(k q / sigma^2), taken through i0e(z) = exp(-z) I0(z), which cannot overflow
             from scipy.special import i0e
-            diff = c - bases
-            h = utils.row_dot(diff, normals)
-            foot = diff - h[:, None] * normals
-            q = np.sqrt(utils.row_dot(foot, foot))[:, None]
-            r2 = h[:, None] ** 2 + (k - q) ** 2
-            return 2.0 * np.pi * norm * np.exp(-0.5 * r2 / sigma ** 2) * i0e(k * q / sigma ** 2)
+            diff = c - origin
+            h0 = utils.row_dot(diff, normal)
+            foot = diff - h0 * normal
+            q = np.sqrt(utils.row_dot(foot, foot))
+            h = (h0 - shifts)[:, None]
+            return 2.0 * np.pi * norm * np.exp(-0.5 * (h ** 2 + (k - q) ** 2) / sigma ** 2) \
+                * i0e(k * q / sigma ** 2)
 
         def radial_moment(v, gamma):
             # mass E|X - v|^gamma for X ~ N(c, sigma^2 I): a Kummer function of |v - c|
@@ -156,25 +157,25 @@ class DensityField:
 
     # -- quadrature -----------------------------------------------------------
 
-    def ring_sums(self, bases, normals, k, circle):
-        """Sums of f over the rings of radius k[i] around bases[l], shape (L, nk).
+    def ring_sums(self, origin, normal, shifts, k, circle):
+        """Sums of f over the rings of radius k[i] around origin + shifts[l] normal, (L, nk).
 
-        Ring (l, i) lies in the plane through bases[l] with unit normal
-        normals[l]. `circle` is the (points, weights) rule of
-        `utils.circle_rule`, whose weights sum to the measure of S^{d-2}; each
-        sum approximates the integral of f over the ring's unit sphere.
+        Every ring lies in a plane normal to the unit vector `normal`. `circle`
+        is the (points, weights) rule of `utils.circle_rule`, whose weights sum
+        to the measure of S^{d-2}; each sum approximates the integral of f over
+        the ring's unit sphere.
         """
         exact = self._closed_form("ring_sums")
         if exact is not None:
-            return exact(bases, normals, k)
+            return exact(origin, normal, shifts, k)
         ang, wang = circle
-        tangents = utils.tangent_basis(normals)                          # (L, d-1, d)
-        inplane = np.einsum("me,led->lmd", ang, tangents)                # (L, m, d)
+        inplane = np.einsum("me,ed->md", ang, utils.tangent_basis(normal))   # (m, d)
+        bases = origin + shifts[:, None] * normal
         # bases + k * inplane, built one coordinate at a time so that f reads
         # contiguous columns of its (L, nk, m, d) argument
-        pts = np.empty((self.d, len(bases), k.size, inplane.shape[1]))
+        pts = np.empty((self.d, len(bases), k.size, len(inplane)))
         for j in range(self.d):
-            np.multiply(k[None, :, None], inplane[:, None, :, j], out=pts[j])
+            np.multiply(k[None, :, None], inplane[None, None, :, j], out=pts[j])
             pts[j] += bases[:, j, None, None]
         return self(np.moveaxis(pts, 0, -1)) @ wang
 

@@ -20,14 +20,14 @@ the symmetrized one.
 The perpendicular foot of `center` on the plane is exactly `base`, which is
 why the plain weight never exceeds the symmetrized one.
 
-One evaluator, `_kernel_profile`, integrates the planes of a batch of pairs
-sharing `center` (K_f_* are its one-pair case), with radial reach
-|f.center - center| + TRUNCATION_SIGMAS * f.scale + |1/kappa - 1| * max l.
-The density supplies the sum over each ring of the plane
-(`DensityField.ring_sums`: the circle rule, or a closed form for a
-Gaussian), and `_kernel_profile` weights the rings by the radial rule. It
-checks the rule's disk volume and warns when the outer ring is not
-negligible.
+One evaluator, `_kernel_profile`, integrates the planes of the pairs
+(center, center + l a) over directions a and lengths l (K_f_* are its
+one-pair case), with radial reach |f.center - center| +
+TRUNCATION_SIGMAS * f.scale + |1/kappa - 1| * max l. One direction's planes
+are parallel, and the density sums f over all their rings in one call
+(`DensityField.ring_sums`: the circle rule, or a closed form for a Gaussian).
+`_kernel_profile` weights the rings by the radial rule, checks the rule's
+disk volume and warns, once per call, when the outer ring is not negligible.
 """
 
 import math
@@ -175,9 +175,9 @@ def _carleman_value(center, other, f, spec, kappa, symmetrized):
     l = float(np.linalg.norm(other - center))
     if l == 0.0:
         raise CoincidentPoints("kernel undefined at coincident points")
-    plain, sym = _kernel_profile(center, other[None], np.array([l]), f, spec, kappa,
-                                 *_CARLEMAN_NODES)
-    return float(sym[0] if symmetrized else plain[0])
+    plain, sym = _kernel_profile(center, ((other - center) / l)[None], np.array([l]), f,
+                                 spec, kappa, *_CARLEMAN_NODES)
+    return float(sym[0, 0] if symmetrized else plain[0, 0])
 
 
 def K_f_inelastic(u, u_prime, f: DensityField, spec: KernelSpec,
@@ -256,13 +256,9 @@ def verify_Kf_scaling(f: DensityField, spec: KernelSpec, params, u_prime, r_grid
     l_nodes, l_weights = utils.panel_rule(utils.log_edges(l_min, l_max, 42), 10)
     dirs, wd = utils.sphere_rule(d, 4, 8)
 
-    kern = np.zeros(l_nodes.size)       # angular average of K times |S^{d-1}|
-    kern_bar = np.zeros(l_nodes.size)
-    for a, w in zip(dirs, wd):
-        us = u_prime + l_nodes[:, None] * a[None, :]
-        k_plain, k_sym = _kernel_profile(u_prime, us, l_nodes, f, spec, kappa, *_PLANE_NODES)
-        kern += w * k_plain
-        kern_bar += w * k_sym
+    k_plain, k_sym = _kernel_profile(u_prime, dirs, l_nodes, f, spec, kappa, *_PLANE_NODES)
+    # angular averages of K and K-bar times |S^{d-1}|; sum adds the rows in turn
+    kern, kern_bar = sum(wd[:, None] * k_plain), sum(wd[:, None] * k_sym)
 
     inner_density = l_weights * l_nodes ** (d + 1) * kern_bar
     outer_density = l_weights * l_nodes ** (d - 1) * kern
@@ -289,39 +285,42 @@ def verify_Kf_scaling(f: DensityField, spec: KernelSpec, params, u_prime, r_grid
                          slopes=slopes, expected=expected)
 
 
-def _kernel_profile(center, others, ls, f, spec, kappa, n_radial, n_angular):
-    """Plain and symmetrized kernel values at (center, others[i]), ls ascending."""
+def _kernel_profile(center, directions, ls, f, spec, kappa, n_radial, n_angular):
+    """Plain and symmetrized kernel values (D, L) at (center, center + ls[l] directions[i]).
+
+    Unit `directions`, ascending `ls`; the rings are summed one direction at a time.
+    """
     if spec.cutoff:
         raise ValidationError("hyperplane kernels are defined for noncutoff specs")
     d, gamma, s = spec.d, spec.gamma, spec.s
     stretch = 1.0 / kappa - 1.0
-    nhats = (others - center) / ls[:, None]
-    bases = center - stretch * ls[:, None] * nhats
-    offsets = abs(stretch) * ls
+    shifts = -stretch * ls
     reach = float(np.linalg.norm(f.center - center)) + TRUNCATION_SIGMAS * f.scale \
         + abs(stretch) * float(ls[-1])
     k, wk = utils.gauss_legendre(0.0, reach, n_radial)
     circle = utils.circle_rule(d, n_angular)
     _check_disk_volume(k, wk, circle[1], reach, d)
-    ang_sum = f.ring_sums(bases, nhats, k, circle)                   # (L, nk)
     expo = gamma + 2.0 * s + 1.0
-    w_plain = k ** expo
-    w_sym = (k[None, :] ** 2 + offsets[:, None] ** 2) ** (0.5 * expo)
     radial = wk * k ** (d - 2)
-    rings_plain = radial[None, :] * w_plain[None, :] * ang_sum
-    rings_sym = radial[None, :] * w_sym * ang_sum
-    plane_plain = np.sum(rings_plain, axis=1)
-    plane_sym = np.sum(rings_sym, axis=1)
-    # the outermost ring, scaled to the whole radial range, must carry a
-    # negligible share of every ray's plane integral
-    edge = [rings[plane > 0.0, -1] * k.size / plane[plane > 0.0]
-            for rings, plane in ((rings_plain, plane_plain), (rings_sym, plane_sym))]
-    worst = max((float(np.max(e)) for e in edge if e.size), default=0.0)
+    w_plain = radial * k ** expo
+    w_sym = radial * (k ** 2 + (abs(stretch) * ls)[:, None] ** 2) ** (0.5 * expo)   # (L, nk)
+    pref = kappa ** (2.0 * s) * ls ** (-(d + 2.0 * s))
+    plain, sym = np.empty((2, len(directions), ls.size))
+    worst = 0.0
+    for i, nhat in enumerate(directions):
+        ang_sum = f.ring_sums(center, nhat, shifts, k, circle)           # (L, nk)
+        for out, w in ((plain, w_plain), (sym, w_sym)):
+            plane = np.sum(w * ang_sum, axis=1)
+            # the outermost ring, scaled to the whole radial range, must carry
+            # a negligible share of every ray's plane integral
+            edge = w[..., -1] * ang_sum[:, -1] * k.size
+            seen = plane > 0.0
+            worst = max(worst, float(np.max(edge[seen] / plane[seen], initial=0.0)))
+            out[i] = pref * plane
     if worst > 1e-8:
         warnings.warn(f"outermost plane ring carries relative weight {worst:.2e}; "
                       "R_trunc may be too small", QuadratureTruncationWarning)
-    pref = kappa ** (2.0 * s) * ls ** (-(d + 2.0 * s))
-    return pref * plane_plain, pref * plane_sym
+    return plain, sym
 
 
 @dataclass
@@ -387,6 +386,8 @@ def Q_s_apply(f: DensityField, psi, v, spec: KernelSpec, params):
     louter, wouter = utils.panel_rule(utils.log_edges(r_split, l_out_max, _QS_OUTER_PANELS),
                                       _QS_GL_PER_PANEL)
 
+    kp_in, ks_in = _kernel_profile(v, dirs, li, f, spec, kappa, *_PLANE_NODES)
+    kp_out, _ = _kernel_profile(v, dirs, louter, f, spec, kappa, *_PLANE_NODES)
     inner_sym = 0.0
     inner_corr = 0.0
     outer = 0.0
@@ -397,16 +398,13 @@ def Q_s_apply(f: DensityField, psi, v, spec: KernelSpec, params):
         pair_sym = np.zeros(li.size)
         for idx in (ia, ib):
             ax = dirs[idx]
-            us = v + li[:, None] * ax[None, :]
-            kp, ks = _kernel_profile(v, us, li, f, spec, kappa, *_PLANE_NODES)
-            dpsi = psi(us) - psi_v
-            pair_sym += wd[idx] * wi * li ** (d - 1) * ks * dpsi
+            dpsi = psi(v + li[:, None] * ax[None, :]) - psi_v
+            pair_sym += wd[idx] * wi * li ** (d - 1) * ks_in[idx] * dpsi
             inner_corr += float(np.sum(wd[idx] * wi * li ** (d - 1)
-                                       * (kp - ks) * dpsi))
+                                       * (kp_in[idx] - ks_in[idx]) * dpsi))
             uo = v + louter[:, None] * ax[None, :]
-            kpo, _ = _kernel_profile(v, uo, louter, f, spec, kappa, *_PLANE_NODES)
             outer += float(np.sum(wd[idx] * wouter * louter ** (d - 1)
-                                  * kpo * (psi(uo) - psi_v)))
+                                  * kp_out[idx] * (psi(uo) - psi_v)))
         inner_sym += float(np.sum(pair_sym))
         shell_track += pair_sym
 

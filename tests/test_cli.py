@@ -363,6 +363,19 @@ class TestCancellationCommand:
         assert "--grid" in capsys.readouterr().err
         assert not (tmp_path / "cancellation.csv").exists()
 
+    @pytest.mark.parametrize("family", ["mixture-light", "mixture-heavy"])
+    def test_mixture_family_runs_at_its_own_default_grid(self, tmp_path, family):
+        # the inelastic default, a beta grid below 1, holds no mass ratio > 1
+        run_ok(["cancellation", "--family", family, "--output-dir", tmp_path / "default",
+                "--quiet"])
+        run_ok(["cancellation", "--family", family, "--grid", "1.5:4:6",
+                "--output-dir", tmp_path / "given", "--quiet"])
+        csv_default, csv_given = ((tmp_path / run / "cancellation.csv").read_bytes()
+                                  for run in ("default", "given"))
+        assert csv_default == csv_given
+        manifest = json.loads((tmp_path / "default" / "manifest.json").read_text())
+        assert manifest["config"]["grid"] == "1.5:4:6"
+
 
 class TestVerifyGeometryCommand:
     def test_passes_and_reports(self, tmp_path):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -188,11 +189,12 @@ class TestCarlemanKernels:
             K.K_f_inelastic(np.ones(3), np.zeros(3), GAUSS3, SOFT3, BETA08)
 
     def test_profile_warns_once_on_undersized_plane(self):
+        # once per call, for the worst ray over every direction
         ls = np.array([0.1, 0.5, 2.0])
-        others = ls[:, None] * np.array([0.6, 0.0, 0.8])
+        dirs, _ = utils.sphere_rule(3, 2, 4)
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            K._kernel_profile(np.zeros(3), others, ls, UNDERSTATED3, SOFT3, 0.8, 40, 24)
+            K._kernel_profile(np.zeros(3), dirs, ls, UNDERSTATED3, SOFT3, 0.8, 40, 24)
         assert [w.category for w in rec] == [QuadratureTruncationWarning]
 
     def test_cutoff_spec_rejected(self):
@@ -291,6 +293,24 @@ class TestScalingReport:
                                 np.concatenate([np.geomspace(1e-2, 1.0, 4),
                                                 np.geomspace(2.0, 10.0, 4)]))
 
+    def test_working_set_is_bounded(self):
+        # the kernel-scaling defaults: 32 directions x 420 rays x 40 radii.
+        # Summing the rings one direction at a time peaks at 0.81 MiB (0.70
+        # MiB with one profile call per direction); one (D, L, nk) array over
+        # every direction takes 4.1 MiB, and stacking the ring sums into one
+        # peaked at 8.6 MiB
+        spec = K.KernelSpec(gamma=-1.0, d=3, s=0.5, model="inelastic", moderately_soft=True)
+        p = RestitutionParams.from_beta(1.0 - 1e-3)
+        r_grid = np.concatenate([np.geomspace(1e-3, 1.0, 12), np.geomspace(2.0, 100.0, 6)])
+        K.verify_Kf_scaling(GAUSS3, spec, p, np.zeros(3), r_grid)    # imports scipy.special
+        tracemalloc.start()
+        try:
+            K.verify_Kf_scaling(GAUSS3, spec, p, np.zeros(3), r_grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 ** 20
+
     def test_integrals_that_are_not_finite_raise(self):
         # near r = 1e-300 the kernel, ~ l^-(d+2s), overflows to inf, and
         # inf * 0 to nan; the integrals were returned with nan in them
@@ -309,12 +329,12 @@ class TestPlaneRule:
         assert total == pytest.approx(expected, rel=1e-10)
 
     def test_nodes_lie_on_the_plane(self):
-        # every point f is handed lies on its own pair's plane, through
-        # center - (1/kappa - 1)(other - center) with normal other - center
+        # every point f is handed lies on its own ray's plane: for direction a
+        # and length l, through center - (1/kappa - 1) l a with normal a
         center = np.array([0.3, -0.4, 1.0])
         ls = np.array([0.2, 0.7, 1.5])
         dirs = np.array([[1.0, 2.0, -0.5], [0.0, 0.0, 1.0], [-0.6, 0.8, 0.0]])
-        others = center + ls[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
         seen = []
 
         def record(v):
@@ -322,34 +342,36 @@ class TestPlaneRule:
             return GAUSS3.evaluator(v)
 
         kappa = 0.8
-        K._kernel_profile(center, others, ls, dataclasses.replace(GAUSS3, evaluator=record),
+        K._kernel_profile(center, dirs, ls, dataclasses.replace(GAUSS3, evaluator=record),
                           SOFT3, kappa, 40, 24)
-        (pts,) = seen
-        assert pts.shape == (3, 40, 24, 3)
-        bases = center - (1.0 / kappa - 1.0) * (others - center)
-        normals = (others - center) / ls[:, None]
-        res = np.einsum("lkmd,ld->lkm", pts - bases[:, None, None, :], normals)
-        assert np.abs(res).max() < 1e-12
+        assert len(seen) == len(dirs)            # one evaluation per direction
+        for a, pts in zip(dirs, seen):
+            assert pts.shape == (3, 40, 24, 3)
+            bases = center - (1.0 / kappa - 1.0) * ls[:, None] * a
+            res = np.einsum("lkmd,d->lkm", pts - bases[:, None, None, :], a)
+            assert np.abs(res).max() < 1e-12
 
     def test_gaussian_rings_never_evaluate_f(self, monkeypatch):
         # the d = 3 Gaussian's ring sums are closed forms: no call reaches f,
-        # which the same plane through the quadrature path does call
+        # which the same planes through the quadrature path call once per direction
         quadrature = DensityField.from_callable(GAUSS3.evaluator, 3, scale=1.0)
         calls = []
         evaluate = DensityField.__call__
         monkeypatch.setattr(DensityField, "__call__",
                             lambda self, v: calls.append(1) or evaluate(self, v))
         ls = np.array([0.2, 0.7, 1.5])
-        others = ls[:, None] * np.array([0.6, 0.0, 0.8])
-        K._kernel_profile(np.zeros(3), others, ls, GAUSS3, SOFT3, 0.8, 40, 24)
+        dirs, _ = utils.sphere_rule(3, 2, 4)
+        K._kernel_profile(np.zeros(3), dirs, ls, GAUSS3, SOFT3, 0.8, 40, 24)
         assert calls == []
-        K._kernel_profile(np.zeros(3), others, ls, quadrature, SOFT3, 0.8, 40, 24)
-        assert calls == [1]
+        K._kernel_profile(np.zeros(3), dirs, ls, quadrature, SOFT3, 0.8, 40, 24)
+        assert calls == [1] * len(dirs)
 
     @pytest.mark.parametrize("beta", [0.8, 0.999])
     def test_gaussian_rings_match_the_circle_rule(self, beta):
         # an off-center Gaussian with sigma != 1 against the same field on the
         # quadrature path, with plane bases within 1.5 sigma of its center.
+        # The center moves off c along the first direction, so every other
+        # direction sees the foot of c at q > 0 from its bases.
         # Farther out the 24-point circle rule drifts (~5e-11 at 2.2 sigma),
         # and the closed form is matched by a 96-point rule instead
         c, sigma = np.array([0.4, -0.3, 0.2]), 0.7
@@ -362,12 +384,35 @@ class TestPlaneRule:
         for reach, n_angular in ((1.5, 24), (3.5, 96)):
             for offset in np.linspace(0.0, reach - 0.25, 5):
                 center = c + offset * sigma * dirs[0]
-                others = center + ls[:, None] * dirs
-                got = K._kernel_profile(center, others, ls, exact, SOFT3, beta, 40, 24)
-                want = K._kernel_profile(center, others, ls, quadrature, SOFT3, beta,
+                got = K._kernel_profile(center, dirs, ls, exact, SOFT3, beta, 40, 24)
+                want = K._kernel_profile(center, dirs, ls, quadrature, SOFT3, beta,
                                          40, n_angular)
                 for g, w in zip(got, want):      # plain, then symmetrized
                     np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+
+SOFT2 = K.KernelSpec(gamma=-1.0, d=2, s=0.5, model="inelastic", moderately_soft=True)
+OFF_CENTRE = {d: DensityField.gaussian(d, sigma=0.7, mass=1.3, center=[0.4, -0.3, 0.2][:d])
+              for d in (2, 3)}
+
+
+@pytest.mark.parametrize("f, spec", [
+    (OFF_CENTRE[3], SOFT3),
+    (DensityField.from_callable(OFF_CENTRE[3].evaluator, 3, scale=0.7,
+                                center=OFF_CENTRE[3].center), SOFT3),
+    (DensityField.from_callable(OFF_CENTRE[2].evaluator, 2, scale=0.7,
+                                center=OFF_CENTRE[2].center), SOFT2),
+], ids=["gaussian-d3", "circle-rule-d3", "circle-rule-d2"])
+def test_profile_over_directions_equals_one_direction_at_a_time(f, spec):
+    # a family of rays in one call gives the bits of one call per direction
+    center = np.array([0.1, 0.5, -0.2])[:spec.d]
+    dirs, _ = utils.sphere_rule(spec.d, 3, 4) if spec.d == 3 else utils.sphere_rule(2, n_azimuth=8)
+    ls = np.geomspace(1e-3, 3.0, 7)
+    plain, sym = K._kernel_profile(center, dirs, ls, f, spec, 0.8, 40, 24)
+    assert plain.shape == sym.shape == (len(dirs), ls.size)
+    for a, p_row, s_row in zip(dirs, plain, sym):
+        p_one, s_one = K._kernel_profile(center, a[None], ls, f, spec, 0.8, 40, 24)
+        assert np.array_equal(p_one[0], p_row) and np.array_equal(s_one[0], s_row)
 
 
 class TestQsApply:
@@ -445,10 +490,13 @@ def _f8_digest(values):
 # sha256 of the benchmark's two library operations on fixed inputs, recorded
 # when Gaussian fields took their ring sums and radial moments in closed form
 # (x86-64, numpy 2.4, scipy 1.17); the loss rates re-recorded when the cutoff
-# angular mass became the closed form 2 pi (quadrature gave 1 ulp less). A
-# change here is a change of computed numbers.
+# angular mass became the closed form 2 pi (quadrature gave 1 ulp less); Q_s_apply
+# re-recorded when its rays took their plane normals from the direction rule,
+# one profile call per shell set (inner_correction moved 8.8e-13 relative,
+# inner_symmetric 3.6e-16, value and outer kept their bits). A change here is
+# a change of computed numbers.
 GOLDEN_DIRECTION = np.array([1.0, 2.0, 2.0]) / 3.0
-QS_APPLY_DIGEST = "996bcbcb00c5102ab9d9cf6812a62c64d3fa74d4fd9b3aa432ef726f2989258b"
+QS_APPLY_DIGEST = "4455e7ba240d411d144c7137e9e1165594002d6e174caee97ccd884acabc4f2f"
 LOSS_RATES_DIGEST = "5423ed138ccb1536cc42f40c3d9ab449471012193e9ad021a50d4bff16dde6cd"
 
 
