@@ -68,6 +68,7 @@ def _common_options(**defaults):
     return common
 
 
+@functools.cache
 def _build_parser():
     p = _Parser(prog="kten", description=__doc__.splitlines()[0], parents=[
         _common_options(seed=DEFAULT_SEED, threads=1, output_dir=Path("."), quiet=False)])
@@ -136,7 +137,12 @@ def _build_parser():
 
 
 def dispatch(argv):
-    """Run one subcommand; returns the process exit code."""
+    """Run one subcommand; returns the process exit code.
+
+    One parser per process serves every call (in-process callers gain, a one-shot
+    `kten` process nothing); each parse starts from a fresh Namespace, so no
+    value carries over between calls.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

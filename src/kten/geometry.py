@@ -318,31 +318,36 @@ def normal_from_collision(v, v_prime):
 _IDENTITY_BLOCK = 4096
 
 
+def _row_norm(x):
+    return np.sqrt(utils.row_dot(x, x))
+
+
 def _block_residuals(v, vs, sig, p, m):
     """The identity residuals of one row block: seven maxima over its rows,
     the last of them max |v - v*|, and the least swap gap. sig is normalised
     in place.
     """
-    sig /= np.linalg.norm(sig, axis=1, keepdims=True)
+    # row_dot sums each row in np.sum's order, so _row_norm and row_dot keep
+    # the bits of np.linalg.norm(x, axis=1) and np.sum(a * b, axis=1)
+    sig /= _row_norm(sig)[:, None]
+    rel = v - vs
+    rel_norm = _row_norm(rel)
     vp, vsp, _ = inelastic_post_sigma(v, vs, sig, p)
     mom = np.max(np.abs((vp + vsp) - (v + vs)))
     nvec = normal_from_collision(v, vp)
-    rest = np.max(np.abs(np.sum((vp - vsp) * nvec, axis=1)
-                         + p.alpha * np.sum((v - vs) * nvec, axis=1)))
+    rest = np.max(np.abs(utils.row_dot(vp - vsp, nvec) + p.alpha * utils.row_dot(rel, nvec)))
     vp_n, vsp_n, _ = inelastic_post_n(v, vs, nvec, p)
     agree = max(np.max(np.abs(vp_n - vp)), np.max(np.abs(vsp_n - vsp)))
-    shrink = np.max(np.linalg.norm(vp - vsp, axis=1)
-                    - np.linalg.norm(v - vs, axis=1))
+    shrink = np.max(_row_norm(vp - vsp) - rel_norm)
     mp, msp, _ = mixture_post_sigma(v, vs, sig, m)
     mom_m = np.max(np.abs((m.m_i * mp + m.m_j * msp) - (m.m_i * v + m.m_j * vs)))
-    en_m = np.max(np.abs(m.m_i * np.sum(mp ** 2, axis=1)
-                         + m.m_j * np.sum(msp ** 2, axis=1)
-                         - m.m_i * np.sum(v ** 2, axis=1)
-                         - m.m_j * np.sum(vs ** 2, axis=1)))
+    en_m = np.max(np.abs(m.m_i * utils.row_dot(mp, mp)
+                         + m.m_j * utils.row_dot(msp, msp)
+                         - m.m_i * utils.row_dot(v, v)
+                         - m.m_j * utils.row_dot(vs, vs)))
     vp_neg, vsp_neg, _ = inelastic_post_sigma(v, vs, -sig, p)
-    swap_gap = np.min(np.linalg.norm(vp_neg - vsp, axis=1)
-                      + np.linalg.norm(vsp_neg - vp, axis=1))
-    scale = np.max(np.linalg.norm(v - vs, axis=1))
+    swap_gap = np.min(_row_norm(vp_neg - vsp) + _row_norm(vsp_neg - vp))
+    scale = np.max(rel_norm)
     return (mom, rest, agree, shrink, mom_m, en_m, scale), swap_gap
 
 
@@ -352,18 +357,18 @@ def verify_identities(seed, n, d):
     Covers the inelastic rule (beta 0.75) and the mixture rule (masses 1, 2.5);
     "pass" is true when each is within its tolerance, scaled by max |v - v*|.
 
-    The pairs are drawn whole, in one stream, and the identities then run on
-    row blocks of _IDENTITY_BLOCK rows, so the working set is the three
-    (n, d) draws plus block-sized temporaries. Every reported value is a max
-    or min of row-wise values (the swap gap a min, the rest maxima), and each
-    row's value has the same bits in any block, so the report does not
-    depend on the block size.
+    The pairs are drawn whole, as one (3, n, d) draw from one stream (v, v*
+    and sigma, in that order), and the identities then run on row blocks of
+    _IDENTITY_BLOCK rows, so the working set is that draw plus block-sized
+    temporaries. Every reported value is a max or min of row-wise values (the
+    swap gap a min, the rest maxima), and each row's value has the same bits
+    in any block, so the report does not depend on the block size.
     """
     utils.check_dimension(d)
     rng = utils.substream(seed, 0xEC)
-    v = rng.normal(size=(n, d))
-    vs = rng.normal(size=(n, d))
-    sig = rng.normal(size=(n, d))
+    # the values of three rng.normal(size=(n, d)) calls, but for the sign of
+    # an exact -0.0 draw (normal adds 0.0 and returns +0.0; about 2^-52 a draw)
+    v, vs, sig = rng.standard_normal(size=(3, n, d))
     p = RestitutionParams.from_beta(0.75)
     m = MassPair(1.0, 2.5)
     maxima, gaps = zip(*(_block_residuals(v[lo:lo + _IDENTITY_BLOCK],

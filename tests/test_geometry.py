@@ -436,6 +436,36 @@ class TestVerifyIdentitiesBlocks:
         assert peak <= 10 * 2 ** 20
 
 
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64).tobytes()
+
+
+class TestIdentityRowSumsKeepTheirBits:
+    # _block_residuals sums rows with utils.row_dot in place of np.linalg.norm
+    # and np.sum, and draws v, v* and sigma as one (3, n, d) array; none of it
+    # may move a bit of the report
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_row_norm_and_row_dot_match_numpy(self, d):
+        rng = np.random.default_rng(d)
+        a, b = rng.normal(size=(2, 3000, d))
+        for x in (a, b):
+            x[:1000] *= 1e-150
+            x[1000:2000] *= 1e150
+        assert _bits(geo._row_norm(a)) == _bits(np.linalg.norm(a, axis=1))
+        assert _bits(geo.utils.row_dot(a, b)) == _bits(np.sum(a * b, axis=1))
+        assert _bits(geo.utils.row_dot(a, a)) == _bits(np.sum(a ** 2, axis=1))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", [*range(1, 11), 13])
+    def test_one_draw_equals_three(self, seed, d):
+        n = 100000
+        one = geo.utils.substream(seed, 0xEC).standard_normal((3, n, d))
+        rng = geo.utils.substream(seed, 0xEC)
+        three = [rng.normal(size=(n, d)) for _ in range(3)]
+        assert _bits(one) == _bits(np.stack(three))
+
+
 class TestCollisionFrame:
     def test_frame_roundtrip(self):
         r = rng()

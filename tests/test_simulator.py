@@ -9,6 +9,7 @@ from kten import simulator as sim
 from kten.errors import MajorantInflationWarning, ValidationError
 from kten.geometry import MassPair, RestitutionParams
 from kten.kernels import KernelSpec
+from kten.utils import sphere_area
 
 
 def iso_cutoff(gamma=0.0, d=3, model="mixture"):
@@ -119,6 +120,36 @@ class TestStep:
         rate_fit = math.log(e0 / e1) / ncoll
         rate_pred = (1.0 - alpha ** 2) / (3 * n)
         assert rate_fit == pytest.approx(rate_pred, rel=0.10)
+
+    # Haff's law for the Maxwell-type cutoff kernel (gamma = 0): the thermal
+    # energy T = E - |P|^2 decays as exp(-(|S^{d-1}|/d) beta(1-beta) t) in
+    # expectation. The rate per unit time checks the collision rate itself
+    # (angular_mass, the weight, the 1/2 n(n-1) pair count), which the rate per
+    # collision above does not see. Fitted on N = 2e4, dt 0.05, 40 steps at
+    # beta 0.75, the slopes over the 32 seeds 2511-2518 and 2601-2624 had mean
+    # 0.5905 and standard deviation 0.0041 at d = 2 (predicted 0.5890), and
+    # mean 0.7849 and standard deviation 0.0035 at d = 3 (predicted 0.7854),
+    # none more than 2.6 of them off; each seed here must fall within 5.
+    # Doubling angular_mass or halving beta(1-beta) moves the rate by 50%.
+    @pytest.mark.parametrize("d, spread", [(2, 0.0041), (3, 0.0035)])
+    def test_haff_cooling_rate_in_time(self, d, spread):
+        beta = 0.75
+        predicted = sphere_area(d) / d * beta * (1.0 - beta)
+        for seed in (2511, 2512, 2513, 2514):
+            cfg = sim.SimConfig(model="inelastic", kernel=iso_cutoff(d=d, model="inelastic"),
+                                dt=0.05, steps=0, particles=(20000,),
+                                alpha=2.0 * beta - 1.0, seed=seed)
+            ens = sim.build_ensemble(cfg)
+            times, log_t = [], []
+            for k in range(41):
+                if k:
+                    ens = sim.step(ens, cfg)
+                v = ens.species[0].velocities
+                thermal = np.mean(np.sum(v * v, axis=1)) - np.sum(np.mean(v, axis=0) ** 2)
+                times.append(ens.time)
+                log_t.append(math.log(thermal))
+            rate = -np.polyfit(times, log_t, 1)[0]
+            assert abs(rate - predicted) < 5.0 * spread, (seed, rate, predicted)
 
     def test_d2_conservation_and_cooling(self):
         spec2 = iso_cutoff(gamma=0.0, d=2)
