@@ -335,8 +335,13 @@ def _block_residuals(v, vs, sig, p, m):
     vp, vsp, _ = inelastic_post_sigma(v, vs, sig, p)
     mom = np.max(np.abs((vp + vsp) - (v + vs)))
     nvec = normal_from_collision(v, vp)
-    rest = np.max(np.abs(utils.row_dot(vp - vsp, nvec) + p.alpha * utils.row_dot(rel, nvec)))
     vp_n, vsp_n, _ = inelastic_post_n(v, vs, nvec, p)
+    # restitution on the n-rule's own outputs: the recovered n carries a
+    # relative error of about eps |v - v*| / |v - v'|, which on near-grazing
+    # rows the sigma-rule's outputs would multiply by |v - v*|; the sigma
+    # rule's restitution is checked through its agreement with the n-rule
+    rest = np.max(np.abs(utils.row_dot(vp_n - vsp_n, nvec)
+                         + p.alpha * utils.row_dot(rel, nvec)))
     agree = max(np.max(np.abs(vp_n - vp)), np.max(np.abs(vsp_n - vsp)))
     shrink = np.max(_row_norm(vp - vsp) - rel_norm)
     mp, msp, _ = mixture_post_sigma(v, vs, sig, m)

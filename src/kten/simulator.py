@@ -457,7 +457,9 @@ def moments(ens: Ensemble):
     Energy is the mass-weighted second moment sum_s w m_s sum |v|^2, the
     quantity conserved by mixture collisions and dissipated by inelastic
     ones. Entropy is the plug-in histogram estimate of sum integral f log f
-    with a Miller-Madow bin-count correction, decreasing toward equilibrium.
+    with a Miller-Madow bin-count correction, decreasing toward equilibrium;
+    its histogram bins by floor, so a velocity within an ulp of an inner bin
+    edge may fall in the neighbouring bin.
     """
     d, w = ens.d, ens.weight
     mass = [w * len(s.velocities) for s in ens.species]
@@ -475,19 +477,44 @@ def moments(ens: Ensemble):
 
 
 def _entropy_estimate(v, w):
+    """The entropy column of `moments` for one species' velocities v (n, d).
+
+    A plug-in histogram estimate with a Miller-Madow correction, over
+    _ENTROPY_BINS bins per axis on [-lim, lim]^d with lim = 1.05 max |v|;
+    `_entropy_counts` bins the rows by floor. NaN for non-finite velocities.
+    """
     n, d = v.shape
     lim = max(float(np.maximum(v.max(), -v.min())) * 1.05, 1e-12)
     if not math.isfinite(lim):              # NaN or inf velocities have no histogram
         return math.nan
-    counts = utils.grid_counts_in_range(v, np.linspace(-lim, lim, _ENTROPY_BINS + 1))
+    counts = _entropy_counts(v, lim)
     cell = (2.0 * lim / _ENTROPY_BINS) ** d
-    c = counts[counts > 0].ravel()
+    c = counts[counts > 0]
     dens = w * c / cell
     h_plugin = float(np.sum(dens * np.log(dens) * cell))
     k_occupied = c.size
     # Miller-Madow raises the Shannon entropy estimate by (K-1)/(2N); in
     # integral-of-f-log-f units that lowers the plug-in value by w(K-1)/2
     return h_plugin - w * (k_occupied - 1) / 2.0
+
+
+def _entropy_counts(v, lim):
+    """Counts of the rows of v (n, d), all in [-lim, lim], over _ENTROPY_BINS
+    bins per axis, flat in C order.
+
+    Binned by floor, with lim itself in the last bin: a value within an ulp
+    of an inner edge may fall in the neighbouring bin, where np.histogramdd
+    (and utils.grid_counts) would correct it against the edge. The entropy
+    estimate does not promise where such a value falls.
+    """
+    d = v.shape[1]
+    # grid_bin's arithmetic index, since its edges[0] = -lim and edges[-1] -
+    # edges[0] = 2 lim exactly; the flat bin is an exact float sum of integers
+    a = (v + lim) * (_ENTROPY_BINS / (2.0 * lim))
+    np.floor(a, out=a)
+    np.minimum(a, _ENTROPY_BINS - 1, out=a)
+    flat = (a @ _ENTROPY_BINS ** np.arange(d - 1.0, -1.0, -1.0)).astype(np.intp)
+    return np.bincount(flat, minlength=_ENTROPY_BINS ** d)
 
 
 @dataclass

@@ -167,11 +167,6 @@ def grid_counts(x, edges):
     lo, hi = edges[0], edges[-1]
     if x.size and not (lo <= x.min() and x.max() <= hi):     # NaN fails too
         x = x[((x >= lo) & (x <= hi)).all(axis=1)]
-    return grid_counts_in_range(x, edges)
-
-
-def grid_counts_in_range(x, edges):
-    """grid_counts of rows known to lie in [edges[0], edges[-1]]: no range scan."""
     d = x.shape[1]
     bins = len(edges) - 1
     flat = grid_bin(x[:, 0], edges)

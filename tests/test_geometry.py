@@ -366,42 +366,66 @@ class TestVerifyIdentities:
         assert rep["mixture_energy_residual"] > 1e-6
         assert rep["momentum_residual"] < 1e-12
 
+    @pytest.mark.parametrize("seed", [3, 6, 10])
+    def test_d2_near_grazing_seeds_pass(self, seed):
+        # near-grazing rows (|v - v'| about 1e-5) once put the restitution
+        # residual of these seeds at 7e-11 to 1.4e-10, past 1e-11 max|v - v*|
+        rep = geo.verify_identities(seed, 100000, 2)
+        assert rep["pass"] is True
+        assert rep["restitution_residual"] < 1e-14
+
+    @pytest.mark.parametrize("rule", ["inelastic_post_n", "inelastic_post_sigma"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_wrong_restitution_factor_fails(self, monkeypatch, rule, d):
+        exact = getattr(geo, rule)
+
+        def off(v, v_star, u, p):
+            return exact(v, v_star, u, geo.RestitutionParams.from_beta(p.beta * (1 + 1e-6)))
+
+        monkeypatch.setattr(geo, rule, off)
+        rep = geo.verify_identities(5, 4000, d)
+        assert rep["pass"] is False
+        assert rep["sigma_n_agreement"] > 1e-7
+        if rule == "inelastic_post_n":
+            assert rep["restitution_residual"] > 1e-7
+
 
 # verify_identities(13, n, d) as the whole-array code reported it, before the
 # identities ran on row blocks: the momentum, restitution, sigma-n, relative
 # speed, mixture momentum and mixture energy values and the swap gap. n = 1
-# and n = 4095, 4096, 4097 around the 4096-row block
+# and n = 4095, 4096, 4097 around the 4096-row block. The restitution values
+# were re-recorded when the residual moved onto the n-rule's outputs
 _REPORT_KEYS = ("momentum_residual", "restitution_residual", "sigma_n_agreement",
                 "relative_speed_growth", "mixture_momentum_residual",
                 "mixture_energy_residual", "sigma_flip_swap_gap")
 _WHOLE_ARRAY_REPORTS = [
-    (1, 2, (0.0, 2.220446049250313e-16, 2.220446049250313e-16, -1.5172775742408013, 0.0,
+    (1, 2, (0.0, 6.661338147750939e-16, 2.220446049250313e-16, -1.5172775742408013, 0.0,
             0.0, 1.645819555688375)),
-    (4095, 2, (4.440892098500626e-16, 1.929567616798522e-13, 9.431344594190705e-14,
+    (4095, 2, (4.440892098500626e-16, 2.220446049250313e-15, 9.431344594190705e-14,
                -3.3641902352776754e-07, 1.7763568394002505e-15, 1.7763568394002505e-14,
                0.005034059891357168)),
-    (4096, 2, (4.440892098500626e-16, 3.4721114872127146e-12, 1.3296030942910875e-12,
+    (4096, 2, (4.440892098500626e-16, 2.220446049250313e-15, 1.3296030942910875e-12,
                -7.640602373015781e-09, 1.7763568394002505e-15, 1.4210854715202004e-14,
                0.023591339613064668)),
-    (4097, 2, (4.440892098500626e-16, 1.284528039491306e-13, 4.8183679268731794e-14,
+    (4097, 2, (4.440892098500626e-16, 2.6645352591003757e-15, 4.8183679268731794e-14,
                -1.656595514099024e-07, 1.7763568394002505e-15, 1.4210854715202004e-14,
                0.014129710288854192)),
-    (100000, 2, (8.881784197001252e-16, 3.013836402665504e-11, 1.1779355268970448e-11,
+    (100000, 2, (8.881784197001252e-16, 3.552713678800501e-15, 1.1779355268970448e-11,
                  -3.818056981685913e-12, 1.7763568394002505e-15, 2.842170943040401e-14,
                  0.000837680494367064)),
-    (1, 3, (1.1102230246251565e-16, 8.881784197001252e-16, 4.440892098500626e-16,
+    (1, 3, (1.1102230246251565e-16, 2.220446049250313e-16, 4.440892098500626e-16,
             -1.0688791360516858, 2.220446049250313e-16, 5.329070518200751e-15,
             1.8004874731738896)),
-    (4095, 3, (4.440892098500626e-16, 4.218847493575595e-14, 1.887379141862766e-14,
+    (4095, 3, (4.440892098500626e-16, 2.220446049250313e-15, 1.887379141862766e-14,
                -0.00012614911016883834, 1.7763568394002505e-15, 1.4210854715202004e-14,
                0.03288355931759558)),
-    (4096, 3, (4.440892098500626e-16, 2.8199664825478976e-14, 1.021405182655144e-14,
+    (4096, 3, (4.440892098500626e-16, 2.220446049250313e-15, 1.021405182655144e-14,
                -0.00022194117602047925, 1.7763568394002505e-15, 1.7763568394002505e-14,
                0.06265944582170056)),
-    (4097, 3, (4.440892098500626e-16, 1.3378187446733136e-14, 6.439293542825908e-15,
+    (4097, 3, (4.440892098500626e-16, 2.6645352591003757e-15, 6.439293542825908e-15,
                -0.00020945689577533955, 1.7763568394002505e-15, 1.7763568394002505e-14,
                0.0804422000858667)),
-    (100000, 3, (8.881784197001252e-16, 6.445954880973659e-13, 2.566696855055284e-13,
+    (100000, 3, (8.881784197001252e-16, 4.440892098500626e-15, 2.566696855055284e-13,
                  -1.3664660034606868e-06, 1.7763568394002505e-15, 2.842170943040401e-14,
                  0.0256324165526352)),
 ]

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from kten import simulator as sim
+from kten import utils
+from kten.density import DensityField
 from kten.errors import MajorantInflationWarning, ValidationError
 from kten.geometry import MassPair, RestitutionParams
 from kten.kernels import KernelSpec
@@ -150,6 +152,27 @@ class TestStep:
                 log_t.append(math.log(thermal))
             rate = -np.polyfit(times, log_t, 1)[0]
             assert abs(rate - predicted) < 5.0 * spread, (seed, rate, predicted)
+
+    # The first step from a Gaussian start at gamma = 1 with the cutoff kernel
+    # accepts 1/2 (n - 1) |S^{d-1}|/2 dt E|X - Y|^gamma collisions in
+    # expectation, X - Y ~ N(0, 2I): the acceptance-rejection rate itself.
+    # At N = 1e5 and dt 0.01, the accepted counts over the 32 seeds 2631-2662
+    # had mean 2777.8 and standard deviation 51.2 at d = 2 (predicted 2784.1),
+    # and mean 7093.3 and standard deviation 69.0 at d = 3 (predicted 7089.7),
+    # none more than 1.9 of them off; each seed here must fall within 5.
+    # Doubling angular_mass doubles the count.
+    @pytest.mark.parametrize("d, spread", [(2, 51.2), (3, 69.0)])
+    def test_first_step_accepted_count_at_gamma_one(self, d, spread):
+        n, dt, gamma = 100000, 0.01, 1.0
+        pair_moment = DensityField.gaussian(d, sigma=math.sqrt(2.0)).radial_moment(
+            np.zeros(d), gamma)
+        predicted = 0.5 * (n - 1) * 0.5 * sphere_area(d) * dt * pair_moment
+        for seed in (2631, 2632, 2633, 2634):
+            cfg = sim.SimConfig(model="mixture", kernel=iso_cutoff(gamma, d=d), dt=dt,
+                                steps=1, particles=(n,), masses=(1.0,), seed=seed,
+                                init="gaussian")
+            accepted = sim.step(sim.build_ensemble(cfg), cfg).last_step_stats["accepted"]
+            assert abs(accepted - predicted) < 5.0 * spread, (seed, accepted, predicted)
 
     def test_d2_conservation_and_cooling(self):
         spec2 = iso_cutoff(gamma=0.0, d=2)
@@ -359,6 +382,46 @@ def test_moments_bit_for_bit_against_the_old_expressions(d):
         assert got["entropy_estimate"] == ref["entropy_estimate"]
         if k < cfg.steps:
             ens = sim.step(ens, cfg)
+
+
+class TestEntropyCounts:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_equal_grid_counts_away_from_the_edges(self, d):
+        rng = np.random.default_rng(2600 + d)
+        v = rng.normal(size=(50000, d))
+        lim = 1.05 * float(np.max(np.abs(v)))
+        edges = np.linspace(-lim, lim, sim._ENTROPY_BINS + 1)
+        pos = (v + lim) / (edges[1] - edges[0])
+        v = v[(np.abs(pos - np.round(pos)) > 1e-6).all(axis=1)]
+        v[:2] = [[-lim] * d, [lim] * d]                # the end edges, first and last bin
+        counts = sim._entropy_counts(v, lim)
+        assert counts.shape == (sim._ENTROPY_BINS ** d,)
+        assert np.array_equal(counts, utils.grid_counts(v, edges).ravel())
+
+    def test_floor_rule_within_an_ulp_of_an_inner_edge(self):
+        # lim = 1.05: an ulp below the edge at 0, v + lim rounds to lim and
+        # floors into bin 12, where np.histogramdd corrects it into bin 11
+        v = np.array([[1.0, 0.5], [-math.ulp(0.0), 0.5]])
+        edges = np.linspace(-1.05, 1.05, sim._ENTROPY_BINS + 1)
+        ref = np.histogramdd(v, bins=[edges] * 2)[0]
+        assert ref[23, 17] == 1 and ref[11, 17] == 1
+        counts = sim._entropy_counts(v, 1.05).reshape(ref.shape)
+        assert counts[23, 17] == 1 and counts[12, 17] == 1
+        assert counts.sum() == 2
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_velocities_give_nan(self, bad):
+        v = np.random.default_rng(5).normal(size=(100, 3))
+        v[7, 1] = bad
+        assert math.isnan(sim._entropy_estimate(v, 0.01))
+
+    def test_single_particle_keeps_its_old_value(self):
+        ens = sim.Ensemble(
+            species=[sim.Species(1.0, np.array([[1.0, 2.0, -1.0]]))],
+            time=0.0, seed=1, weight=0.5)
+        got = sim.moments(ens)["entropy_estimate"]
+        assert got == _moments_by_the_old_expressions(ens)["entropy_estimate"]
+        assert got == pytest.approx(0.5 * math.log(0.5 / 0.175 ** 3), rel=1e-14)
 
 
 def test_species_stores_a_fortran_ordered_input_c_contiguous():
