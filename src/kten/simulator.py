@@ -23,6 +23,7 @@ schedule.
 
 import logging
 import math
+import os
 import struct
 import warnings
 from dataclasses import dataclass, replace
@@ -301,6 +302,13 @@ def step(ens: Ensemble, cfg: SimConfig) -> Ensemble:
 
 
 def _attempt_step(ens: Ensemble, cfg: SimConfig):
+    """One try at a step, in place on ens; returns its last_step_stats.
+
+    Per pair block: draw the candidates, schedule them (_levels), put their
+    particles and uniforms in level order once, and commit each level as a
+    slice. Raises _Violation from the first level holding a speed factor
+    above the majorant.
+    """
     w = ens.weight
     maj_rate = ens.majorant * (cfg.sampler or cfg.kernel).angular_mass   # truncated b, or h == 1
     stats = {"candidates": 0, "accepted": 0, "predicted_energy_loss": 0.0,
@@ -329,16 +337,25 @@ def _attempt_step(ens: Ensemble, cfg: SimConfig):
             continue
         idx_a = rng.integers(0, n_i, m)
         if i == j:
-            idx_b = (idx_a + 1 + rng.integers(0, n_i - 1, m)) % n_i
+            # a partner other than a: a + 1 + r lies in [1, 2 n_i - 2]
+            idx_b = idx_a + 1 + rng.integers(0, n_i - 1, m)
+            idx_b[idx_b >= n_i] -= n_i
         else:
             idx_b = rng.integers(0, n_j, m)
         u = rng.random((3, m))      # acceptance, polar and azimuth uniforms
         pair_params = _pair_collision_params(cfg, ens, i, j)
         # the b particles of a cross-species block get keys after the a ones
-        for level in _levels(idx_a, idx_b if i == j else idx_b + n_i):
-            _apply_wave(vi, vj, idx_a[level], idx_b[level], np.take(u, level, axis=1),
+        levels = list(_levels(idx_a, idx_b if i == j else idx_b + n_i))
+        # in level order once, each level is a slice
+        order = np.concatenate(levels)
+        idx_a, idx_b, u = idx_a[order], idx_b[order], np.take(u, order, axis=1)
+        start = 0
+        for level in levels:
+            end = start + level.size
+            _apply_wave(vi, vj, idx_a[start:end], idx_b[start:end], u[:, start:end],
                         cfg, pair_params, ens.majorant, w, stats)
-            stats["levels"] += 1
+            start = end
+        stats["levels"] += len(levels)
         stats["candidates"] += m
     return stats
 
@@ -353,18 +370,23 @@ def _levels(key_a, key_b):
     """Yield the candidate indices of each dependency level, in order.
 
     A candidate's level is 1 + the larger level of its predecessors (the
-    previous candidates sharing its a or b key), or 0 if it has none. Levels
-    are peeled off in order: a pass takes every pending candidate whose
-    predecessors all came in earlier levels. No key repeats within a level
-    and every key meets its candidates in order, so committing level after
-    level equals committing the candidates one at a time.
+    previous candidates sharing its a or b key), or 0 if it has none. Level
+    0 is read off the predecessors directly; the later levels are peeled off
+    in order: a pass takes every pending candidate whose predecessors all
+    came in earlier levels. Each level is increasing. No key repeats within
+    a level and every key meets its candidates in order, so committing level
+    after level equals committing the candidates one at a time.
     """
     m = len(key_a)
     pred = _predecessors(key_a, key_b)
-    pred_a, pred_b = pred[:m], pred[m:]
+    pred_a, pred_b = pred[0::2], pred[1::2]
+    first = (pred_a == m) & (pred_b == m)
+    level = np.flatnonzero(first)
+    yield level
     committed = np.zeros(m + 1, dtype=bool)
     committed[m] = True                     # the "no predecessor" sentinel
-    pending = np.arange(m)
+    committed[level] = True
+    pending = np.flatnonzero(~first)
     while pending.size:
         ready = committed[pred_a[pending]] & committed[pred_b[pending]]
         level = pending[ready]
@@ -376,19 +398,31 @@ def _levels(key_a, key_b):
 def _predecessors(key_a, key_b):
     """Previous candidate sharing each candidate's a and b particle.
 
-    Returns pred of length 2m: pred[k] for the a particle and pred[m + k]
-    for the b particle of candidate k, with m meaning none. The two keys of
-    one candidate must differ.
+    Returns pred of length 2m: pred[2k] for the a particle and pred[2k + 1]
+    for the b particle of candidate k, with m meaning none. The keys must be
+    >= 0, and the two keys of one candidate must differ.
+
+    One sort of the packed keys (key << s) | occurrence, where occurrence
+    2k + side numbers the 2m key slots in candidate order, puts equal keys
+    together in candidate order; occurrence >> 1 is the candidate.
     """
     m = len(key_a)
-    keys = np.concatenate([key_a, key_b])
-    # key * m + candidate is unique: sorting it orders by key, then candidate
-    order = np.argsort(keys * m + np.tile(np.arange(m), 2))
-    sorted_keys = keys[order]
-    shared = sorted_keys[1:] == sorted_keys[:-1]
+    s = (2 * m - 1).bit_length()
+    top = int(max(key_a.max(), key_b.max()))
+    if top >= 1 << (63 - s):
+        raise NumericalError(f"pair block of {m} candidates on keys up to {top}: "
+                             f"packing a key with its {s}-bit occurrence overflows int64")
+    packed = np.empty(2 * m, dtype=np.int64)
+    packed[0::2] = key_a
+    packed[1::2] = key_b
+    packed <<= s
+    packed |= np.arange(2 * m)
+    packed.sort()
+    occurrence = packed & ((1 << s) - 1)
+    packed >>= s                            # the sorted keys
     pred = np.empty(2 * m, dtype=np.intp)
-    pred[order[0]] = m
-    pred[order[1:]] = np.where(shared, order[:-1] % m, m)
+    pred[occurrence[0]] = m
+    pred[occurrence[1:]] = np.where(packed[1:] == packed[:-1], occurrence[:-1] >> 1, m)
     return pred
 
 
@@ -402,13 +436,19 @@ def _apply_wave(vi, vj, ia, ib, u, cfg, pair_params, majorant, w, stats):
     vb = np.take(vj, ib, axis=0)
     rel = va - vb
     rspeed = np.sqrt(utils.row_dot(rel, rel))
-    live = rspeed > 0.0                     # zero-relative-speed pairs are no-ops
-    factor = np.zeros_like(rspeed)
-    factor[live] = rspeed[live] ** cfg.kernel.gamma
-    over = factor > majorant
-    if np.any(over):
-        raise _Violation(float(np.max(factor)))
-    keep = np.flatnonzero(live & (u[0] * majorant < factor))
+    # zero-relative-speed pairs are no-ops: their factor is 0, never accepted
+    gamma = cfg.kernel.gamma
+    if gamma > 0.0:
+        factor = rspeed ** gamma
+    else:
+        # 0 ** 0 is 1 and 0 ** gamma is inf below 0, so rest pairs are masked
+        live = rspeed > 0.0
+        factor = np.zeros_like(rspeed)
+        factor[live] = rspeed[live] ** gamma
+    largest = factor.max()
+    if largest > majorant:
+        raise _Violation(float(largest))
+    keep = np.flatnonzero(u[0] * majorant < factor)
     if keep.size == 0:
         return
     if keep.size < rspeed.size:     # all accepted at gamma 0 with majorant 1
@@ -567,8 +607,10 @@ def write_snapshot(path, velocities):
 def read_snapshot(path):
     """Velocities (count, d) from a snapshot file.
 
-    A file too short for its header's count, with a bad magic or version,
-    without velocities or with one not finite raises ValidationError naming it.
+    A file with a bad magic or version, a d other than 2 or 3, too short for
+    its header's count, without velocities or with one not finite raises
+    ValidationError naming it. The header is checked against the file's size
+    before the payload is read.
     """
     with open(path, "rb") as fh:
         header = fh.read(20)
@@ -580,11 +622,16 @@ def read_snapshot(path):
             raise ValidationError(f"snapshot {path}: bad magic {magic!r}")
         if version != SNAPSHOT_VERSION:
             raise ValidationError(f"snapshot {path}: unsupported version {version}")
+        try:
+            utils.check_dimension(d)
+        except ValidationError as exc:
+            raise ValidationError(f"snapshot {path}: {exc}") from None
+        left = os.fstat(fh.fileno()).st_size - 20
+        if count * d * 8 > left:
+            raise ValidationError(f"snapshot {path}: payload holds {left} bytes, "
+                                  f"header promises {count} x {d} float64 "
+                                  f"({count * d * 8} bytes)")
         payload = fh.read(count * d * 8)
-    if len(payload) != count * d * 8:
-        raise ValidationError(f"snapshot {path}: payload holds {len(payload)} bytes, "
-                              f"header promises {count} x {d} float64 "
-                              f"({count * d * 8} bytes)")
     v = np.frombuffer(payload, dtype="<f8").reshape(count, d).copy()
     if count == 0 or not np.isfinite(v).all():
         raise ValidationError(f"snapshot {path}: needs one velocity or more, all finite")

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import platform
+import struct
 import subprocess
 import sys
 import warnings
@@ -433,6 +434,24 @@ class TestVerifyGeometryCommand:
         assert rep == {"samples": 10, "d": 3, "pass": False}
 
 
+# (d, count, rows written, start of the message) of snapshot headers that
+# read_snapshot refuses; tests/test_simulator.py reads the same files
+BAD_SNAPSHOT_HEADERS = [
+    (7, 4, 4, "'d' must be 2 or 3, got 7"),
+    (0, 4, 0, "'d' must be 2 or 3, got 0"),
+    (3, 2 ** 40, 1, "payload holds 24 bytes, header promises 1099511627776 x 3"),
+    (3, 2 ** 61, 1, "payload holds 24 bytes, header promises 2305843009213693952 x 3"),
+]
+
+
+def write_raw_snapshot(path, d, count, rows):
+    """A snapshot whose header says d and count, holding `rows` rows of d ones."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIIQ", simulator.SNAPSHOT_MAGIC, simulator.SNAPSHOT_VERSION,
+                             d, count))
+        fh.write(np.ones(rows * d, dtype="<f8").tobytes())
+
+
 class TestSimulateAndTails:
     def write_config(self, tmp_path, outdir, steps=40, seed=321):
         cfg = tmp_path / "run.cfg"
@@ -531,6 +550,20 @@ class TestSimulateAndTails:
         assert dispatch(argv) == 1
         err = capsys.readouterr().err
         assert "validation error" in err and str(snap) in err
+
+    @pytest.mark.parametrize("d, count, rows, message", BAD_SNAPSHOT_HEADERS,
+                             ids=["d7", "d0", "count-2^40", "count-2^61"])
+    def test_tails_snapshot_header_refused_naming_file(self, tmp_path, capsys, d, count,
+                                                       rows, message):
+        # d = 7 gave exit 0 and a report; d = 0 a traceback, and the two
+        # counts MemoryError and OverflowError
+        argv = self.short_run_tails_argv(tmp_path)
+        snap = sorted((tmp_path / "sim").glob("snapshot_*.kten"))[-1]
+        write_raw_snapshot(snap, d, count, rows)
+        assert dispatch(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            f"validation error: snapshot {snap}: {message}")
+        assert not (tmp_path / "tails_report.json").exists()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_tails_snapshot_not_finite_names_file(self, tmp_path, capsys, bad):

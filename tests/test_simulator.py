@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from kten import simulator as sim
 from kten import utils
 from kten.density import DensityField
-from kten.errors import MajorantInflationWarning, ValidationError
+from kten.errors import MajorantInflationWarning, NumericalError, ValidationError
 from kten.geometry import MassPair, RestitutionParams
 from kten.kernels import KernelSpec
 from kten.utils import sphere_area
@@ -459,6 +460,23 @@ class TestPositivityProbe:
         assert reps[0].empty_bins >= 0
 
 
+def write_raw_snapshot(path, d, count, rows):
+    """A snapshot whose header says d and count, holding `rows` rows of d ones."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIIQ", sim.SNAPSHOT_MAGIC, sim.SNAPSHOT_VERSION, d, count))
+        fh.write(np.ones(rows * d, dtype="<f8").tobytes())
+
+
+# (d, count, rows written, start of the message): a header read_snapshot
+# refuses before it reads the payload; tests/test_cli.py reads the same files
+BAD_SNAPSHOT_HEADERS = [
+    (7, 4, 4, "'d' must be 2 or 3, got 7"),
+    (0, 4, 0, "'d' must be 2 or 3, got 0"),
+    (3, 2 ** 40, 1, "payload holds 24 bytes, header promises 1099511627776 x 3"),
+    (3, 2 ** 61, 1, "payload holds 24 bytes, header promises 2305843009213693952 x 3"),
+]
+
+
 class TestSnapshotIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -502,6 +520,16 @@ class TestSnapshotIO:
         sim.write_snapshot(path, np.ones((4, 2)))
         path.write_bytes(path.read_bytes()[:keep])
         with pytest.raises(ValidationError, match="short.kten: truncated|short.kten: payload"):
+            sim.read_snapshot(path)
+
+    @pytest.mark.parametrize("d, count, rows, message", BAD_SNAPSHOT_HEADERS,
+                             ids=["d7", "d0", "count-2^40", "count-2^61"])
+    def test_header_refused_before_the_payload(self, tmp_path, d, count, rows, message):
+        # d = 7 was read as velocities, d = 0 raised IndexError, and the two
+        # counts MemoryError and OverflowError
+        path = tmp_path / "hdr.kten"
+        write_raw_snapshot(path, d, count, rows)
+        with pytest.raises(ValidationError, match=f"^snapshot {path}: {message}"):
             sim.read_snapshot(path)
 
 
@@ -720,6 +748,16 @@ def _one_candidate_per_level(key_a, key_b):
     return (np.array([k]) for k in range(len(key_a)))
 
 
+def _scan_predecessors(key_a, key_b):
+    """Reference for _predecessors: the last earlier candidate on each key."""
+    m = len(key_a)
+    pred, last = np.empty(2 * m, dtype=np.intp), {}
+    for k, (a, b) in enumerate(zip(key_a.tolist(), key_b.tolist())):
+        pred[2 * k], pred[2 * k + 1] = last.get(a, m), last.get(b, m)
+        last[a] = last[b] = k
+    return pred
+
+
 def _equivalence_cfg(case, monkeypatch):
     # each majorant bounds every pair speed factor of its run, so no
     # violation (and no schedule-dependent retry) can occur
@@ -742,6 +780,13 @@ def _equivalence_cfg(case, monkeypatch):
         pin_majorant(monkeypatch, 20.0)
         return sim.SimConfig(model="mixture", kernel=spec, dt=0.0008, steps=4,
                              particles=(600,), masses=(1.0,), seed=44)
+    if case == "noncutoff_soft":
+        # gamma < 0 masks the zero-relative-speed pairs before the power; 1/|v -
+        # v*| stays below 20 on every candidate of these four steps
+        spec = KernelSpec(gamma=-1.0, d=3, s=0.7, model="mixture", moderately_soft=True)
+        pin_majorant(monkeypatch, 20.0)
+        return sim.SimConfig(model="mixture", kernel=spec, dt=6e-6, steps=4,
+                             particles=(1200, 800), masses=(1.0, 2.0), seed=46)
     raise ValueError(case)
 
 
@@ -760,7 +805,8 @@ class TestLevelSchedule:
         return states, levels
 
     @pytest.mark.parametrize("case", ["inelastic_cutoff_d3", "inelastic_cutoff_d2",
-                                      "mixture_two_species", "noncutoff"])
+                                      "mixture_two_species", "noncutoff",
+                                      "noncutoff_soft"])
     def test_levels_equal_sequential_commit(self, case, monkeypatch):
         cfg = _equivalence_cfg(case, monkeypatch)
         by_level, levels = self.trajectory(cfg)
@@ -774,16 +820,53 @@ class TestLevelSchedule:
                 assert np.array_equal(a, b)
 
     def test_predecessors_match_a_scan(self):
-        rng = np.random.default_rng(5)
-        n, m = 50, 400
-        idx_a = rng.integers(0, n, m)
-        idx_b = (idx_a + 1 + rng.integers(0, n - 1, m)) % n
-        pred = sim._predecessors(idx_a, idx_b)
-        last = {}
-        for k, (a, b) in enumerate(zip(idx_a, idx_b)):
-            assert pred[k] == last.get(a, m)
-            assert pred[m + k] == last.get(b, m)
-            last[a] = last[b] = k
+        # (particles, candidates, cross-species): m = 1 and 2, and the
+        # workload-sized blocks, 1e5 particles of one species and a 60000 +
+        # 30000 cross-species block whose b keys come after the a ones
+        for n, m, cross in ((50, 400, False), (5, 1, False), (5, 2, False), (2, 2, False),
+                            (100000, 15700, False), (60000, 18000, True)):
+            rng = np.random.default_rng(5 if n == 50 else n + m)
+            idx_a = rng.integers(0, n, m)
+            if cross:
+                idx_b = rng.integers(0, n // 2, m) + n
+            else:
+                idx_b = (idx_a + 1 + rng.integers(0, n - 1, m)) % n
+            assert np.array_equal(sim._predecessors(idx_a, idx_b),
+                                  _scan_predecessors(idx_a, idx_b))
+
+    def test_packed_key_past_int64_is_refused(self):
+        # three candidates pack their occurrence into 3 bits: a key below
+        # 2^60 still sorts exactly, 2^60 itself would wrap past int64
+        key_a = np.array([2 ** 60 - 1, 7, 2 ** 60 - 1])
+        key_b = np.array([5, 2 ** 60 - 1, 7])
+        assert np.array_equal(sim._predecessors(key_a, key_b), _scan_predecessors(key_a, key_b))
+        with pytest.raises(NumericalError, match="pair block of 3 candidates on keys up to "
+                                                 f"{2 ** 60}: .* overflows int64"):
+            sim._predecessors(key_a, np.array([5, 2 ** 60, 7]))
+
+    @pytest.mark.parametrize("n", [2, 3, 60000])
+    def test_partner_wraps_like_the_modulo(self, n, monkeypatch):
+        # the same-species partner a + 1 + r, r uniform on [0, n - 2], taken
+        # below n by one subtraction, against the modulo on the replayed stream
+        cfg = elastic_cfg(n=n, steps=1, dt=1.0 if n < 10 else 0.05)
+        keys = []
+
+        def recording_levels(key_a, key_b):
+            keys.append((key_a.copy(), key_b.copy()))
+            return _one_candidate_per_level(key_a, key_b)
+
+        monkeypatch.setattr(sim, "_levels", recording_levels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)    # "reduce dt" at n = 2, 3
+            run(cfg)
+        (key_a, key_b), = keys
+        rng = utils.substream(cfg.seed, 0, 1)
+        rng.random()                                        # the candidate count's draw
+        idx_a = rng.integers(0, n, len(key_a))
+        r = rng.integers(0, n - 1, len(key_a))
+        assert len(key_a) > 1
+        assert np.array_equal(key_a, idx_a)
+        assert np.array_equal(key_b, (idx_a + 1 + r) % n)
 
     def test_violation_reports_level_maximum(self, monkeypatch):
         # the observed value of a violation is the largest speed factor of
@@ -863,3 +946,21 @@ class TestCommitKernels:
         assert stats_all == stats_masked and stats_all["accepted"] == 100
         assert np.array_equal(v_all, v_masked)
         assert not np.array_equal(v_all, v0)
+
+    @pytest.mark.parametrize("gamma", [-1.0, 0.0, 1.0])
+    def test_wave_skips_a_pair_at_rest(self, gamma):
+        # 0 ** 0 is 1 and 0 ** -1 inf: a pair at rest must be neither accepted
+        # nor counted, and must warn nothing; the moving pair beside it is
+        # accepted (its acceptance uniform is 0)
+        cfg = _wave_cfg(KernelSpec(gamma=gamma, d=3, s=0.2, model="mixture"))
+        v = np.array([[0.5, -1.0, 2.0], [0.5, -1.0, 2.0], [1.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+        v0 = v.copy()
+        stats = {"accepted": 0, "predicted_energy_loss": 0.0}
+        u = np.array([[0.0, 0.0], [0.3, 0.3], [0.6, 0.6]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sim._apply_wave(v, v, np.array([0, 2]), np.array([1, 3]), u, cfg,
+                            MassPair(1.0, 1.0), 2.0, 0.25, stats)
+        assert stats["accepted"] == 1
+        assert np.array_equal(v[:2], v0[:2])
+        assert not np.array_equal(v[2:], v0[2:])
