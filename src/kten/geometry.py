@@ -4,9 +4,10 @@ Covers the inelastic mono-species rule (restitution coefficient alpha,
 beta = (1+alpha)/2) and the elastic two-mass mixture rule, in both the
 scattering-direction (sigma) and impact-normal (n) parameterizations,
 plus the auxiliary points and half-angle identities that the Carleman-form
-kernels are built on. The simulator commits every collision through the n
-rules; the sigma rules are the reference that `verify_identities` and the
-tests check them against.
+kernels are built on. Both n rules apply one core, `impact_normal_shifts`,
+through which the simulator commits every collision; the sigma rules are
+the reference that `verify_identities` and the tests check the n rules
+against.
 
 All operations are pure and broadcast over leading axes: velocity arguments
 may be single vectors of shape (d,) or batches of shape (..., d). The
@@ -131,6 +132,44 @@ def inelastic_post_sigma(v, v_star, sigma, p: RestitutionParams):
     return PostCollision(center + half, center - half, _flag(r[..., 0]))
 
 
+class NormalShifts(NamedTuple):
+    """A collision at impact normal n: v' = v - shift, v*' = v* + shift_star."""
+
+    shift: np.ndarray
+    shift_star: np.ndarray
+    dot: np.ndarray             # <v - v*, n>, over the leading axes
+
+
+def impact_normal_shifts(rel, n, params):
+    """The shifts of both collision rules at impact normal n, and <rel, n>.
+
+    rel is v - v* and n a unit normal, batched alike over leading axes.
+    Inelastic (RestitutionParams): both shifts are beta <rel, n> n. Mixture
+    (MassPair): the shifts are (2 m_j / M) <rel, n> n and (2 m_i / M)
+    <rel, n> n with M = m_i + m_j. `inelastic_post_n` and `mixture_post_n`
+    apply them; the simulator's commit wave calls this directly, with the
+    v - v* it already holds.
+    """
+    _check_unit(n, "n")
+    dot = utils.row_dot(rel, n)
+    col = dot[..., None]
+    if isinstance(params, RestitutionParams):
+        shift = params.beta * col * n
+        return NormalShifts(shift, shift, dot)
+    if isinstance(params, MassPair):
+        total = params.total
+        return NormalShifts((2.0 * params.m_j / total) * col * n,
+                            (2.0 * params.m_i / total) * col * n, dot)
+    raise TypeError("params must be RestitutionParams or MassPair")
+
+
+def _post_n(v, v_star, n, params):
+    v, v_star, n = _vec(v), _vec(v_star), _vec(n)
+    rel = v - v_star
+    shift, shift_star, _ = impact_normal_shifts(rel, n, params)
+    return PostCollision(v - shift, v_star + shift_star, _flag(_sq_norm(rel)))
+
+
 def inelastic_post_n(v, v_star, n, p: RestitutionParams):
     """Inelastic post-collision velocities from an impact normal n.
 
@@ -138,11 +177,7 @@ def inelastic_post_n(v, v_star, n, p: RestitutionParams):
     relative velocity reflects with factor -alpha, the tangential part is
     unchanged.
     """
-    v, v_star, n = _vec(v), _vec(v_star), _vec(n)
-    _check_unit(n, "n")
-    rel = v - v_star
-    shift = p.beta * _dot(rel, n) * n
-    return PostCollision(v - shift, v_star + shift, _flag(_sq_norm(rel)))
+    return _post_n(v, v_star, n, p)
 
 
 def mixture_post_sigma(v, v_star, sigma, m: MassPair):
@@ -164,14 +199,7 @@ def mixture_post_sigma(v, v_star, sigma, m: MassPair):
 
 def mixture_post_n(v, v_star, n, m: MassPair):
     """Elastic two-mass rule in the impact-normal parameterization."""
-    v, v_star, n = _vec(v), _vec(v_star), _vec(n)
-    _check_unit(n, "n")
-    rel = v - v_star
-    dot = _dot(rel, n)
-    total = m.total
-    return PostCollision(v - (2.0 * m.m_j / total) * dot * n,
-                         v_star + (2.0 * m.m_i / total) * dot * n,
-                         _flag(_sq_norm(rel)))
+    return _post_n(v, v_star, n, m)
 
 
 class AuxPointsInelastic(NamedTuple):

@@ -10,7 +10,13 @@ weight of the discarded grazing collisions is computed and logged (their raw
 count is infinite). Cutoff kernels (the uniform half-sphere law) draw the
 impact normal uniform on the sphere, with no frame or table; noncutoff
 kernels build it from the sampled angle in the `utils.tangent_basis` frame.
-Both commit through the impact-normal rules `geometry.*_post_n`.
+Both commit through the impact-normal core `geometry.impact_normal_shifts`,
+which `geometry.inelastic_post_n` and `geometry.mixture_post_n` wrap.
+
+A step works in place. Each commit wave hands back the rows it overwrote,
+and the step keeps them as an undo log: a majorant violation writes them
+back, last wave first, so the retry starts from the state the step began
+with, bit for bit.
 
 Determinism: all randomness comes from counter-based streams keyed by
 (seed, step, species-pair block). Within a block, each candidate's level is
@@ -60,8 +66,8 @@ class Species:
         self.velocities = np.ascontiguousarray(self.velocities, dtype=float)
         if self.velocities.ndim != 2 or self.velocities.shape[0] == 0:
             raise ValidationError("species needs a nonempty (N, d) velocity array")
-        if self.mass <= 0:
-            raise ValidationError("mass must be positive")
+        if not (self.mass > 0 and math.isfinite(self.mass)):
+            raise ValidationError(f"'mass' must be > 0 and finite, got {self.mass}")
 
 
 @dataclass
@@ -84,8 +90,8 @@ class Ensemble:
         masses = [s.mass for s in self.species]
         if any(b <= a for a, b in zip(masses, masses[1:])):
             raise ValidationError("species masses must be strictly increasing")
-        if self.weight <= 0:
-            raise ValidationError("weight must be positive")
+        if not (self.weight > 0 and math.isfinite(self.weight)):
+            raise ValidationError(f"'weight' must be > 0 and finite, got {self.weight}")
 
     @property
     def d(self):
@@ -262,43 +268,45 @@ class _Violation(Exception):
 
 
 def step(ens: Ensemble, cfg: SimConfig) -> Ensemble:
-    """Advance the ensemble by one time step of length cfg.dt.
+    """Advance the ensemble by one time step of length cfg.dt, in place.
 
-    Returns a new Ensemble; the input is not modified. Candidates are
-    committed in dependency levels (see _levels). A majorant violation is
-    detected when a level is committed: the observed value is the largest
-    speed factor in the first level, in level order, that holds a violating
-    candidate. The majorant is inflated to 1.5 x max(observed, majorant) and
-    the step is re-run from its own saved stream, so recovery is
-    deterministic. The majorant is drawn afresh every _MAJORANT_REFRESH steps.
+    Returns ens itself; copy it first (Ensemble.copy) to keep the state
+    before the step. Candidates are committed in dependency levels (see
+    _levels), each through the impact-normal core
+    `geometry.impact_normal_shifts`. A majorant violation is detected when a
+    level is committed: the observed value is the largest speed factor in
+    the first level, in level order, that holds a violating candidate. The
+    step's rows are then restored from its undo log, the majorant is
+    inflated to 1.5 x max(observed, majorant), and the step is re-run from
+    its own saved stream, so recovery is deterministic. The majorant is
+    drawn afresh every _MAJORANT_REFRESH steps. A step that raises leaves
+    the velocities, time and step index as they were, and the majorant at
+    its last value.
 
-    The result's last_step_stats holds the candidate and accepted counts,
+    last_step_stats then holds the candidate and accepted counts,
     predicted_energy_loss (inelastic bookkeeping), the majorant used, and
     levels, the number of levels summed over pair blocks.
     """
-    out = ens.copy()
-    if out.majorant is None or out.step_index % _MAJORANT_REFRESH == 0:
-        out.majorant = _speed_majorant(out, cfg)
+    if ens.majorant is None or ens.step_index % _MAJORANT_REFRESH == 0:
+        ens.majorant = _speed_majorant(ens, cfg)
     for _retry in range(20):
         try:
-            stats = _attempt_step(out, cfg)
+            stats = _attempt_step(ens, cfg)
             break
         except _Violation as v:
-            new_maj = 1.5 * max(v.observed, out.majorant)
+            new_maj = 1.5 * max(v.observed, ens.majorant)
             warnings.warn(
-                f"majorant {out.majorant:.4g} violated (observed {v.observed:.4g}); "
+                f"majorant {ens.majorant:.4g} violated (observed {v.observed:.4g}); "
                 f"inflating to {new_maj:.4g} and re-running step",
                 MajorantInflationWarning)
-            for s_new, s_old in zip(out.species, ens.species):
-                s_new.velocities[...] = s_old.velocities
-            out.majorant = new_maj
+            ens.majorant = new_maj
     else:
         raise MajorantViolation("majorant kept being violated after 20 inflations; "
                                 "pair speeds are too singular for this dt")
-    out.time = ens.time + cfg.dt
-    out.step_index = ens.step_index + 1
-    out.last_step_stats = stats
-    return out
+    ens.time += cfg.dt
+    ens.step_index += 1
+    ens.last_step_stats = stats
+    return ens
 
 
 def _attempt_step(ens: Ensemble, cfg: SimConfig):
@@ -307,8 +315,21 @@ def _attempt_step(ens: Ensemble, cfg: SimConfig):
     Per pair block: draw the candidates, schedule them (_levels), put their
     particles and uniforms in level order once, and commit each level as a
     slice. Raises _Violation from the first level holding a speed factor
-    above the majorant.
+    above the majorant. Whatever it raises, it first writes back the rows
+    its waves overwrote, last wave first, so ens is as it was.
     """
+    undo = []               # (vi, vj, ia, ib, rows of vi, rows of vj), per wave
+    try:
+        return _commit_blocks(ens, cfg, undo)
+    except Exception:
+        for vi, vj, ia, ib, va, vb in reversed(undo):
+            _put_rows(vj, ib, vb)
+            _put_rows(vi, ia, va)
+        raise
+
+
+def _commit_blocks(ens, cfg, undo):
+    """The body of _attempt_step; appends each committed wave to undo."""
     w = ens.weight
     maj_rate = ens.majorant * (cfg.sampler or cfg.kernel).angular_mass   # truncated b, or h == 1
     stats = {"candidates": 0, "accepted": 0, "predicted_energy_loss": 0.0,
@@ -352,8 +373,11 @@ def _attempt_step(ens: Ensemble, cfg: SimConfig):
         start = 0
         for level in levels:
             end = start + level.size
-            _apply_wave(vi, vj, idx_a[start:end], idx_b[start:end], u[:, start:end],
-                        cfg, pair_params, ens.majorant, w, stats)
+            overwritten = _apply_wave(vi, vj, idx_a[start:end], idx_b[start:end],
+                                      u[:, start:end], cfg, pair_params, ens.majorant,
+                                      w, stats)
+            if overwritten is not None:
+                undo.append((vi, vj, *overwritten))
             start = end
         stats["levels"] += len(levels)
         stats["candidates"] += m
@@ -426,11 +450,23 @@ def _predecessors(key_a, key_b):
     return pred
 
 
+def _put_rows(v, idx, rows):
+    """v[idx] = rows on C-ordered float rows, each row scattered as one record.
+
+    Species stores its velocities C-ordered; on any other layout the record
+    view raises.
+    """
+    record = np.dtype((np.void, v.itemsize * v.shape[1]))
+    np.put(v.view(record), idx, rows.view(record))
+
+
 def _apply_wave(vi, vj, ia, ib, u, cfg, pair_params, majorant, w, stats):
     """Commit one level: particle ia[k] of vi meets particle ib[k] of vj.
 
     u holds the level's acceptance, polar and azimuth uniforms as rows; w is
-    the particle weight of the inelastic energy-loss bookkeeping.
+    the particle weight of the inelastic energy-loss bookkeeping. Returns
+    (ia, ib, va, vb), the accepted candidates and the rows of vi and vj
+    they overwrote, or None when none is accepted.
     """
     va = np.take(vi, ia, axis=0)
     vb = np.take(vj, ib, axis=0)
@@ -440,8 +476,10 @@ def _apply_wave(vi, vj, ia, ib, u, cfg, pair_params, majorant, w, stats):
     gamma = cfg.kernel.gamma
     if gamma > 0.0:
         factor = rspeed ** gamma
+    elif gamma == 0.0:
+        factor = (rspeed > 0.0).astype(float)      # 0 ** 0 would be 1
     else:
-        # 0 ** 0 is 1 and 0 ** gamma is inf below 0, so rest pairs are masked
+        # 0 ** gamma is inf below 0, so rest pairs are masked
         live = rspeed > 0.0
         factor = np.zeros_like(rspeed)
         factor[live] = rspeed[live] ** gamma
@@ -450,7 +488,7 @@ def _apply_wave(vi, vj, ia, ib, u, cfg, pair_params, majorant, w, stats):
         raise _Violation(float(largest))
     keep = np.flatnonzero(u[0] * majorant < factor)
     if keep.size == 0:
-        return
+        return None
     if keep.size < rspeed.size:     # all accepted at gamma 0 with majorant 1
         ia, ib, rspeed = (np.take(a, keep) for a in (ia, ib, rspeed))
         va, vb, rel = (np.take(a, keep, axis=0) for a in (va, vb, rel))
@@ -478,17 +516,15 @@ def _apply_wave(vi, vj, ia, ib, u, cfg, pair_params, majorant, w, stats):
             coef = np.where(u_azim < math.pi, 1.0, -1.0)[:, None]
         tang = utils.tangent_vectors(khat, coef)
         unit = np.sin(half)[:, None] * khat + np.cos(half)[:, None] * tang
-    inelastic = isinstance(pair_params, RestitutionParams)
-    post = geometry.inelastic_post_n if inelastic else geometry.mixture_post_n
-    va_new, vb_new, _ = post(va, vb, unit, pair_params)
-    vi[ia] = va_new
-    vj[ib] = vb_new
+    shift, shift_star, c = geometry.impact_normal_shifts(rel, unit, pair_params)
+    _put_rows(vi, ia, va - shift)
+    _put_rows(vj, ib, vb + shift_star)
     stats["accepted"] += int(ia.size)
-    if inelastic:
+    if isinstance(pair_params, RestitutionParams):
         beta = pair_params.beta
-        c = utils.row_dot(rel, unit)
         c2 = float(np.sum(c * c))
         stats["predicted_energy_loss"] += 2.0 * beta * (1.0 - beta) * c2 * w
+    return ia, ib, va, vb
 
 
 def moments(ens: Ensemble):

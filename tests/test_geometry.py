@@ -490,6 +490,59 @@ class TestIdentityRowSumsKeepTheirBits:
         assert _bits(one) == _bits(np.stack(three))
 
 
+class TestImpactNormalCore:
+    # inelastic_post_n and mixture_post_n wrap impact_normal_shifts, which the
+    # simulator's commit wave also calls; the wrappers must keep the bits of
+    # the expressions they had before it, written out here with np.sum
+
+    @staticmethod
+    def pairs(d):
+        r = np.random.default_rng(90 + d)
+        v, vs, n = r.normal(size=(3, 3000, d))
+        n /= np.linalg.norm(n, axis=1)[:, None]
+        for x in (v, vs):
+            x[:1000] *= 1e-150
+            x[1000:2000] *= 1e150
+        vs[5] = v[5]                                # a pair at rest, flagged
+        return v, vs, n
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_inelastic_rule_keeps_its_bits(self, d):
+        v, vs, n = self.pairs(d)
+        p = geo.RestitutionParams(0.3)
+        rel = v - vs
+        shift = p.beta * np.sum(rel * n, axis=1)[:, None] * n
+        vp, vsp, deg = geo.inelastic_post_n(v, vs, n, p)
+        assert _bits(vp) == _bits(v - shift) and _bits(vsp) == _bits(vs + shift)
+        assert np.array_equal(deg, np.sum(rel * rel, axis=1) == 0.0) and deg.sum() == 1
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mixture_rule_keeps_its_bits(self, d):
+        v, vs, n = self.pairs(d)
+        m = geo.MassPair(1.0, 2.5)
+        rel = v - vs
+        dot = np.sum(rel * n, axis=1)[:, None]
+        vp, vsp, deg = geo.mixture_post_n(v, vs, n, m)
+        assert _bits(vp) == _bits(v - (2.0 * m.m_j / m.total) * dot * n)
+        assert _bits(vsp) == _bits(vs + (2.0 * m.m_i / m.total) * dot * n)
+        assert np.array_equal(deg, np.sum(rel * rel, axis=1) == 0.0) and deg.sum() == 1
+
+    @pytest.mark.parametrize("params", [geo.RestitutionParams(0.3), geo.MassPair(1.0, 2.5)])
+    def test_core_returns_the_normal_component(self, params):
+        v, vs, n = self.pairs(3)
+        rel = v - vs
+        shift, shift_star, dot = geo.impact_normal_shifts(rel, n, params)
+        assert _bits(dot) == _bits(np.sum(rel * n, axis=1))
+        post = (geo.inelastic_post_n if isinstance(params, geo.RestitutionParams)
+                else geo.mixture_post_n)
+        vp, vsp, _ = post(v, vs, n, params)
+        assert _bits(v - shift) == _bits(vp) and _bits(vs + shift_star) == _bits(vsp)
+        with pytest.raises(NonUnitNormal):
+            geo.impact_normal_shifts(rel, 2.0 * n, params)
+        with pytest.raises(TypeError):
+            geo.impact_normal_shifts(rel, n, 0.5)
+
+
 class TestCollisionFrame:
     def test_frame_roundtrip(self):
         r = rng()
