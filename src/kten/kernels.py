@@ -25,7 +25,9 @@ One evaluator, `_kernel_profile`, integrates the planes of the pairs
 one-pair case), with radial reach |f.center - center| +
 TRUNCATION_SIGMAS * f.scale + |1/kappa - 1| * max l. One direction's planes
 are parallel, and the density sums f over all their rings in one call
-(`DensityField.ring_sums`: the circle rule, or a closed form for a Gaussian).
+(`DensityField.ring_sums`: a closed form at d = 3, the two points of each
+ring at d = 2). The circle rule of `utils.circle_rule` goes with them for the
+disk-volume check and for a field that integrates its rings by quadrature.
 `_kernel_profile` weights the rings by the radial rule, checks the rule's
 disk volume and warns, once per call, when the outer ring is not negligible.
 """

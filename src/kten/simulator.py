@@ -90,6 +90,11 @@ class Ensemble:
         masses = [s.mass for s in self.species]
         if any(b <= a for a, b in zip(masses, masses[1:])):
             raise ValidationError("species masses must be strictly increasing")
+        dims = [s.velocities.shape[1] for s in self.species]
+        for i, d in enumerate(dims):
+            if d != dims[0]:
+                raise ValidationError(f"species {i} has 'd' = {d} but species 0 has "
+                                      f"'d' = {dims[0]}: every species must share one d")
         if not (self.weight > 0 and math.isfinite(self.weight)):
             raise ValidationError(f"'weight' must be > 0 and finite, got {self.weight}")
 
@@ -287,6 +292,9 @@ def step(ens: Ensemble, cfg: SimConfig) -> Ensemble:
     predicted_energy_loss (inelastic bookkeeping), the majorant used, and
     levels, the number of levels summed over pair blocks.
     """
+    if ens.d != cfg.d:
+        raise ValidationError(f"the species have 'd' = {ens.d} but the config's kernel "
+                              f"has 'd' = {cfg.d}")
     if ens.majorant is None or ens.step_index % _MAJORANT_REFRESH == 0:
         ens.majorant = _speed_majorant(ens, cfg)
     for _retry in range(20):

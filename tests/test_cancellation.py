@@ -138,9 +138,6 @@ def test_spec_is_frozen_so_s1_cannot_go_stale():
     ("_s1", lambda: C.SFunctionSpec(kernel=K3, lam=0.5, _s1=1.0)),
     ("_angular_mass", lambda: KernelSpec(gamma=1.0, d=3, h=lambda t: 1.0,
                                          _angular_mass=5.0)),
-    ("_sphere", lambda: DensityField(d=3, evaluator=lambda v: np.zeros(v.shape[:-1]),
-                                     mass=0.0, energy=0.0, center=np.zeros(3),
-                                     scale=1.0, _sphere=None)),
 ])
 def test_private_caches_are_not_constructor_arguments(name, make):
     with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):

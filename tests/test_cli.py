@@ -125,6 +125,18 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_readme_library_example_runs(tmp_path):
+    # the README's "Library example" block, in a fresh interpreter: it builds
+    # DensityField.gaussian, evaluates a pair kernel and prints the tail exponent
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1]
+    code = code.split("```", 1)[0]
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_env_with_src(),
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert float(out.stdout) == spreading.growth_exponent(0.8)
+
+
 def _scipy_modules_after(code):
     """The scipy modules a fresh interpreter holds after running `code`."""
     out = subprocess.run(

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy.special import erf, gammaln, hyp1f1
 
+from kten import utils
 from kten.density import DensityField
+from kten.errors import ValidationError
 from kten.kernels import gaussian_bump
+from quadrature_field import SHELL_RULE, quadrature
 
 
 def coulomb_moment_of_unit_gaussian(speed):
@@ -69,14 +72,38 @@ class TestGaussianField:
             assert got == pytest.approx(kummer_moment(d, gamma, 0.7 * speed, 0.7, 2.5),
                                         rel=1e-13)
 
+    @pytest.mark.parametrize("d", [1, 4])
+    def test_dimension_outside_2_and_3_is_refused(self, d):
+        with pytest.raises(ValidationError, match=f"^'d' must be 2 or 3, got {d}"):
+            DensityField.gaussian(d)
+
+    @pytest.mark.parametrize("center", [[1.0, 2.0], [0.0, 0.0, 0.0, 0.0], [0.0, math.nan, 0.0]])
+    def test_center_that_is_not_d_finite_numbers_is_refused(self, center):
+        # a 2-vector center at d = 3 was taken, and radial_moment then failed
+        # with a numpy broadcast error
+        with pytest.raises(ValidationError, match="^'center' must be 3 finite numbers"):
+            DensityField.gaussian(3, center=center)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+    def test_sigma_not_positive_and_finite_is_refused(self, sigma):
+        with pytest.raises(ValidationError, match="^'sigma' must be > 0 and finite"):
+            DensityField.gaussian(3, sigma=sigma)
+
+    @pytest.mark.parametrize("mass", [-1.0, math.inf, math.nan])
+    def test_mass_negative_or_not_finite_is_refused(self, mass):
+        with pytest.raises(ValidationError, match="^'mass' must be >= 0 and finite"):
+            DensityField.gaussian(3, mass=mass)
+
+    @pytest.mark.parametrize("d, gamma", [(3, -3.0), (3, -3.5), (2, -2.0), (3, math.nan)])
+    def test_divergent_radial_moment_is_refused(self, d, gamma):
+        # the shell rule gave 14.6 at gamma = -3 and 14565 at -3.5 (d = 3,
+        # v = 0), set by its inner cutoff, for an integral that diverges
+        with pytest.raises(ValidationError, match=f"^'gamma' must be > -d = {-d}"):
+            DensityField.gaussian(d).radial_moment(np.zeros(d), gamma)
+
 
 class TestFromCallable:
-    def test_moments_computed(self):
-        norm = 1.0 / math.pi ** 1.5
-        f = DensityField.from_callable(
-            lambda v: norm * np.exp(-np.sum(v ** 2, axis=-1)), 3, scale=0.8)
-        assert f.mass == pytest.approx(1.0, rel=1e-8)
-        assert f.energy == pytest.approx(1.5, rel=1e-8)
+    """A density known only through its evaluator: the test-side quadrature oracle."""
 
     @pytest.mark.parametrize("d, gamma, rtol", [
         (3, -1.0, 1e-12), (3, 0.5, 1e-12), (3, 1.0, 1e-12), (2, 1.0, 1e-12), (2, 0.5, 1e-12),
@@ -85,45 +112,10 @@ class TestFromCallable:
         # the unit Gaussian on the quadrature path: shells centered at v,
         # however far v sits from the density center
         direction = np.array([1.0, 2.0, 2.0])[:d] / np.linalg.norm([1.0, 2.0, 2.0][:d])
-        f = DensityField.from_callable(DensityField.gaussian(d).evaluator, d, scale=1.0)
+        f = quadrature(DensityField.gaussian(d))
         for speed in LOSS_RATE_SPEEDS:
             assert f.radial_moment(speed * direction, gamma) == pytest.approx(
                 kummer_moment(d, gamma, speed), rel=rtol)
-
-    def test_negative_density_rejected(self):
-        with pytest.raises(ValueError):
-            DensityField.from_callable(
-                lambda v: -np.ones(v.shape[:-1]), 3, scale=1.0)
-
-
-class TestParticleField:
-    def test_histogram_moments_and_exact_particle_sums(self):
-        rng = np.random.default_rng(7)
-        v = rng.normal(size=(20000, 3))
-        f = DensityField.from_particles(v, weight=1.0 / 20000)
-        assert f.mass == pytest.approx(1.0)
-        assert f.energy == pytest.approx(np.sum(v ** 2) / 20000)
-        # radial moment is the exact weighted particle sum
-        probe = np.array([0.3, 0.0, 0.0])
-        direct = np.mean(np.linalg.norm(v - probe, axis=1) ** -1)
-        assert f.radial_moment(probe, -1.0) == pytest.approx(direct, rel=1e-12)
-
-    def test_evaluator_zero_outside_grid(self):
-        v = np.zeros((10, 2))
-        f = DensityField.from_particles(v, weight=0.1)
-        assert f(np.array([100.0, 100.0])) == 0.0
-
-    def test_evaluator_keeps_the_batch_shape(self):
-        # a scalar only for one (d,) point, as the Gaussian evaluator gives
-        rng = np.random.default_rng(8)
-        f = DensityField.from_particles(rng.normal(size=(500, 3)), weight=1e-3)
-        pts = rng.normal(size=(5, 3)) * 0.5
-        assert isinstance(f(pts[0]), float)
-        for shape in [(1, 3), (1, 1, 3), (5, 3), (5, 1, 3)]:
-            batch = pts[: shape[0]].reshape(shape)
-            got = f(batch)
-            assert got.shape == shape[:-1]
-            assert np.array_equal(got.ravel(), [f(p) for p in batch.reshape(-1, 3)])
 
 
 def _layouts(d, seed):
@@ -148,7 +140,7 @@ def test_gaussian_and_bump_keep_the_bits_in_every_layout(d, layout):
     # the expressions both evaluators had before they summed column by column
     norm = mass / ((2.0 * np.pi * sigma ** 2) ** (d / 2.0))
     r2 = np.sum((v - center) ** 2, axis=-1)
-    got_f, got_bump = f.evaluator(v), bump(v)
+    got_f, got_bump = f(v), bump(v)
     assert np.array_equal(got_f, norm * np.exp(-0.5 * r2 / sigma ** 2))
     assert np.array_equal(got_bump, amplitude * np.exp(-0.5 * r2 / width ** 2))
     assert np.shape(got_f) == np.shape(got_bump) == v.shape[:-1]
@@ -158,42 +150,11 @@ def test_gaussian_and_bump_keep_the_bits_in_every_layout(d, layout):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_shell_points_equal_the_broadcast_expression(d):
-    f = DensityField.gaussian(d)
-    dirs, _ = f.sphere_rule()
+    f = quadrature(DensityField.gaussian(d))
+    dirs, _ = utils.sphere_rule(d, *SHELL_RULE)
     rho = np.geomspace(1e-9, 12.0, 37)
     origin = np.array([0.3, -1.7, 2.2][:d])
-    pts = f._shell_points(origin, rho)
+    pts = f.shell_points(origin, rho)
     assert pts.shape == (rho.size, len(dirs), d)
     assert np.array_equal(pts, origin + rho[:, None, None] * dirs[None, :, :])
     assert pts[..., 0].flags.c_contiguous
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_histogram_lookup_reads_the_bin_that_counted_the_point(d):
-    rng = np.random.default_rng(70 + d)
-    bins = 32
-    lim = float(rng.uniform(3.5, 4.5))         # not a round width: the arithmetic
-    v = np.clip(rng.normal(size=(4000, d)), -3.4, 3.4)   # bin is off near edges
-    v[0], v[1] = lim, -lim                       # the grid's two corners at pad 1
-    edges = np.linspace(-lim, lim, bins + 1)
-    # probes on interior edges and an ulp either side of them, counted as
-    # particles, and the two corners
-    on = rng.choice(edges[1:-1], size=(600, d))
-    probes = np.concatenate([on, np.nextafter(on, np.inf), np.nextafter(on, -np.inf)])
-    f = DensityField.from_particles(np.concatenate([v, probes]), weight=1e-3, bins=bins,
-                                    pad=1.0)
-    counts = np.histogramdd(f.particles, bins=[edges] * d)[0]
-    cell = (edges[1] - edges[0]) ** d
-    probes = np.concatenate([probes, v[:2]])
-    got = f(probes)
-    for p, val in zip(probes, got):
-        counted = np.argwhere(np.histogramdd(p[None], bins=[edges] * d)[0])
-        assert len(counted) == 1
-        assert val == 1e-3 * counts[tuple(counted[0])] / cell
-    # batches of any shape read the same bins
-    assert np.array_equal(f(probes[:600].reshape(20, 30, d)), got[:600].reshape(20, 30))
-    # and off the grid, in any one coordinate, the density is zero
-    outside = probes[:5].copy()
-    outside[:, -1] = np.nextafter(edges[-1], np.inf)
-    assert not np.any(f(outside))
-    assert f(np.full(d, np.nan)) == 0.0

@@ -14,11 +14,12 @@ from kten.density import DensityField
 from kten.errors import (CoincidentPoints, EqualMasses, HistoryGap, InsufficientGrid,
                          NonFiniteResult, QuadratureTruncationWarning, SingularAtZeroSpeed)
 from kten.geometry import MassPair, RestitutionParams
+from quadrature_field import quadrature
 
 GAUSS3 = DensityField.gaussian(3)
-# the unit Gaussian declaring a scale of 0.1: the plane reach it implies
-# stops well inside the bulk of f
-UNDERSTATED3 = dataclasses.replace(GAUSS3, scale=0.1)
+# the unit Gaussian on the quadrature path, declaring a scale of 0.1: the
+# plane reach it implies stops well inside the bulk of f
+UNDERSTATED3 = quadrature(GAUSS3, scale=0.1)
 SOFT3 = K.KernelSpec(gamma=-1.0, d=3, s=0.5, model="inelastic", moderately_soft=True)
 SOFT3_MIX = K.KernelSpec(gamma=-1.0, d=3, s=0.5, model="mixture", moderately_soft=True)
 BETA08 = RestitutionParams.from_beta(0.8)
@@ -110,9 +111,7 @@ class TestEvalB:
 
 class TestCarlemanKernels:
     def test_zero_density_gives_zero(self):
-        zero = DensityField(d=3,
-                            evaluator=lambda v: np.zeros(v.shape[:-1]),
-                            mass=0.0, energy=0.0, center=np.zeros(3), scale=1.0)
+        zero = DensityField.gaussian(3, mass=0.0)
         val = K.K_f_inelastic(np.ones(3), np.zeros(3), zero, SOFT3, BETA08)
         assert val == 0.0
 
@@ -339,10 +338,11 @@ class TestPlaneRule:
 
         def record(v):
             seen.append(np.array(v))
-            return GAUSS3.evaluator(v)
+            return GAUSS3(v)
 
         kappa = 0.8
-        K._kernel_profile(center, dirs, ls, dataclasses.replace(GAUSS3, evaluator=record),
+        K._kernel_profile(center, dirs, ls,
+                          dataclasses.replace(quadrature(GAUSS3), evaluator=record),
                           SOFT3, kappa, 40, 24)
         assert len(seen) == len(dirs)            # one evaluation per direction
         for a, pts in zip(dirs, seen):
@@ -354,7 +354,7 @@ class TestPlaneRule:
     def test_gaussian_rings_never_evaluate_f(self, monkeypatch):
         # the d = 3 Gaussian's ring sums are closed forms: no call reaches f,
         # which the same planes through the quadrature path call once per direction
-        quadrature = DensityField.from_callable(GAUSS3.evaluator, 3, scale=1.0)
+        oracle = quadrature(GAUSS3)
         calls = []
         evaluate = DensityField.__call__
         monkeypatch.setattr(DensityField, "__call__",
@@ -363,7 +363,7 @@ class TestPlaneRule:
         dirs, _ = utils.sphere_rule(3, 2, 4)
         K._kernel_profile(np.zeros(3), dirs, ls, GAUSS3, SOFT3, 0.8, 40, 24)
         assert calls == []
-        K._kernel_profile(np.zeros(3), dirs, ls, quadrature, SOFT3, 0.8, 40, 24)
+        K._kernel_profile(np.zeros(3), dirs, ls, oracle, SOFT3, 0.8, 40, 24)
         assert calls == [1] * len(dirs)
 
     @pytest.mark.parametrize("beta", [0.8, 0.999])
@@ -376,7 +376,7 @@ class TestPlaneRule:
         # and the closed form is matched by a 96-point rule instead
         c, sigma = np.array([0.4, -0.3, 0.2]), 0.7
         exact = DensityField.gaussian(3, sigma=sigma, mass=1.3, center=c)
-        quadrature = DensityField.from_callable(exact.evaluator, 3, scale=sigma, center=c)
+        oracle = quadrature(exact)
         rng = np.random.default_rng(11)
         dirs = rng.normal(size=(6, 3))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
@@ -385,7 +385,7 @@ class TestPlaneRule:
             for offset in np.linspace(0.0, reach - 0.25, 5):
                 center = c + offset * sigma * dirs[0]
                 got = K._kernel_profile(center, dirs, ls, exact, SOFT3, beta, 40, 24)
-                want = K._kernel_profile(center, dirs, ls, quadrature, SOFT3, beta,
+                want = K._kernel_profile(center, dirs, ls, oracle, SOFT3, beta,
                                          40, n_angular)
                 for g, w in zip(got, want):      # plain, then symmetrized
                     np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
@@ -398,11 +398,10 @@ OFF_CENTRE = {d: DensityField.gaussian(d, sigma=0.7, mass=1.3, center=[0.4, -0.3
 
 @pytest.mark.parametrize("f, spec", [
     (OFF_CENTRE[3], SOFT3),
-    (DensityField.from_callable(OFF_CENTRE[3].evaluator, 3, scale=0.7,
-                                center=OFF_CENTRE[3].center), SOFT3),
-    (DensityField.from_callable(OFF_CENTRE[2].evaluator, 2, scale=0.7,
-                                center=OFF_CENTRE[2].center), SOFT2),
-], ids=["gaussian-d3", "circle-rule-d3", "circle-rule-d2"])
+    (quadrature(OFF_CENTRE[3]), SOFT3),
+    (OFF_CENTRE[2], SOFT2),
+    (quadrature(OFF_CENTRE[2]), SOFT2),
+], ids=["gaussian-d3", "circle-rule-d3", "gaussian-d2", "circle-rule-d2"])
 def test_profile_over_directions_equals_one_direction_at_a_time(f, spec):
     # a family of rays in one call gives the bits of one call per direction
     center = np.array([0.1, 0.5, -0.2])[:spec.d]
@@ -413,6 +412,15 @@ def test_profile_over_directions_equals_one_direction_at_a_time(f, spec):
     for a, p_row, s_row in zip(dirs, plain, sym):
         p_one, s_one = K._kernel_profile(center, a[None], ls, f, spec, 0.8, 40, 24)
         assert np.array_equal(p_one[0], p_row) and np.array_equal(s_one[0], s_row)
+
+
+def test_d2_gaussian_rings_are_the_bits_of_the_two_point_circle_rule():
+    # at d = 2 a ring is two points, which the Gaussian evaluates itself
+    f = OFF_CENTRE[2]
+    normal = np.array([0.6, -0.8])
+    shifts, k = np.linspace(-1.5, 2.0, 7), np.linspace(0.0, 9.0, 40)
+    args = (np.array([0.1, 0.5]), normal, shifts, k, utils.circle_rule(2, 24))
+    assert np.array_equal(f.ring_sums(*args), quadrature(f).ring_sums(*args))
 
 
 class TestQsApply:

@@ -57,8 +57,29 @@ class TestEnsemble:
             sim.Ensemble(species=[sim.Species(1.0, np.ones((4, 3)))], time=0.0, seed=1,
                          weight=bad)
 
+    def test_species_of_different_d_are_refused(self):
+        # such an ensemble was taken, and moments then failed with a numpy
+        # broadcast error
+        with pytest.raises(ValidationError, match="^species 1 has 'd' = 2 but species 0 "
+                                                  "has 'd' = 3"):
+            sim.Ensemble(species=[sim.Species(1.0, np.ones((4, 3))),
+                                  sim.Species(2.0, np.ones((4, 2)))],
+                         time=0.0, seed=1, weight=0.1)
+
 
 class TestStep:
+    def test_config_of_another_d_is_refused(self):
+        # a d = 3 ensemble under a d = 2 kernel ran: every candidate was
+        # accepted at the d = 2 angular mass pi
+        ens = sim.build_ensemble(elastic_cfg(n=200))
+        cfg2 = sim.SimConfig(model="mixture", kernel=iso_cutoff(0.0, d=2), dt=0.05, steps=1,
+                             particles=(200,), masses=(1.0,), seed=11)
+        before = ens.species[0].velocities.copy()
+        with pytest.raises(ValidationError, match="^the species have 'd' = 3 but the "
+                                                  "config's kernel has 'd' = 2"):
+            sim.step(ens, cfg2)
+        assert np.array_equal(ens.species[0].velocities, before) and ens.step_index == 0
+
     def test_zero_steps_is_identity(self):
         cfg = elastic_cfg()
         ens = sim.build_ensemble(cfg)
